@@ -37,7 +37,7 @@ rep = minimize(prob)
 print(f"dual:   {rep.status.value}, value {rep.value:+.8f}")
 
 primal = solve_primal(build_discrete_primal(prob))
-print(f"primal: objective {primal.objective:+.8f} ({primal.method}, residual {primal.residual:.1e})")
+print(f"primal: objective {primal.objective:+.8f} (HiGHS, residual {primal.residual:.1e})")
 
 gap = duality_gap(primal.v, rep.p_T_star, prob)
 print(f"duality gap (primal + dual): {gap.gap:+.2e}")

@@ -64,7 +64,7 @@ from .fenchel import (
 )
 from .solvable import SolvableBoundReport, solvable_bound
 from .config import ChecksConfig, ConfigError, ExperimentConfig, load_config
-from .experiments import ExperimentReport, convergence_study, run_scenario, run_two_channel
+from .experiments import ExperimentReport, convergence_study, run_scenario
 
 __version__ = "0.1.0"
 
@@ -117,7 +117,6 @@ __all__ = [
     "quadratic_control",
     "quadratic_profile",
     "run_scenario",
-    "run_two_channel",
     "simulate_forward",
     "slopes",
     "solvable_bound",

@@ -46,7 +46,6 @@ class ExperimentConfig:
     kind: FunctionalKind
     beta: float
     grid_nodes: int
-    bracket_multiplier: int
     optimizer: OptimizerSettings
     checks: ChecksConfig
     output_dir: str
@@ -186,18 +185,13 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         raise ConfigError("grid.bracket_multiplier: must be >= 1")
 
     opt_raw = _section(raw, "optimizer")
+    for key in opt_raw:
+        if key not in ("max_iterations", "gtol"):
+            raise ConfigError(f"optimizer.{key}: unknown field")
     try:
         optimizer = OptimizerSettings(
             max_iterations=int(opt_raw.get("max_iterations", 50_000)),
             gtol=float(opt_raw.get("gtol", 1e-6)),
-            flat_tol=float(opt_raw.get("flat_tol", 1e-12)),
-            flat_window=int(opt_raw.get("flat_window", 200)),
-            divergence_threshold=float(opt_raw.get("divergence_threshold", 1e6)),
-            divergence_window=int(opt_raw.get("divergence_window", 100)),
-            step_rule=str(opt_raw.get("step_rule", "adaptive")),
-            step_c=float(opt_raw.get("step_c", 1.0)),
-            lower_bound=opt_raw.get("lower_bound"),
-            exact_refinement=bool(opt_raw.get("exact_refinement", True)),
             bracket_multiplier=bracket_multiplier,
         )
     except (TypeError, ValueError) as exc:
@@ -225,7 +219,6 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         kind=kind,
         beta=beta,
         grid_nodes=grid_nodes,
-        bracket_multiplier=bracket_multiplier,
         optimizer=optimizer,
         checks=checks,
         output_dir=str(raw.get("output_dir", name)),

@@ -96,28 +96,34 @@ class QuadratureGrid:
 class OptimizerSettings:
     """Descent configuration.
 
-    ``step_rule``: "adaptive" grows/shrinks a multiplicative step with a
-    monotone acceptance test, "polyak" uses (J - lower_bound)/|g|^2 and
-    needs ``lower_bound``, "diminishing" uses c/sqrt(k) along -g/|g|.
+    ``max_iterations`` caps the descent steps over both phases, ``gtol`` is
+    the stationarity tolerance on the gradient (or interval-subgradient)
+    norm, and ``bracket_multiplier`` sets how much denser than the
+    quadrature grid the grid is on which the exact phase brackets level
+    crossings.
     """
 
     max_iterations: int = 50_000
     gtol: float = 1e-6
-    flat_tol: float = 1e-12
-    flat_window: int = 200
-    divergence_threshold: float = 1e6
-    divergence_window: int = 100
-    step_rule: str = "adaptive"
-    step_c: float = 1.0
-    lower_bound: Optional[float] = None
-    exact_refinement: bool = True
     bracket_multiplier: int = 8
 
     def __post_init__(self):
-        if self.step_rule not in ("adaptive", "polyak", "diminishing"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.step_rule == "polyak" and self.lower_bound is None:
-            raise ValueError("polyak steps need a lower bound on the optimal value")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not self.gtol > 0:
+            raise ValueError(f"gtol must be > 0, got {self.gtol}")
+        if self.bracket_multiplier < 1:
+            raise ValueError(f"bracket_multiplier must be >= 1, got {self.bracket_multiplier}")
+
+
+# Descent constants.  A phase ends after FLAT_WINDOW iterations without a
+# decrease of more than FLAT_TOL; divergence is certified once the iterate
+# norm passes DIVERGENCE_THRESHOLD while the last DIVERGENCE_WINDOW accepted
+# values kept strictly decreasing.
+FLAT_TOL = 1e-12
+FLAT_WINDOW = 200
+DIVERGENCE_THRESHOLD = 1e6
+DIVERGENCE_WINDOW = 100
 
 
 class DualProblem:
@@ -434,12 +440,16 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
 def minimize(prob: DualProblem, p0=None) -> SolveReport:
     """Minimize the dual functional over p_T.
 
-    Monotone descent with the configured step rule on the quadrature
-    functional; for the penalized kinds a second phase repeats the descent
-    on the exact piecewise evaluation, which removes the quadrature floor of
-    the subgradient and certifies stationarity at ``gtol``.  Divergence is
-    certified when the iterate norm passes the threshold while the accepted
-    values are still strictly decreasing.
+    Monotone descent with an adaptive step, grown on every decrease and
+    halved otherwise, first on the quadrature functional.  Once that descent
+    flattens out, the penalized kinds continue from the same iterate on the
+    exact piecewise evaluation, which removes the quadrature floor of the
+    subgradient.  The run converges when the gradient norm is within
+    ``gtol``, or when an interval-subgradient certificate holds at the
+    origin or on the active breakpoints near the last iterate.  Divergence
+    is certified when the iterate norm passes the threshold while the
+    accepted values are still strictly decreasing; a descent that stalls
+    otherwise, or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     st = prob.settings
     if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
@@ -447,20 +457,26 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
 
         warnings.warn("system is not controllable: the dual functional may have no minimizer")
 
-    n_dim = prob.sys.dim
-    p = np.zeros(n_dim) if p0 is None else np.asarray(p0, dtype=float).reshape(-1).copy()
+    zero = np.zeros(prob.sys.dim)
+    p = zero.copy() if p0 is None else np.asarray(p0, dtype=float).reshape(-1).copy()
 
-    value_fn = lambda x: eval_functional(prob, x)
-    grad_fn = lambda x: eval_subgradient(prob, x)
-    exact = ExactEvaluator(prob) if (st.exact_refinement and prob.kind.penalized) else None
-    phase = 1
+    exact_evaluator = ExactEvaluator(prob) if prob.kind.penalized else None
 
-    J = value_fn(p)
-    g = grad_fn(p)
+    # Each evaluation returns the value and a callable for the gradient,
+    # which is only needed at accepted points.
+    def quadrature(x):
+        return eval_functional(prob, x), lambda: eval_subgradient(prob, x)
+
+    def exact(x):
+        value, grad = exact_evaluator.value_and_grad(x)
+        return value, lambda: grad
+
+    evaluate = quadrature
+    J, grad = evaluate(p)
+    g = grad()
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise FloatingPointError(f"functional not finite at the initial point p={p}")
-    step = st.step_c / (1.0 + float(np.linalg.norm(g)))
-    best_J, best_p = J, p.copy()
+    step = 1.0 / (1.0 + float(np.linalg.norm(g)))
     since_improve = 0
     accepted: list[float] = [J]
     trace_rows = [(J, float(np.linalg.norm(p)), float(np.linalg.norm(g)))]
@@ -477,85 +493,50 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
             message=message,
         )
 
-    def finish_at_best():
-        g_best = grad_fn(best_p)
-        gn = float(np.linalg.norm(g_best))
-        if gn <= st.gtol:
-            return report(SolveStatus.CONVERGED, best_p, best_J, gn)
+    def origin_certificate():
         res = _stationary_at_origin(prob, st.gtol)
-        if res is not None and value_fn(np.zeros(n_dim)) <= best_J + st.flat_tol:
+        if res is None:
+            return None
+        J_zero = evaluate(zero)[0]
+        if J_zero <= J + FLAT_TOL:
             return report(
                 SolveStatus.CONVERGED,
-                np.zeros(n_dim),
-                value_fn(np.zeros(n_dim)),
+                zero,
+                J_zero,
                 res,
                 "stationary at the origin (interval-subgradient certificate)",
             )
-        snapped = _snap_to_active_kinks(prob, best_p)
-        if snapped is not None and value_fn(snapped) <= best_J + st.flat_tol:
-            lo, hi = subgradient_box(prob, snapped)
-            res = float(np.linalg.norm(np.clip(0.0, lo, hi)))
-            if res <= st.gtol:
-                return report(
-                    SolveStatus.CONVERGED,
-                    snapped,
-                    value_fn(snapped),
-                    res,
-                    "stationary on active breakpoints (interval-subgradient certificate)",
-                )
-        return report(
-            SolveStatus.ITERATION_CAP,
-            best_p,
-            best_J,
-            gn,
-            "descent stalled before reaching the stationarity tolerance",
-        )
+        return None
 
+    origin_checked = False
     while it < st.max_iterations:
         it += 1
         gn = float(np.linalg.norm(g))
         if gn <= st.gtol:
             return report(SolveStatus.CONVERGED, p, J, gn)
 
-        if st.step_rule == "polyak":
-            alpha = max(J - st.lower_bound, st.flat_tol) / (gn * gn)
-        elif st.step_rule == "diminishing":
-            alpha = st.step_c / (np.sqrt(it) * gn)
-        else:
-            alpha = step
-        cand = p - alpha * g
-        J_cand = value_fn(cand)
+        cand = p - step * g
+        J_cand, grad = evaluate(cand)
         if not np.isfinite(J_cand):
             raise FloatingPointError(
                 f"functional overflowed at iterate {it} (|p| = {np.linalg.norm(cand):.3e})"
             )
 
         if J_cand < J:
-            p, J = cand, J_cand
-            g = grad_fn(p)
+            since_improve = 0 if J_cand < J - FLAT_TOL else since_improve + 1
+            p, J, g = cand, J_cand, grad()
             accepted.append(J)
-            if st.step_rule == "adaptive":
-                step *= 1.3
-            if J < best_J - st.flat_tol:
-                best_J, best_p, since_improve = J, p.copy(), 0
-            else:
-                if J < best_J:
-                    best_J, best_p = J, p.copy()
-                since_improve += 1
+            step *= 1.3
         else:
             since_improve += 1
-            if st.step_rule == "adaptive":
-                step *= 0.5
-                if step < 1e-17 * (1.0 + float(np.linalg.norm(p))):
-                    since_improve = max(since_improve, st.flat_window)
+            step *= 0.5
+            if step < 1e-17 * (1.0 + float(np.linalg.norm(p))):
+                since_improve = max(since_improve, FLAT_WINDOW)
 
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
 
-        if (
-            float(np.linalg.norm(p)) > st.divergence_threshold
-            and len(accepted) > st.divergence_window
-        ):
-            window = accepted[-st.divergence_window :]
+        if float(np.linalg.norm(p)) > DIVERGENCE_THRESHOLD and len(accepted) > DIVERGENCE_WINDOW:
+            window = accepted[-DIVERGENCE_WINDOW:]
             if all(b < a for a, b in zip(window[:-1], window[1:])):
                 return report(
                     SolveStatus.DIVERGED,
@@ -566,40 +547,47 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
                     "decreasing values (non-coercive functional)",
                 )
 
-        if since_improve >= st.flat_window:
-            res = _stationary_at_origin(prob, st.gtol)
-            if res is not None and value_fn(np.zeros(n_dim)) <= best_J + st.flat_tol:
+        if since_improve >= FLAT_WINDOW:
+            certificate = origin_certificate()
+            if certificate is not None:
+                return certificate
+            if exact_evaluator is None or evaluate is exact:
+                origin_checked = True
+                break
+            evaluate = exact
+            J, grad = evaluate(p)
+            g = grad()
+            step = max(step, 1e-6)
+            since_improve = 0
+
+    gn = float(np.linalg.norm(g))
+    if gn <= st.gtol:
+        return report(SolveStatus.CONVERGED, p, J, gn)
+    if not origin_checked:
+        certificate = origin_certificate()
+        if certificate is not None:
+            return certificate
+    snapped = _snap_to_active_kinks(prob, p)
+    if snapped is not None:
+        J_snap = evaluate(snapped)[0]
+        if J_snap <= J + FLAT_TOL:
+            lo, hi = subgradient_box(prob, snapped)
+            res = float(np.linalg.norm(np.clip(0.0, lo, hi)))
+            if res <= st.gtol:
                 return report(
                     SolveStatus.CONVERGED,
-                    np.zeros(n_dim),
-                    value_fn(np.zeros(n_dim)),
+                    snapped,
+                    J_snap,
                     res,
-                    "stationary at the origin (interval-subgradient certificate)",
+                    "stationary on active breakpoints (interval-subgradient certificate)",
                 )
-            if phase == 1 and exact is not None:
-                phase = 2
-                cache: dict[bytes, tuple[float, np.ndarray]] = {}
-
-                def exact_pair(x):
-                    key = x.tobytes()
-                    if key not in cache:
-                        if len(cache) > 64:
-                            cache.clear()
-                        cache[key] = exact.value_and_grad(x)
-                    return cache[key]
-
-                value_fn = lambda x: exact_pair(x)[0]
-                grad_fn = lambda x: exact_pair(x)[1]
-                p = best_p.copy()
-                J = value_fn(p)
-                g = grad_fn(p)
-                best_J, best_p = J, p.copy()
-                step = max(step, 1e-6)
-                since_improve = 0
-                continue
-            return finish_at_best()
-
-    return finish_at_best()
+    return report(
+        SolveStatus.ITERATION_CAP,
+        p,
+        J,
+        gn,
+        "descent stalled before reaching the stationarity tolerance",
+    )
 
 
 def quadratic_minimizer(prob: DualProblem) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "ExperimentReport",
     "build_problem",
     "run_scenario",
-    "run_two_channel",
     "convergence_study",
     "write_csv",
 ]
@@ -255,13 +254,6 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
 
     _emit(cfg, rep, out_dir, trajectory=traj, control=control, prob=prob)
     return rep
-
-
-def run_two_channel(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> ExperimentReport:
-    """Two-input variant of :func:`run_scenario`."""
-    if cfg.system.channels != 2:
-        raise ValueError(f"two-channel scenario needs K = 2, got K = {cfg.system.channels}")
-    return run_scenario(cfg, out_dir)
 
 
 def _emit(cfg, rep, out_dir, trajectory=None, control=None, prob=None) -> None:

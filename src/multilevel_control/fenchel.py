@@ -4,18 +4,16 @@ problem's quadrature grid.
 
 The discrete problem is a linear program (the conjugate is piecewise linear
 with box domain, the steering constraint is linear), solved exactly with
-HiGHS by default.  A self-contained projected-subgradient variant is kept as
-an alternative method; it certifies its value through a stable trailing
-window but resolves the solution point much more slowly.
+HiGHS in epigraph form.  It is solved independently of the dual minimizer,
+so the duality gap and the optimality fraction are checks of that minimizer
+rather than restatements of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
@@ -68,7 +66,6 @@ class PrimalSolution:
     objective: float
     residual: float
     iterations: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,14 @@ def _infeasible_message(dp: DiscretePrimal) -> str:
     )
 
 
-def _solve_lp(dp: DiscretePrimal) -> PrimalSolution:
+def solve_primal(dp: DiscretePrimal) -> PrimalSolution:
+    """Solve the discrete primal exactly as a linear program with HiGHS.
+
+    Each node control v gets an epigraph variable bounded below by every
+    affine piece of its conjugate.  Infeasibility (initial state outside the
+    reachable set under the level bound) raises
+    :class:`InfeasiblePrimalError`.
+    """
     n, K = dp.n, dp.channels
     nv = n * K
     rows_i: list[int] = []
@@ -165,79 +169,7 @@ def _solve_lp(dp: DiscretePrimal) -> PrimalSolution:
         objective=_objective(dp, v),
         residual=residual,
         iterations=int(res.nit),
-        method="highs",
     )
-
-
-def _solve_projected_subgradient(
-    dp: DiscretePrimal, lower_bound: Optional[float], max_iterations: int
-) -> PrimalSolution:
-    n, K = dp.n, dp.channels
-    nv = n * K
-    GG = dp.G @ dp.G.T
-    cho = sla.cho_factor(GG)
-
-    def proj_affine(v):
-        return v - dp.G.T @ sla.cho_solve(cho, dp.G @ v - dp.c)
-
-    def restore(v):
-        for _ in range(100):
-            v = proj_affine(np.clip(v, dp.lower, dp.upper))
-            if float(np.max(np.maximum(v - dp.upper, dp.lower - v))) < 1e-10:
-                return v
-        return v
-
-    v = restore(np.zeros(nv))
-    if float(np.max(np.maximum(v - dp.upper, dp.lower - v))) > 1e-8:
-        raise InfeasiblePrimalError(_infeasible_message(dp))
-    best_f, best_v = _objective(dp, v), v.copy()
-    for k in range(1, max_iterations + 1):
-        f = _objective(dp, v)
-        vv = v.reshape(n, K)
-        d = np.empty_like(vv)
-        for ch, conj in enumerate(dp.conjugates):
-            d[:, ch] = dp.weights * conj.selection(np.clip(vv[:, ch], *conj.domain))
-        d = d.reshape(-1)
-        dn2 = float(d @ d)
-        if dn2 == 0.0:
-            break
-        if lower_bound is not None:
-            alpha = max(f - lower_bound, 1e-14) / dn2
-        else:
-            alpha = 0.1 / (np.sqrt(k) * np.sqrt(dn2))
-        v = restore(v - alpha * d)
-        f = _objective(dp, v)
-        if f < best_f:
-            best_f, best_v = f, v.copy()
-    residual = float(np.linalg.norm(dp.G @ best_v - dp.c))
-    return PrimalSolution(
-        v=best_v.reshape(n, K),
-        objective=best_f,
-        residual=residual,
-        iterations=max_iterations,
-        method="projected-subgradient",
-    )
-
-
-def solve_primal(
-    dp: DiscretePrimal,
-    method: str = "highs",
-    lower_bound: Optional[float] = None,
-    max_iterations: int = 20_000,
-) -> PrimalSolution:
-    """Solve the discrete primal.
-
-    ``method`` "highs" solves the equivalent linear program exactly;
-    "projected-subgradient" alternates subgradient steps with projections
-    onto the affine steering set and the conjugate's box domain.
-    Infeasibility (initial state outside the reachable set under the level
-    bound) raises :class:`InfeasiblePrimalError`.
-    """
-    if method == "highs":
-        return _solve_lp(dp)
-    if method == "projected-subgradient":
-        return _solve_projected_subgradient(dp, lower_bound, max_iterations)
-    raise ValueError(f"unknown primal method {method!r}")
 
 
 def duality_gap(v, p_T_star, prob: DualProblem) -> GapReport:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multilevel_control import ConfigError, load_config, run_two_channel
+from multilevel_control import ConfigError, load_config, run_scenario
 from multilevel_control.cli import main
 from multilevel_control.config import parse_config
 
@@ -83,6 +83,24 @@ class TestConfigParsing:
         pen = cfg.penalizations()[0]
         assert np.allclose(pen.slopes, [-1.0, 1.0], atol=0)
 
+    def test_unknown_optimizer_field_named(self):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["optimizer"] = {"max_iterations": 100, "step_rule": "polyak"}
+        with pytest.raises(ConfigError, match=r"optimizer\.step_rule: unknown field"):
+            parse_config(raw)
+
+    def test_invalid_optimizer_value_named(self):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["optimizer"] = {"gtol": -1.0}
+        with pytest.raises(ConfigError, match="optimizer: gtol"):
+            parse_config(raw)
+
+    def test_bracket_multiplier_error_names_grid_field(self):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["grid"]["bracket_multiplier"] = 0
+        with pytest.raises(ConfigError, match="grid.bracket_multiplier"):
+            parse_config(raw)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -125,6 +143,12 @@ class TestCliExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{]")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+
+    def test_unknown_optimizer_field_exit_4(self, tmp_path):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["optimizer"] = {"exact_refinement": False}
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MLCTL_OUTPUT_ROOT", str(tmp_path / "env-root"))
@@ -197,15 +221,10 @@ class TestTwoChannelRunner:
             [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0],
         ]
         cfg = parse_config(raw)
-        rep = run_two_channel(cfg, tmp_path / "out")
+        rep = run_scenario(cfg, tmp_path / "out")
         assert rep.passed
         assert rep.terminal_norm <= 1e-2
         assert rep.staircase_ok
-
-    def test_wrong_channel_count_rejected(self):
-        cfg = parse_config(json.loads(json.dumps(FAST_OSC)))
-        with pytest.raises(ValueError, match="K = 2"):
-            run_two_channel(cfg)
 
     def test_zero_state_gives_zero_controls(self, tmp_path):
         raw = json.loads(json.dumps(FAST_OSC))
@@ -216,7 +235,7 @@ class TestTwoChannelRunner:
             [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0],
             [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0],
         ]
-        rep = run_two_channel(parse_config(raw), tmp_path / "out")
+        rep = run_scenario(parse_config(raw), tmp_path / "out")
         assert rep.passed and rep.terminal_norm == 0.0
         for ch in rep.control["channels"]:
             assert ch["levels"] == [0.0] and ch["switch_times"] == []

@@ -237,22 +237,29 @@ class TestMinimize:
         oracle = quadratic_minimizer(prob)
         assert np.allclose(rep.p_T_star, oracle, atol=1e-6)
 
-    def test_diminishing_step_rule_runs(self):
-        prob = oscillator_problem(
-            six_point_ladder(),
-            grid=QuadratureGrid.trapezoid(4.0, 600),
-            settings=OptimizerSettings(
-                step_rule="diminishing", max_iterations=3000, exact_refinement=False
-            ),
-        )
+    def test_iteration_cap_reports_last_iterate(self):
+        prob = oscillator_problem(six_point_ladder(), settings=OptimizerSettings(max_iterations=5))
         rep = minimize(prob)
-        assert rep.value < 0.0  # makes progress from the origin
-
-    def test_polyak_needs_lower_bound(self):
-        with pytest.raises(ValueError):
-            OptimizerSettings(step_rule="polyak")
+        assert rep.status is SolveStatus.ITERATION_CAP
+        assert rep.iterations == 5
+        assert np.all(np.isfinite(rep.p_T_star)) and np.linalg.norm(rep.p_T_star) > 0.0
+        assert "descent stalled" in rep.message
 
     def test_trace_recorded(self):
         rep = minimize(oscillator_problem(six_point_ladder()))
         assert rep.trace.shape[1] == 3
         assert rep.trace.shape[0] >= rep.iterations // 2
+
+
+class TestOptimizerSettings:
+    def test_max_iterations_at_least_one(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerSettings(max_iterations=0)
+
+    def test_gtol_positive(self):
+        with pytest.raises(ValueError, match="gtol"):
+            OptimizerSettings(gtol=0.0)
+
+    def test_bracket_multiplier_at_least_one(self):
+        with pytest.raises(ValueError, match="bracket_multiplier"):
+            OptimizerSettings(bracket_multiplier=0)

@@ -81,15 +81,6 @@ class TestSolvePrimal:
                 with pytest.raises(InfeasiblePrimalError):
                     solve_primal(dp)
 
-    def test_projected_subgradient_approaches_lp_value(self):
-        sys = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.7], T=1.0)
-        prob = DualProblem(sys, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 200))
-        dp = build_discrete_primal(prob)
-        lp = solve_primal(dp)
-        pg = solve_primal(dp, method="projected-subgradient", max_iterations=3000)
-        assert pg.residual <= 1e-8 * (1.0 + np.linalg.norm(dp.c))
-        assert pg.objective <= lp.objective + 1e-3
-
     def test_feasible_solution_steers_state(self, oscillator_case):
         prob, _, primal = oscillator_case
         v = primal.v[:, 0]
