@@ -15,7 +15,6 @@ directory; each scenario writes to <root>/<output_dir>.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, parse_config, read_raw_config
 from .experiments import (
     EXIT_CHECKS_FAILED,
     EXIT_CONFIG_ERROR,
@@ -44,15 +43,21 @@ def _output_root(args) -> Path:
     return Path(env) if env else Path.cwd()
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if getattr(args, "grid", None):
-        changes["grid_nodes"] = int(args.grid)
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = int(args.seed)
-    if getattr(args, "tol", None) is not None:
-        changes["checks"] = dataclasses.replace(cfg.checks, terminal_tol=float(args.tol))
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+def _load(path, args) -> ExperimentConfig:
+    """Parse a config with --grid, --seed and --tol set in its raw JSON, so
+    they are validated and recorded in report.json like the file's values."""
+    raw = read_raw_config(path)
+    overrides = (
+        ("grid", "nodes", args.grid),
+        (None, "seed", args.seed),
+        ("checks", "terminal_tol", args.tol),
+    )
+    for section, key, value in overrides:
+        if value is not None and isinstance(raw, dict):
+            target = raw if section is None else raw.setdefault(section, {})
+            if isinstance(target, dict):  # otherwise parse_config names the section
+                target[key] = value
+    return parse_config(raw, name_hint=Path(path).stem)
 
 
 def _print_report(rep) -> None:
@@ -67,7 +72,7 @@ def _print_report(rep) -> None:
 
 def cmd_run(args) -> int:
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _load(args.config, args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -89,7 +94,7 @@ def cmd_suite(args) -> int:
     summaries = []
     for path in configs:
         try:
-            cfg = _apply_overrides(load_config(path), args)
+            cfg = _load(path, args)
         except ConfigError as exc:
             print(f"{path.name}: config error: {exc}", file=sys.stderr)
             codes[path.stem] = EXIT_CONFIG_ERROR
@@ -109,7 +114,7 @@ def cmd_suite(args) -> int:
 
 def cmd_converge(args) -> int:
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _load(args.config, args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -140,8 +145,6 @@ def cmd_report(args) -> int:
         print(f"  check {key}: {'pass' if ok else 'FAIL'}")
     # round-trip: the serialized control must reproduce the stored terminal norm
     if rep.get("control") and rep.get("terminal_norm") is not None:
-        from .config import parse_config
-
         cfg = parse_config(rep["config"], name_hint=rep["name"])
         ctrl = MultilevelControl.from_record(rep["control"])
         switches = np.concatenate([ch.switch_times for ch in ctrl.channels])

@@ -17,7 +17,7 @@ from .dual import FunctionalKind, OptimizerSettings, QuadratureGrid
 from .lti import LtiSystem
 from .pwl import ConvexProfile, Partition, PwlConvex, build_penalization, quadratic_profile
 
-__all__ = ["ConfigError", "ChecksConfig", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ChecksConfig", "ExperimentConfig", "load_config", "read_raw_config"]
 
 
 class ConfigError(ValueError):
@@ -97,13 +97,21 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
-def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
+def _number(value, path: str, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+
+
+def _numeric_array(value, path: str, *ndims: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a numeric array ({exc})") from None
-    if arr.ndim != ndim:
-        raise ConfigError(f"{path}: expected a {ndim}-d numeric array, got ndim={arr.ndim}")
+    if arr.ndim not in ndims:
+        expected = " or ".join(f"{d}-d" for d in ndims)
+        raise ConfigError(f"{path}: expected a {expected} numeric array, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}: contains non-finite entries")
     return arr
@@ -116,13 +124,11 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
 
     sys_raw = _require(raw, "system", "")
     A = _numeric_array(_require(sys_raw, "A", "system."), "system.A", 2)
-    B = np.asarray(_require(sys_raw, "B", "system."), dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
+    B = _numeric_array(_require(sys_raw, "B", "system."), "system.B", 1, 2)
     x0 = _numeric_array(_require(sys_raw, "x0", "system."), "system.x0", 1)
-    T = _require(sys_raw, "T", "system.")
+    T = _number(_require(sys_raw, "T", "system."), "system.T")
     try:
-        system = LtiSystem(A=A, B=B, x0=x0, T=float(T))
+        system = LtiSystem(A=A, B=B, x0=x0, T=T)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"system: {exc}") from None
 
@@ -132,7 +138,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     except ValueError:
         choices = ", ".join(k.value for k in FunctionalKind)
         raise ConfigError(f"kind: unknown kind {kind_raw!r} (choices: {choices})") from None
-    beta = float(raw.get("beta", 1.0))
+    beta = _number(raw.get("beta", 1.0), "beta")
     if kind == FunctionalKind.SCALED and not beta > 1.0:
         raise ConfigError(f"beta: the scaled kind needs beta > 1, got {beta}")
 
@@ -177,34 +183,34 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         partitions = tuple()
 
     grid_raw = _section(raw, "grid")
-    grid_nodes = int(grid_raw.get("nodes", 4000))
+    grid_nodes = _number(grid_raw.get("nodes", 4000), "grid.nodes", int)
     if grid_nodes < 2:
         raise ConfigError(f"grid.nodes: need at least 2, got {grid_nodes}")
-    bracket_multiplier = int(grid_raw.get("bracket_multiplier", 8))
-    if bracket_multiplier < 1:
+    multiplier = _number(grid_raw.get("bracket_multiplier", 8), "grid.bracket_multiplier", int)
+    if multiplier < 1:
         raise ConfigError("grid.bracket_multiplier: must be >= 1")
 
     opt_raw = _section(raw, "optimizer")
     for key in opt_raw:
         if key not in ("max_iterations", "gtol"):
             raise ConfigError(f"optimizer.{key}: unknown field")
+    max_iterations = _number(opt_raw.get("max_iterations", 50_000), "optimizer.max_iterations", int)
+    gtol = _number(opt_raw.get("gtol", 1e-6), "optimizer.gtol")
     try:
-        optimizer = OptimizerSettings(
-            max_iterations=int(opt_raw.get("max_iterations", 50_000)),
-            gtol=float(opt_raw.get("gtol", 1e-6)),
-            bracket_multiplier=bracket_multiplier,
-        )
+        optimizer = OptimizerSettings(max_iterations, gtol, multiplier)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from None
 
     chk_raw = _section(raw, "checks")
     agreement = chk_raw.get("fenchel_agreement_tol", 0.05)
+    if agreement is not None:
+        agreement = _number(agreement, "checks.fenchel_agreement_tol")
     checks = ChecksConfig(
-        terminal_tol=float(chk_raw.get("terminal_tol", 1e-2)),
+        terminal_tol=_number(chk_raw.get("terminal_tol", 1e-2), "checks.terminal_tol"),
         staircase=bool(chk_raw.get("staircase", True)),
         fenchel=bool(chk_raw.get("fenchel", False)),
-        fenchel_gap_rtol=float(chk_raw.get("fenchel_gap_rtol", 1e-3)),
-        fenchel_agreement_tol=None if agreement is None else float(agreement),
+        fenchel_gap_rtol=_number(chk_raw.get("fenchel_gap_rtol", 1e-3), "checks.fenchel_gap_rtol"),
+        fenchel_agreement_tol=agreement,
         solvable=bool(chk_raw.get("solvable", False)),
         expect_divergence=bool(chk_raw.get("expect_divergence", False)),
     )
@@ -222,7 +228,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         optimizer=optimizer,
         checks=checks,
         output_dir=str(raw.get("output_dir", name)),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), "seed", int),
         raw=raw,
     )
     if kind.penalized:
@@ -235,10 +241,14 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def read_raw_config(path):
+    """The JSON object of a config file, before validation."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path} ({exc})") from None
-    return parse_config(raw, name_hint=path.stem)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_raw_config(path), name_hint=Path(path).stem)

@@ -2,15 +2,16 @@
 
 Five functional kinds are supported, all of the form
 
-    integral term over [0, T]  +  <e^{TA} x0, p_T>:
+    phi(I(p_T))  +  <e^{TA} x0, p_T>,
 
-* ``plain``              penalized integral of the channel penalizations
-* ``scaled``             the same integral amplified by a factor beta > 1
-* ``squared``            one half of the squared penalized integral
-* ``quadratic``          integral of |B^T p|^2
-* ``quadratic_squared``  one half of that integral squared
+one integral term I over [0, T] passed through a scalar map phi.  The
+integrand is the sum of the channel penalizations along B^T p for the
+penalized kinds and |B^T p|^2 for the quadratic kinds; phi is the identity
+(``plain``, ``quadratic``), beta times it (``scaled``, beta > 1) or half its
+square (``squared``, ``quadratic_squared``).  The control levels are the
+slope phi'(I) times the penalizations' chord slopes.
 
-The first three have piecewise-linear integrands, so the quadrature
+The penalized kinds have piecewise-linear integrands, so the quadrature
 subgradient has a resolution floor at the optimizer's scale: the solver
 therefore finishes on an exact piecewise evaluation whose switching times
 are refined by bisection, which drives the true stationarity residual to
@@ -44,6 +45,9 @@ __all__ = [
 
 
 class FunctionalKind(enum.Enum):
+    """A functional kind: which integrand the integral term I integrates
+    (:attr:`penalized`) and which scalar map of I it takes (:meth:`outer`)."""
+
     PLAIN = "plain"
     SCALED = "scaled"
     SQUARED = "squared"
@@ -53,6 +57,19 @@ class FunctionalKind(enum.Enum):
     @property
     def penalized(self) -> bool:
         return self in (FunctionalKind.PLAIN, FunctionalKind.SCALED, FunctionalKind.SQUARED)
+
+    @property
+    def squared(self) -> bool:
+        """Whether the map is I -> I^2 / 2, the only one whose slope depends on I."""
+        return self in (FunctionalKind.SQUARED, FunctionalKind.QUADRATIC_SQUARED)
+
+    def outer(self, integral: float, beta: float = 1.0) -> tuple[float, float]:
+        """Value and slope of the kind's map at the integral term."""
+        if self.squared:
+            return 0.5 * integral * integral, integral
+        if self is FunctionalKind.SCALED:
+            return beta * integral, beta
+        return integral, 1.0
 
 
 @dataclass(frozen=True)
@@ -184,10 +201,18 @@ class DualProblem:
             raise ValueError(f"p_T has length {p_T.shape[0]}, expected {self.sys.dim}")
         return p_T
 
-    def penalized_integral(self, p_T) -> float:
+    def integral_term(self, p_T) -> float:
+        """Quadrature value of the integral term I(p_T)."""
         q = self.adjoint_observations(p_T)
         w = self.grid.weights
-        return float(sum(w @ self.penalizations[ch].value(q[:, ch]) for ch in range(self.channels)))
+        if self.kind.penalized:
+            return float(sum(w @ pen.value(q[:, ch]) for ch, pen in enumerate(self.penalizations)))
+        return float(w @ (q * q).sum(axis=1))
+
+    def outer_slope(self, integral) -> float:
+        """Slope of the kind's map; the callable ``integral`` is evaluated
+        only for the squared kinds, whose slope is the integral itself."""
+        return self.kind.outer(integral() if self.kind.squared else 0.0, self.beta)[1]
 
     def bracket_grid(self):
         """Denser uniform grid used to bracket level crossings."""
@@ -205,25 +230,7 @@ class DualProblem:
 def eval_functional(prob: DualProblem, p_T) -> float:
     """Quadrature value of the selected dual functional at p_T."""
     p_T = prob._check_p(p_T)
-    lin = float(prob.drift @ p_T)
-    if prob.kind.penalized:
-        I = prob.penalized_integral(p_T)
-        if prob.kind == FunctionalKind.PLAIN:
-            return I + lin
-        if prob.kind == FunctionalKind.SCALED:
-            return prob.beta * I + lin
-        return 0.5 * I * I + lin
-    q = prob.adjoint_observations(p_T)
-    I2 = float(prob.grid.weights @ (q * q).sum(axis=1))
-    if prob.kind == FunctionalKind.QUADRATIC:
-        return I2 + lin
-    return 0.5 * I2 * I2 + lin
-
-
-def _selection_matrix(prob: DualProblem, q: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [prob.penalizations[ch].selection(q[:, ch]) for ch in range(prob.channels)], axis=1
-    )
+    return prob.kind.outer(prob.integral_term(p_T), prob.beta)[0] + float(prob.drift @ p_T)
 
 
 def eval_subgradient(prob: DualProblem, p_T) -> np.ndarray:
@@ -233,27 +240,21 @@ def eval_subgradient(prob: DualProblem, p_T) -> np.ndarray:
     q = prob.adjoint_observations(p_T)
     w = prob.grid.weights
     if prob.kind.penalized:
-        s = _selection_matrix(prob, q)
+        s = np.stack([pen.selection(q[:, ch]) for ch, pen in enumerate(prob.penalizations)], axis=1)
         base = np.einsum("i,ikn,ik->n", w, prob.rows, s)
-        if prob.kind == FunctionalKind.PLAIN:
-            return base + prob.drift
-        if prob.kind == FunctionalKind.SCALED:
-            return prob.beta * base + prob.drift
-        return prob.penalized_integral(p_T) * base + prob.drift
-    base = 2.0 * np.einsum("i,ikn,ik->n", w, prob.rows, q)
-    if prob.kind == FunctionalKind.QUADRATIC:
-        return base + prob.drift
-    I2 = float(w @ (q * q).sum(axis=1))
-    return I2 * base + prob.drift
+    else:
+        base = 2.0 * np.einsum("i,ikn,ik->n", w, prob.rows, q)
+    return prob.outer_slope(lambda: prob.integral_term(p_T)) * base + prob.drift
 
 
 def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
     """Coordinatewise interval hull of the subdifferential at p_T.
 
     Nodes within ``tol`` of a penalization breakpoint contribute their full
-    slope interval; all other nodes contribute their single slope.  Only
-    meaningful for the plain/scaled kinds (the squared kind multiplies the
-    interval by the current integral value).
+    slope interval; all other nodes contribute their single slope.  The
+    intervals are scaled by the slope of the kind's map at the current
+    integral term.  The quadratic kinds are smooth: both bounds are the
+    gradient.
     """
     if not prob.kind.penalized:
         g = eval_subgradient(prob, p_T)
@@ -261,23 +262,11 @@ def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
     p_T = prob._check_p(p_T)
     q = prob.adjoint_observations(p_T)
     w = prob.grid.weights
-    factor = prob.beta if prob.kind == FunctionalKind.SCALED else 1.0
-    if prob.kind == FunctionalKind.SQUARED:
-        factor = prob.penalized_integral(p_T)
+    factor = prob.outer_slope(lambda: prob.integral_term(p_T))
     lo = prob.drift.copy()
     hi = prob.drift.copy()
-    for ch in range(prob.channels):
-        pen = prob.penalizations[ch]
-        u = q[:, ch]
-        k = pen.segment_index(u)
-        s_lo = pen.slopes[k].astype(float).copy()
-        s_hi = s_lo.copy()
-        if pen.breakpoints.size:
-            d = np.abs(u[:, None] - pen.breakpoints)
-            j = np.argmin(d, axis=1)
-            on = d[np.arange(u.size), j] <= tol
-            s_lo[on] = pen.slopes[j[on]]
-            s_hi[on] = pen.slopes[j[on] + 1]
+    for ch, pen in enumerate(prob.penalizations):
+        s_lo, s_hi = pen.slope_bounds(q[:, ch], tol)
         contrib = factor * w[:, None] * prob.rows[:, ch, :]
         a = contrib * s_lo[:, None]
         b = contrib * s_hi[:, None]
@@ -290,9 +279,10 @@ def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
 
 
 class ExactEvaluator:
-    """Evaluate the penalized functional and its gradient exactly by
-    locating all level crossings of B^T p(t) and integrating the affine
-    integrand per switching interval in closed form."""
+    """Evaluate the penalized kinds' integral term and its gradient exactly
+    by locating all level crossings of B^T p(t) and integrating the affine
+    integrand per switching interval in closed form; the functional is the
+    kind's map of that integral plus the drift term."""
 
     def __init__(self, prob: DualProblem):
         if not prob.kind.penalized:
@@ -325,7 +315,8 @@ class ExactEvaluator:
             out.append([(ts[i], ts[i + 1], int(ks[i])) for i in range(ts.size - 1)])
         return out
 
-    def value_and_grad(self, p_T):
+    def integral_and_grad(self, p_T):
+        """The integral term I(p_T) and its gradient."""
         prob = self.prob
         p_T = prob._check_p(p_T)
         T = prob.sys.T
@@ -340,22 +331,15 @@ class ExactEvaluator:
                 base += pen.slopes[k] * F
                 integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)
                 psi_hi = psi_lo
-        lin = float(prob.drift @ p_T)
-        if prob.kind == FunctionalKind.PLAIN:
-            return integral + lin, base + prob.drift
-        if prob.kind == FunctionalKind.SCALED:
-            return prob.beta * integral + lin, prob.beta * base + prob.drift
-        return 0.5 * integral * integral + lin, integral * base + prob.drift
+        return integral, base
 
-    def penalized_integral(self, p_T) -> float:
+    def value_and_grad(self, p_T):
+        """Exact value and gradient of the functional at p_T."""
         prob = self.prob
-        lin = float(prob.drift @ prob._check_p(p_T))
-        value, _ = self.value_and_grad(p_T)
-        if prob.kind == FunctionalKind.PLAIN:
-            return value - lin
-        if prob.kind == FunctionalKind.SCALED:
-            return (value - lin) / prob.beta
-        return float(np.sqrt(max(2.0 * (value - lin), 0.0)))
+        p_T = prob._check_p(p_T)
+        integral, base = self.integral_and_grad(p_T)
+        value, slope = prob.kind.outer(integral, prob.beta)
+        return value + float(prob.drift @ p_T), slope * base + prob.drift
 
 
 # -- solver -------------------------------------------------------------------
@@ -382,24 +366,11 @@ class SolveReport:
         return self.status == SolveStatus.CONVERGED
 
 
-def _stationary_at_origin(prob: DualProblem, gtol: float) -> Optional[float]:
-    """Residual of the stationarity certificate at p_T = 0, or None.
-
-    For the penalized kinds the certificate is the distance from 0 to the
-    coordinate-interval hull of the subdifferential; zero is a frequent exact
-    minimizer because the penalization is kinked at its minimum.
-    """
-    zero = np.zeros(prob.sys.dim)
-    if prob.kind in (FunctionalKind.PLAIN, FunctionalKind.SCALED):
-        lo, hi = subgradient_box(prob, zero)
-        res = float(np.linalg.norm(np.clip(0.0, lo, hi)))
-        return res if res <= gtol else None
-    if prob.kind in (FunctionalKind.SQUARED, FunctionalKind.QUADRATIC_SQUARED):
-        # the integral factor vanishes at 0, so the gradient there is the drift
-        res = float(np.linalg.norm(prob.drift))
-        return res if res <= gtol else None
-    res = float(np.linalg.norm(eval_subgradient(prob, zero)))
-    return res if res <= gtol else None
+def _box_residual(prob: DualProblem, p_T) -> float:
+    """Stationarity residual: the distance from 0 to the coordinate-interval
+    hull of the subdifferential at p_T."""
+    lo, hi = subgradient_box(prob, p_T)
+    return float(np.linalg.norm(np.clip(0.0, lo, hi)))
 
 
 def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6):
@@ -494,8 +465,10 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
         )
 
     def origin_certificate():
-        res = _stationary_at_origin(prob, st.gtol)
-        if res is None:
+        # zero is a frequent exact minimizer of the penalized kinds because
+        # the penalization is kinked at its minimum
+        res = _box_residual(prob, zero)
+        if res > st.gtol:
             return None
         J_zero = evaluate(zero)[0]
         if J_zero <= J + FLAT_TOL:
@@ -571,8 +544,7 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     if snapped is not None:
         J_snap = evaluate(snapped)[0]
         if J_snap <= J + FLAT_TOL:
-            lo, hi = subgradient_box(prob, snapped)
-            res = float(np.linalg.norm(np.clip(0.0, lo, hi)))
+            res = _box_residual(prob, snapped)
             if res <= st.gtol:
                 return report(
                     SolveStatus.CONVERGED,

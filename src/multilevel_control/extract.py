@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dual import ExactEvaluator, FunctionalKind
+from .dual import ExactEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dual import DualProblem
@@ -218,7 +218,8 @@ def _channel_pieces(prob: "DualProblem", p_T, ch: int):
         for frac in (0.5, 0.35, 0.65, 0.2, 0.8):
             m = a + frac * (b - a)
             qm = float(qfun(np.array([m]))[0])
-            if pen.breakpoints.size and np.min(np.abs(qm - pen.breakpoints)) <= 1e-12:
+            lo, hi = pen.slope_bounds(qm)
+            if lo != hi:  # on a kink
                 continue
             k = int(pen.segment_index(qm))
             break
@@ -234,9 +235,10 @@ def _channel_pieces(prob: "DualProblem", p_T, ch: int):
 def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     """Staircase control associated with a converged adjoint datum.
 
-    Levels are scale * (segment slope), with scale 1 for the plain kind,
-    beta for the scaled kind and the penalized integral along the optimal
-    adjoint for the squared kind.
+    Levels are scale * (segment slope), where scale is the slope of the
+    kind's map at the exact integral term along the optimal adjoint: 1 for
+    the plain kind, beta for the scaled kind and the integral itself for the
+    squared kind.
     """
     if not prob.kind.penalized:
         raise ValueError("staircase extraction applies to the penalized kinds")
@@ -261,12 +263,7 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
         )
         return MultilevelControl(channels=chans, scale=1.0, horizon=prob.sys.T)
 
-    if prob.kind == FunctionalKind.PLAIN:
-        scale = 1.0
-    elif prob.kind == FunctionalKind.SCALED:
-        scale = prob.beta
-    else:
-        scale = ExactEvaluator(prob).penalized_integral(p_T_star)
+    scale = prob.outer_slope(lambda: ExactEvaluator(prob).integral_and_grad(p_T_star)[0])
 
     chans = []
     for ch in range(prob.channels):
@@ -327,10 +324,7 @@ def quadratic_control(p_T_star, prob: "DualProblem"):
     if prob.kind.penalized:
         raise ValueError("quadratic_control applies to the quadratic kinds")
     p_T_star = np.asarray(p_T_star, dtype=float).reshape(-1)
-    factor = 2.0
-    if prob.kind == FunctionalKind.QUADRATIC_SQUARED:
-        q = prob.adjoint_observations(p_T_star)
-        factor = 2.0 * float(prob.grid.weights @ (q * q).sum(axis=1))
+    factor = 2.0 * prob.outer_slope(lambda: prob.integral_term(p_T_star))
 
     def u(t):
         vals = factor * prob.propagator(t, p_T_star)

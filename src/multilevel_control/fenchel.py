@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .dual import DualProblem, eval_functional
-from .pwl import PwlConvex, conjugate
+from .pwl import conjugate
 
 __all__ = [
     "InfeasiblePrimalError",
@@ -194,36 +194,17 @@ def duality_gap(v, p_T_star, prob: DualProblem) -> GapReport:
     return GapReport(gap=primal + dual, primal_value=primal, dual_value=dual)
 
 
-def _conjugate_interval(conj: PwlConvex, v: float, slack: float):
-    """Supporting-slope interval of the conjugate at v, widened by ``slack``
-    for breakpoint and domain-endpoint snapping."""
-    lo, hi = conj.domain
-    if v <= lo + slack:
-        return -np.inf, conj.slopes[0]
-    if v >= hi - slack:
-        return conj.slopes[-1], np.inf
-    if conj.breakpoints.size:
-        d = np.abs(v - conj.breakpoints)
-        j = int(np.argmin(d))
-        if d[j] <= slack:
-            return conj.slopes[j], conj.slopes[j + 1]
-    k = int(conj.segment_index(v))
-    return conj.slopes[k], conj.slopes[k]
-
-
 def optimality_fraction(v, p_T_star, prob: DualProblem, slack: float = 1e-6) -> float:
     """Fraction of nodes where B^T p*(t_i) lies in the conjugate's
-    subdifferential at the primal control value."""
+    subdifferential at the primal control value; ``slack`` widens both the
+    breakpoint and domain-end snapping and the membership test."""
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v.reshape(-1, prob.channels)
     q = prob.adjoint_observations(p_T_star)
-    conjs = [conjugate(pen) for pen in prob.penalizations]
     ok = 0
-    total = prob.grid.n * prob.channels
-    for ch in range(prob.channels):
-        for i in range(prob.grid.n):
-            lo, hi = _conjugate_interval(conjs[ch], float(v[i, ch]), slack)
-            if lo - slack <= q[i, ch] <= hi + slack:
-                ok += 1
-    return ok / total
+    for ch, pen in enumerate(prob.penalizations):
+        conj = conjugate(pen)
+        lo, hi = conj.slope_bounds(np.clip(v[:, ch], *conj.domain), slack)
+        ok += int(np.count_nonzero((lo - slack <= q[:, ch]) & (q[:, ch] <= hi + slack)))
+    return ok / (prob.grid.n * prob.channels)

@@ -179,19 +179,35 @@ class PwlConvex:
             vals = np.where((u < lo - COINCIDENCE_TOL) | (u > hi + COINCIDENCE_TOL), np.inf, vals)
         return vals if vals.ndim else float(vals)
 
-    def selection(self, u, tol: float = COINCIDENCE_TOL) -> np.ndarray:
-        """A pointwise subgradient: the segment slope, and the midpoint of
-        the subdifferential interval within ``tol`` of a breakpoint."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+    def slope_bounds(self, u, tol: float = COINCIDENCE_TOL):
+        """Elementwise interval (lo, hi) of the slopes supporting f at ``u``.
+
+        Off the kinks this is the segment slope twice; within ``tol`` of a
+        breakpoint it is the two adjacent slopes, and within ``tol`` of a
+        finite domain end it is half-infinite (all of R on a single-point
+        domain).  Points outside a finite domain are not checked.
+        """
+        u = np.asarray(u, dtype=float)
         k = self.segment_index(u)
-        s = self.slopes[k].astype(float).copy()
-        if self.breakpoints.size:
-            d = np.abs(u[:, None] - self.breakpoints)
-            j = np.argmin(d, axis=1)
-            on = d[np.arange(u.size), j] <= tol
-            if np.any(on):
-                s[on] = 0.5 * (self.slopes[j[on]] + self.slopes[j[on] + 1])
-        return s
+        lo = hi = self.slopes[k]
+        b = self.breakpoints
+        if b.size:
+            # the nearest breakpoint is one of the two around u's segment
+            left, right = np.maximum(k - 1, 0), np.minimum(k, b.size - 1)
+            j = np.where(np.abs(u - b[left]) <= np.abs(u - b[right]), left, right)
+            on = np.abs(u - b[j]) <= tol
+            lo, hi = np.where(on, self.slopes[j], lo), np.where(on, self.slopes[j + 1], hi)
+        d_lo, d_hi = self.domain
+        if np.isfinite(d_lo) or np.isfinite(d_hi):
+            at_lo, at_hi = np.abs(u - d_lo) <= tol, np.abs(u - d_hi) <= tol
+            lo = np.where(at_lo, -np.inf, np.where(at_hi, self.slopes[-1], lo))
+            hi = np.where(at_hi, np.inf, np.where(at_lo, self.slopes[0], hi))
+        return lo, hi
+
+    def selection(self, u, tol: float = COINCIDENCE_TOL) -> np.ndarray:
+        """A pointwise subgradient: the midpoint of :meth:`slope_bounds`."""
+        lo, hi = self.slope_bounds(np.atleast_1d(u), tol)
+        return 0.5 * (lo + hi)
 
     def __repr__(self):
         return (
@@ -280,15 +296,8 @@ def subdifferential(pwl: PwlConvex, u: float, clamped: bool = False) -> SubdiffI
     if not np.isfinite(u):
         raise ValueError("u must be finite")
     lo, hi = pwl.domain
-    if np.isfinite(lo) or np.isfinite(hi):
-        if u < lo - COINCIDENCE_TOL or u > hi + COINCIDENCE_TOL:
-            raise ValueError(f"u={u} lies outside the domain [{lo}, {hi}]")
-        if abs(u - lo) <= COINCIDENCE_TOL and abs(u - hi) <= COINCIDENCE_TOL:
-            return SubdiffInterval(-np.inf, np.inf)
-        if abs(u - lo) <= COINCIDENCE_TOL:
-            return SubdiffInterval(-np.inf, pwl.slopes[0])
-        if abs(u - hi) <= COINCIDENCE_TOL:
-            return SubdiffInterval(pwl.slopes[-1], np.inf)
+    if u < lo - COINCIDENCE_TOL or u > hi + COINCIDENCE_TOL:
+        raise ValueError(f"u={u} lies outside the domain [{lo}, {hi}]")
     if clamped:
         if pwl.interval is None:
             raise ValueError("clamped query needs an interpolation interval")
@@ -299,13 +308,8 @@ def subdifferential(pwl: PwlConvex, u: float, clamped: bool = False) -> SubdiffI
             return SubdiffInterval(-np.inf, pwl.slopes[0])
         if abs(u - w2) <= COINCIDENCE_TOL:
             return SubdiffInterval(pwl.slopes[-1], np.inf)
-    if pwl.breakpoints.size:
-        d = np.abs(u - pwl.breakpoints)
-        j = int(np.argmin(d))
-        if d[j] <= COINCIDENCE_TOL:
-            return SubdiffInterval(pwl.slopes[j], pwl.slopes[j + 1])
-    k = int(pwl.segment_index(u))
-    return SubdiffInterval(pwl.slopes[k], pwl.slopes[k])
+    lower, upper = pwl.slope_bounds(u)
+    return SubdiffInterval(float(lower), float(upper))
 
 
 def conjugate(pwl: PwlConvex) -> PwlConvex:

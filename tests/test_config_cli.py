@@ -101,6 +101,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.bracket_multiplier"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "nodes", "many"),
+            ("grid", "bracket_multiplier", [8]),
+            (None, "beta", "big"),
+            (None, "seed", {"value": 1}),
+            ("checks", "terminal_tol", "tight"),
+            ("checks", "fenchel_gap_rtol", "1e-3x"),
+            ("checks", "fenchel_agreement_tol", [0.05]),
+            ("optimizer", "max_iterations", "lots"),
+            ("optimizer", "gtol", None),
+            ("system", "T", "four"),
+            ("system", "B", [["zero"], [1]]),
+        ],
+    )
+    def test_non_numeric_field_named(self, section, key, value):
+        raw = json.loads(json.dumps(FAST_OSC))
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            parse_config(raw)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -149,6 +172,29 @@ class TestCliExitCodes:
         raw["optimizer"] = {"exact_refinement": False}
         cfg = write_cfg(tmp_path, raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+
+    def test_non_numeric_config_value_exit_4(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["grid"]["nodes"] = "many"
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "grid.nodes: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", ["0", "1"])
+    def test_invalid_grid_override_exit_4(self, tmp_path, capsys, nodes):
+        cfg = write_cfg(tmp_path, FAST_OSC)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--grid", nodes]) == 4
+        assert "grid.nodes: " in capsys.readouterr().err
+
+    def test_overrides_recorded_in_report(self, tmp_path):
+        cfg = write_cfg(tmp_path, FAST_OSC)
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--grid", "2000", "--seed", "7", "--tol", "0.05"]
+        assert main(["run", str(cfg), *args]) == 0
+        recorded = json.loads((out / "fast-osc" / "report.json").read_text())["config"]
+        assert recorded["grid"]["nodes"] == 2000 and recorded["seed"] == 7
+        assert recorded["checks"]["terminal_tol"] == 0.05
+        assert main(["report", str(out / "fast-osc")]) == 0
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MLCTL_OUTPUT_ROOT", str(tmp_path / "env-root"))

@@ -4,6 +4,7 @@ import pytest
 from multilevel_control import (
     ConvexProfile,
     DualProblem,
+    FunctionalKind,
     LtiSystem,
     OptimizerSettings,
     Partition,
@@ -43,6 +44,30 @@ def abs_ladder():
 def oscillator_problem(pen=None, kind="plain", T=4.0, x0=X0, **kw):
     sys = LtiSystem(A=A_OSC, B=B_OSC, x0=x0, T=T)
     return DualProblem(sys, [pen if pen is not None else five_point_ladder()], kind=kind, **kw)
+
+
+class TestFunctionalKind:
+    @pytest.mark.parametrize(
+        "kind, value, slope",
+        [
+            ("plain", 2.0, 1.0),
+            ("scaled", 6.0, 3.0),
+            ("squared", 2.0, 2.0),
+            ("quadratic", 2.0, 1.0),
+            ("quadratic_squared", 2.0, 2.0),
+        ],
+    )
+    def test_outer_map(self, kind, value, slope):
+        assert FunctionalKind(kind).outer(2.0, beta=3.0) == (value, slope)
+        assert FunctionalKind(kind).squared == kind.endswith("squared")
+
+    def test_functional_is_outer_map_of_integral_term(self):
+        rng = np.random.default_rng(3)
+        for kind in FunctionalKind:
+            prob = oscillator_problem(kind=kind, beta=3.0, grid=QuadratureGrid.trapezoid(4.0, 400))
+            p = rng.standard_normal(2)
+            value, _ = kind.outer(prob.integral_term(p), 3.0)
+            assert eval_functional(prob, p) == value + float(prob.drift @ p)
 
 
 class TestQuadratureGrid:
@@ -89,8 +114,8 @@ class TestEvalFunctional:
             p = rng.standard_normal(2)
             lin = float(plain.drift @ p)
             # identical integral evaluation path, amplified bitwise by beta
-            assert scaled.penalized_integral(p) == plain.penalized_integral(p)
-            expected = 3.0 * plain.penalized_integral(p) + lin
+            assert scaled.integral_term(p) == plain.integral_term(p)
+            expected = 3.0 * plain.integral_term(p) + lin
             assert eval_functional(scaled, p) == expected
 
     def test_multi_channel_sums_per_channel(self):

@@ -21,6 +21,7 @@ from multilevel_control import (
     slopes,
     verify_staircase,
 )
+from multilevel_control.dual import ExactEvaluator
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -146,6 +147,14 @@ class TestExtractControl:
         oracle = float(prob.grid.weights @ prob.penalizations[0].value(q))
         assert ctrl.scale == pytest.approx(oracle, rel=1e-6)
         assert np.all(np.isin(ctrl.channels[0].levels, ctrl.scale * slopes(prob.penalizations[0])))
+
+    def test_squared_kind_levels_are_exact_integral_times_slopes(self):
+        prob, rep = solved_oscillator(kind="squared", T=0.5)
+        ctrl = extract_control(rep.p_T_star, prob)
+        integral, _ = ExactEvaluator(prob).integral_and_grad(rep.p_T_star)
+        assert ctrl.scale == integral
+        assert np.array_equal(ctrl.channels[0].level_set, integral * slopes(prob.penalizations[0]))
+        assert np.all(np.isin(ctrl.channels[0].levels, ctrl.channels[0].level_set))
 
     def test_zero_state_zero_control(self):
         prob, rep = solved_oscillator(x0=np.zeros(2))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,19 @@ from multilevel_control import (
     SolveStatus,
     build_discrete_primal,
     build_penalization,
+    conjugate,
     duality_gap,
     extract_control,
+    load_config,
     minimize,
     optimality_fraction,
     quadratic_profile,
     simulate_forward,
     solve_primal,
 )
+from multilevel_control.experiments import build_problem
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
 X0 = np.array([-1.0, 0.5])
@@ -135,3 +141,38 @@ class TestOptimality:
     def test_conjugate_subdifferential_relation(self, oscillator_case):
         prob, rep, primal = oscillator_case
         assert optimality_fraction(primal.v, rep.p_T_star, prob) >= 0.99
+
+
+def _optimality_fraction_reference(v, p_T_star, prob, slack=1e-6):
+    """Per-node scalar form of the conjugate optimality relation."""
+    q = prob.adjoint_observations(p_T_star)
+    ok = 0
+    for ch, pen in enumerate(prob.penalizations):
+        conj = conjugate(pen)
+        lo_d, hi_d = conj.domain
+        for i in range(prob.grid.n):
+            x = float(v[i, ch])
+            if x <= lo_d + slack:
+                lo, hi = -np.inf, conj.slopes[0]
+            elif x >= hi_d - slack:
+                lo, hi = conj.slopes[-1], np.inf
+            else:
+                d = np.abs(x - conj.breakpoints)
+                j = int(np.argmin(d))
+                if d[j] <= slack:
+                    lo, hi = conj.slopes[j], conj.slopes[j + 1]
+                else:
+                    lo = hi = conj.slopes[conj.segment_index(x)]
+            ok += lo - slack <= q[i, ch] <= hi + slack
+    return ok / (prob.grid.n * prob.channels)
+
+
+@pytest.mark.parametrize("name", ["osc-t4", "osc-t4-two-channel"])
+def test_optimality_fraction_matches_per_node_reference(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    prob = build_problem(cfg)
+    rep = minimize(prob)
+    assert rep.status is SolveStatus.CONVERGED
+    primal = solve_primal(build_discrete_primal(prob))
+    expected = _optimality_fraction_reference(primal.v, rep.p_T_star, prob)
+    assert optimality_fraction(primal.v, rep.p_T_star, prob) == expected

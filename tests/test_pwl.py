@@ -130,6 +130,40 @@ class TestSubdifferential:
             subdifferential(conj, conj.domain[1] + 1.0)
 
 
+class TestSlopeBounds:
+    def test_off_a_kink(self, ladder):
+        lo, hi = ladder.slope_bounds(np.array([0.25, -0.75, 3.0]))
+        assert lo.tolist() == hi.tolist() == [0.5, -1.5, 1.5]
+
+    def test_on_a_breakpoint(self, ladder):
+        lo, hi = ladder.slope_bounds(np.array([0.0, 0.5, 0.5 + 1e-7]))
+        assert lo.tolist() == [-0.5, 0.5, 1.5] and hi.tolist() == [0.5, 1.5, 1.5]
+        lo, hi = ladder.slope_bounds(0.5 + 1e-7, tol=1e-6)
+        assert (lo, hi) == (0.5, 1.5)
+
+    def test_finite_domain_ends_half_infinite(self, ladder):
+        conj = conjugate(ladder)
+        lo, hi = conj.slope_bounds(np.array(conj.domain))
+        assert lo.tolist() == [-np.inf, conj.slopes[-1]]
+        assert hi.tolist() == [conj.slopes[0], np.inf]
+
+    def test_single_point_domain(self):
+        point = conjugate(PwlConvex([2.0], [1.0]))
+        assert point.domain == (2.0, 2.0)
+        assert point.slope_bounds(2.0) == (-np.inf, np.inf)
+
+    def test_agrees_with_subdifferential(self, ladder):
+        for pwl in (ladder, conjugate(ladder), abs_value_pwl(), conjugate(abs_value_pwl())):
+            lo_d, hi_d = pwl.domain
+            span = (max(lo_d, -2.0), min(hi_d, 2.0))
+            us = np.concatenate([np.linspace(*span, 257), pwl.breakpoints, [*span]])
+            lo, hi = pwl.slope_bounds(us)
+            for u, a, b in zip(us, lo, hi):
+                iv = subdifferential(pwl, u)
+                assert (iv.lower, iv.upper) == (a, b)
+            assert np.array_equal(pwl.selection(us), 0.5 * (lo + hi))
+
+
 class TestConjugate:
     def test_abs_value_gives_indicator(self):
         conj = conjugate(abs_value_pwl())
