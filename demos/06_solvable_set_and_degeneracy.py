@@ -13,8 +13,9 @@ Two distinct obstructions cap what a given level ladder can do:
    minimizer.  The optimal controls are then the selections of the
    subdifferential at the kink, and the dual datum alone does not fix the
    switching times.  Extraction reads a staircase between the two inner
-   slopes off a vertex of the discrete Fenchel primal (bang-bang outside a
-   few nodes) and polishes its switch times onto the exact terminal map.
+   slopes off a vertex of the discrete Fenchel primal (bang-bang outside at
+   most N = 2 nodes) and polishes its switch times onto the exact terminal
+   map.
    Ladders with a flat middle segment (zero level, as in the 6-point
    construction) give a regular minimizer and fewer switches for the same
    data.

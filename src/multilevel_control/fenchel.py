@@ -4,9 +4,10 @@ problem's quadrature grid.
 
 The discrete problem is a linear program (the conjugate is piecewise linear
 with box domain, the steering constraint is linear), solved exactly with
-HiGHS in epigraph form.  It is solved independently of the dual minimizer,
-so the duality gap and the optimality fraction are checks of that minimizer
-rather than restatements of it.
+HiGHS in incremental form: one bounded variable per node and conjugate
+piece, and one equality row per state.  It is solved independently of the
+dual minimizer, so the duality gap and the optimality fraction are checks of
+that minimizer rather than restatements of it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .dual import DualProblem, eval_functional
@@ -48,8 +48,6 @@ class DiscretePrimal:
     G: np.ndarray
     c: np.ndarray
     conjugates: tuple
-    lower: np.ndarray
-    upper: np.ndarray
 
     @property
     def n(self) -> int:
@@ -83,32 +81,33 @@ def build_discrete_primal(prob: DualProblem) -> DiscretePrimal:
     W = prob.grid.weights[:, None, None] * prob.rows  # (n, K, N)
     G = W.reshape(n * K, -1).T
     conjugates = tuple(conjugate(pen) for pen in prob.penalizations)
-    lower = np.empty(n * K)
-    upper = np.empty(n * K)
-    for ch, conj in enumerate(conjugates):
-        lo, hi = conj.domain
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("conjugate domain must be a bounded interval")
-        idx = np.arange(ch, n * K, K)
-        lower[idx] = lo
-        upper[idx] = hi
+    if not all(np.isfinite(conj.domain).all() for conj in conjugates):
+        raise ValueError("conjugate domain must be a bounded interval")
     return DiscretePrimal(
         times=prob.grid.nodes,
         weights=prob.grid.weights,
         G=G,
         c=-prob.drift,
         conjugates=conjugates,
-        lower=lower,
-        upper=upper,
     )
 
 
-def _objective(dp: DiscretePrimal, v_flat: np.ndarray) -> float:
-    v = v_flat.reshape(dp.n, dp.channels)
+def _primal_value(weights, conjugates, v: np.ndarray) -> float:
+    """Sum over channels of the quadrature of w * phi*_ch(v) at (n, K) node
+    values ``v``, clipped to each conjugate's domain."""
     total = 0.0
-    for ch, conj in enumerate(dp.conjugates):
-        total += float(dp.weights @ conj.value(np.clip(v[:, ch], *conj.domain)))
+    for ch, conj in enumerate(conjugates):
+        total += float(weights @ conj.value(np.clip(v[:, ch], *conj.domain)))
     return total
+
+
+def _node_values(v, prob: DualProblem) -> np.ndarray:
+    """``v`` as the (n, K) node values on the problem's grid."""
+    v = np.asarray(v, dtype=float)
+    shape = (prob.grid.n, prob.channels)
+    if v.shape not in (shape, (shape[0] * shape[1],)):
+        raise ValueError(f"primal control has shape {v.shape}, expected {shape}")
+    return v.reshape(shape)
 
 
 def _infeasible_message(dp: DiscretePrimal) -> str:
@@ -130,44 +129,41 @@ def _infeasible_message(dp: DiscretePrimal) -> str:
 def solve_primal(dp: DiscretePrimal) -> PrimalSolution:
     """Solve the discrete primal exactly as a linear program with HiGHS.
 
-    Each node control v gets an epigraph variable bounded below by every
-    affine piece of its conjugate.  Infeasibility (initial state outside the
-    reachable set under the level bound) raises
-    :class:`InfeasiblePrimalError`.
+    A node control is written v = lo + sum_j d_j with d_j in [0, width_j],
+    one increment per piece of its conjugate on the domain [lo, hi]; each
+    increment costs the piece's slope.  The slopes increase, so an optimum
+    fills the pieces in order and the LP cost is the quadrature of phi*(v)
+    up to a constant.  The only rows are the N steering equalities.
+    Infeasibility (initial state outside the reachable set under the level
+    bound) raises :class:`InfeasiblePrimalError`.
     """
     n, K = dp.n, dp.channels
-    nv = n * K
-    rows_i: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    rhs: list[float] = []
-    r = 0
+    lo = np.array([conj.domain[0] for conj in dp.conjugates])
+    cols, cost, width = [], [], []
     for ch, conj in enumerate(dp.conjugates):
-        for a_j, c_j in zip(conj.slopes, conj.intercepts):
-            for i in range(n):
-                col_v = i * K + ch
-                col_t = nv + i * K + ch
-                rows_i += [r, r]
-                cols += [col_v, col_t]
-                data += [a_j, -1.0]
-                rhs.append(-c_j)
-                r += 1
-    A_ub = sp.csr_matrix((data, (rows_i, cols)), shape=(r, 2 * nv))
-    b_ub = np.asarray(rhs)
-    A_eq = sp.hstack([sp.csr_matrix(dp.G), sp.csr_matrix((dp.G.shape[0], nv))]).tocsr()
-    obj = np.concatenate([np.zeros(nv), np.repeat(dp.weights, K)])
-    bounds = [(lo, hi) for lo, hi in zip(dp.lower, dp.upper)] + [(None, None)] * nv
-    res = linprog(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=dp.c, bounds=bounds, method="highs")
+        knots = np.concatenate([[lo[ch]], conj.breakpoints, [conj.domain[1]]])
+        # column i * pieces + j is the increment of node i on piece j
+        cols.append(np.repeat(dp.G[:, ch::K], conj.pieces, axis=1))
+        cost.append(np.outer(dp.weights, conj.slopes).ravel())
+        width.append(np.tile(np.diff(knots), n))
+    width = np.concatenate(width)
+    res = linprog(
+        np.concatenate(cost),
+        A_eq=np.hstack(cols),
+        b_eq=dp.c - dp.G @ np.tile(lo, n),
+        bounds=np.column_stack([np.zeros_like(width), width]),
+        method="highs",
+    )
     if res.status == 2:
         raise InfeasiblePrimalError(_infeasible_message(dp))
     if res.status != 0:
         raise RuntimeError(f"primal linear program failed: {res.message}")
-    v = res.x[:nv]
-    residual = float(np.linalg.norm(dp.G @ v - dp.c))
+    d = np.split(res.x, np.cumsum([n * conj.pieces for conj in dp.conjugates])[:-1])
+    v = lo + np.column_stack([d_ch.reshape(n, -1).sum(axis=1) for d_ch in d])
     return PrimalSolution(
-        v=v.reshape(n, K),
-        objective=_objective(dp, v),
-        residual=residual,
+        v=v,
+        objective=_primal_value(dp.weights, dp.conjugates, v),
+        residual=float(np.linalg.norm(dp.G @ v.ravel() - dp.c)),
         iterations=int(res.nit),
     )
 
@@ -178,18 +174,8 @@ def duality_gap(v, p_T_star, prob: DualProblem) -> GapReport:
     The sign convention follows min primal = -(min dual); both addends are
     returned alongside the gap.  ``v`` must live on the problem's grid.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v.reshape(-1, prob.channels)
-    if v.shape != (prob.grid.n, prob.channels):
-        raise ValueError(
-            f"primal control has shape {v.shape}, expected {(prob.grid.n, prob.channels)}"
-        )
-    w = prob.grid.weights
-    primal = 0.0
-    for ch, pen in enumerate(prob.penalizations):
-        conj = conjugate(pen)
-        primal += float(w @ conj.value(np.clip(v[:, ch], *conj.domain)))
+    v = _node_values(v, prob)
+    primal = _primal_value(prob.grid.weights, [conjugate(pen) for pen in prob.penalizations], v)
     dual = eval_functional(prob, p_T_star)
     return GapReport(gap=primal + dual, primal_value=primal, dual_value=dual)
 
@@ -198,9 +184,7 @@ def optimality_fraction(v, p_T_star, prob: DualProblem, slack: float = 1e-6) -> 
     """Fraction of nodes where B^T p*(t_i) lies in the conjugate's
     subdifferential at the primal control value; ``slack`` widens both the
     breakpoint and domain-end snapping and the membership test."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v.reshape(-1, prob.channels)
+    v = _node_values(v, prob)
     q = prob.adjoint_observations(p_T_star)
     ok = 0
     for ch, pen in enumerate(prob.penalizations):

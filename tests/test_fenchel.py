@@ -1,7 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from multilevel_control import (
     ConvexProfile,
@@ -43,6 +46,16 @@ def six_point_ladder():
 
 def abs_ladder():
     return build_penalization(quadratic_profile(), Partition(np.array([-1.0, 0.0, 1.0])))
+
+
+def four_level_ladder():
+    return build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
+
+
+def criterion1_problem():
+    """The four-level oscillator of acceptance criterion 1 (4000 nodes);
+    its dual minimizer is the origin and the primal optimal face is flat."""
+    return DualProblem(LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=4.0), [four_level_ladder()])
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +189,70 @@ def test_optimality_fraction_matches_per_node_reference(name):
     primal = solve_primal(build_discrete_primal(prob))
     expected = _optimality_fraction_reference(primal.v, rep.p_T_star, prob)
     assert optimality_fraction(primal.v, rep.p_T_star, prob) == expected
+
+
+def _epigraph_objective_reference(dp):
+    """Optimal value of the discrete primal in epigraph form: every node
+    control v gets a variable t >= a_j v + c_j for every piece j of its
+    conjugate, and the objective is the quadrature of t."""
+    n, K = dp.n, dp.channels
+    nv = n * K
+    rows, cols, data, rhs = [], [], [], []
+    for ch, conj in enumerate(dp.conjugates):
+        for a_j, c_j in zip(conj.slopes, conj.intercepts):
+            for i in range(n):
+                r = len(rhs)
+                rows += [r, r]
+                cols += [i * K + ch, nv + i * K + ch]
+                data += [a_j, -1.0]
+                rhs.append(-c_j)
+    A_ub = sp.csr_matrix((data, (rows, cols)), shape=(len(rhs), 2 * nv))
+    A_eq = sp.hstack([sp.csr_matrix(dp.G), sp.csr_matrix((dp.G.shape[0], nv))]).tocsr()
+    obj = np.concatenate([np.zeros(nv), np.repeat(dp.weights, K)])
+    domains = [conj.domain for conj in dp.conjugates]
+    bounds = [domains[k % K] for k in range(nv)] + [(None, None)] * nv
+    res = linprog(obj, A_ub=A_ub, b_ub=np.asarray(rhs), A_eq=A_eq, b_eq=dp.c, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _primal_case(name):
+    if name.startswith("osc"):
+        return build_discrete_primal(build_problem(load_config(CONFIG_DIR / f"{name}.json")))
+    dp = build_discrete_primal(criterion1_problem())
+    # the right-hand side of the degenerate extraction for the scaled kind, beta = 3
+    return dp if name == "criterion-1" else replace(dp, c=dp.c / 3.0)
+
+
+@pytest.mark.parametrize("name", ["osc-t4", "osc-t4-two-channel", "criterion-1", "criterion-1-c-over-3"])
+def test_primal_objective_matches_epigraph_reference(name):
+    dp = _primal_case(name)
+    sol = solve_primal(dp)
+    expected = _epigraph_objective_reference(dp)
+    assert sol.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert sol.residual <= 1e-10 * (1.0 + np.linalg.norm(dp.c))
+
+
+def test_primal_is_a_vertex_on_a_flat_face():
+    # criterion-1 data: the optimal face holds every selection of [-0.5, 0.5];
+    # a vertex has at most N node values strictly between adjacent levels
+    prob = criterion1_problem()
+    v = solve_primal(build_discrete_primal(prob)).v[:, 0]
+    levels = prob.penalizations[0].slopes
+    off_ladder = np.min(np.abs(v[:, None] - levels[None, :]), axis=1) > 1e-9
+    assert np.count_nonzero(off_ladder) <= prob.sys.A.shape[0]
+
+
+def test_primal_objective_is_the_gap_primal_value():
+    prob = build_problem(load_config(CONFIG_DIR / "osc-t4.json"))
+    rep = minimize(prob)
+    sol = solve_primal(build_discrete_primal(prob))
+    assert sol.objective == duality_gap(sol.v, rep.p_T_star, prob).primal_value
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (17,)], ids=["1x1", "17"])
+@pytest.mark.parametrize("check", [duality_gap, optimality_fraction])
+def test_control_on_another_grid_rejected(check, shape):
+    prob = criterion1_problem()
+    with pytest.raises(ValueError, match="primal control has shape"):
+        check(np.zeros(shape), np.zeros(2), prob)
