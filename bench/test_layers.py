@@ -1,0 +1,83 @@
+"""Per-layer timings of the dual pipeline on the synthesis plants.
+
+    python -m pytest -q bench --benchmark-json out.json   # time every case
+    python -m pytest -q bench --benchmark-disable         # run each case once
+
+The plants come from ``perfbench/workloads.synthesis_panel()`` and are built
+as the ``synthesis`` workload builds them (4000 quadrature nodes, 8x
+bracketing, so the bracket grid has 32,001 nodes): syn-01 has two channels
+and 8 breakpoints each, syn-11 has six states, one channel and 16
+breakpoints.  Every case runs at a fixed datum, the iterate after a fixed
+number of quadrature descent steps, so its crossings are those of a datum
+near the minimizer.
+"""
+
+import numpy as np
+import pytest
+
+import workloads
+from multilevel_control import dual, extract, lti
+
+PLANTS = {"syn-01": 1, "syn-11": 11}
+DESCENT_STEPS = 200
+
+
+@pytest.fixture(scope="module", params=sorted(PLANTS))
+def plant(request):
+    inst = workloads.synthesis_panel()[PLANTS[request.param]]
+    assert inst.op_id.startswith(request.param)
+    sys_ = lti.LtiSystem(A=inst.A, B=inst.B, x0=inst.x0, T=inst.T)
+    prob = dual.DualProblem(
+        sys_,
+        [workloads._penalization(inst.partition) for _ in range(sys_.channels)],
+        kind=inst.kind,
+        beta=inst.beta,
+        grid=dual.QuadratureGrid.trapezoid(inst.T, workloads.GRID_NODES),
+        settings=dual.OptimizerSettings(
+            max_iterations=DESCENT_STEPS, bracket_multiplier=workloads.BRACKET_MULTIPLIER
+        ),
+    )
+    prob.bracket_grid()
+    return prob, dual.minimize(prob).p_T_star
+
+
+def test_exact_value_and_grad(benchmark, plant):
+    prob, p = plant
+    evaluator = dual.ExactEvaluator(prob)
+    benchmark(evaluator.value_and_grad, p)
+
+
+def test_quadrature_value_and_grad(benchmark, plant):
+    """One candidate of the quadrature descent: its value and gradient."""
+    prob, p = plant
+
+    def pair():
+        q = prob.adjoint_observations(p)
+        return dual.eval_functional(prob, p, q), dual.eval_subgradient(prob, p, q)
+
+    benchmark(pair)
+
+
+@pytest.mark.parametrize("guard", [False, True], ids=["pieces", "extract"])
+def test_find_switchings(benchmark, plant, guard):
+    """Channel 0 on the bracket grid, without the midpoint guard as the
+    exact evaluation calls it and with it as extraction does."""
+    prob, p = plant
+    tb, rows_b = prob.bracket_grid()
+    samples = (rows_b @ p)[:, 0]
+    pen = prob.penalizations[0]
+    benchmark(
+        extract.find_switchings,
+        lambda t: prob.propagator(t, p)[:, 0],
+        pen.breakpoints,
+        tb,
+        samples=samples,
+        midpoint_guard=guard,
+    )
+
+
+def test_adjoint_rows(benchmark, plant):
+    prob, _ = plant
+    tb, _ = prob.bracket_grid()
+    A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
+    benchmark(lti.adjoint_rows, A, B, T, tb)

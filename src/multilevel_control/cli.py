@@ -73,7 +73,7 @@ def _print_report(rep) -> None:
 def cmd_run(args) -> int:
     try:
         cfg = _load(args.config, args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out = _output_root(args) / cfg.output_dir
@@ -115,7 +115,7 @@ def cmd_suite(args) -> int:
 def cmd_converge(args) -> int:
     try:
         cfg = _load(args.config, args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out = _output_root(args) / f"{cfg.output_dir}-convergence"

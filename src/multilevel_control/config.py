@@ -245,7 +245,11 @@ def read_raw_config(path):
     """The JSON object of a config file, before validation."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path} ({exc})") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path} ({exc})") from None
 

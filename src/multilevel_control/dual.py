@@ -201,9 +201,11 @@ class DualProblem:
             raise ValueError(f"p_T has length {p_T.shape[0]}, expected {self.sys.dim}")
         return p_T
 
-    def integral_term(self, p_T) -> float:
-        """Quadrature value of the integral term I(p_T)."""
-        q = self.adjoint_observations(p_T)
+    def integral_term(self, p_T, q=None) -> float:
+        """Quadrature value of the integral term I(p_T); ``q`` may pass the
+        node observations of p_T when the caller already has them."""
+        if q is None:
+            q = self.adjoint_observations(p_T)
         w = self.grid.weights
         if self.kind.penalized:
             return float(sum(w @ pen.value(q[:, ch]) for ch, pen in enumerate(self.penalizations)))
@@ -223,28 +225,40 @@ class DualProblem:
             self._bracket = (tb, adjoint_rows(self.sys.A, self.sys.B, self.sys.T, tb))
         return self._bracket
 
+    def bracket_samples(self, p_T):
+        """The bracketing grid and B^T p on it, shape (nb, K), from one
+        product over all rows.  The samples are used only through their
+        signs against the breakpoints, so the rounding of this product
+        matters only for a sample within the last bit of a breakpoint."""
+        tb, rows_b = self.bracket_grid()
+        nb, K, N = rows_b.shape
+        return tb, (rows_b.reshape(-1, N) @ p_T).reshape(nb, K)
+
 
 # -- functional / subgradient ------------------------------------------------
 
 
-def eval_functional(prob: DualProblem, p_T) -> float:
-    """Quadrature value of the selected dual functional at p_T."""
+def eval_functional(prob: DualProblem, p_T, q=None) -> float:
+    """Quadrature value of the selected dual functional at p_T; ``q`` may
+    pass the node observations of p_T (:meth:`DualProblem.adjoint_observations`)."""
     p_T = prob._check_p(p_T)
-    return prob.kind.outer(prob.integral_term(p_T), prob.beta)[0] + float(prob.drift @ p_T)
+    return prob.kind.outer(prob.integral_term(p_T, q), prob.beta)[0] + float(prob.drift @ p_T)
 
 
-def eval_subgradient(prob: DualProblem, p_T) -> np.ndarray:
+def eval_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
     """A subgradient of the functional at p_T (the gradient wherever the
-    integrand avoids breakpoints at the nodes)."""
+    integrand avoids breakpoints at the nodes); ``q`` as for
+    :func:`eval_functional`."""
     p_T = prob._check_p(p_T)
-    q = prob.adjoint_observations(p_T)
+    if q is None:
+        q = prob.adjoint_observations(p_T)
     w = prob.grid.weights
     if prob.kind.penalized:
         s = np.stack([pen.selection(q[:, ch]) for ch, pen in enumerate(prob.penalizations)], axis=1)
         base = np.einsum("i,ikn,ik->n", w, prob.rows, s)
     else:
         base = 2.0 * np.einsum("i,ikn,ik->n", w, prob.rows, q)
-    return prob.outer_slope(lambda: prob.integral_term(p_T)) * base + prob.drift
+    return prob.outer_slope(lambda: prob.integral_term(p_T, q)) * base + prob.drift
 
 
 def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
@@ -262,7 +276,7 @@ def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
     p_T = prob._check_p(p_T)
     q = prob.adjoint_observations(p_T)
     w = prob.grid.weights
-    factor = prob.outer_slope(lambda: prob.integral_term(p_T))
+    factor = prob.outer_slope(lambda: prob.integral_term(p_T, q))
     lo = prob.drift.copy()
     hi = prob.drift.copy()
     for ch, pen in enumerate(prob.penalizations):
@@ -282,14 +296,22 @@ class ExactEvaluator:
     """Evaluate the penalized kinds' integral term and its gradient exactly
     by locating all level crossings of B^T p(t) and integrating the affine
     integrand per switching interval in closed form; the functional is the
-    kind's map of that integral plus the drift term."""
+    kind's map of that integral plus the drift term.
+
+    With Psi(s) the integral of e^{rA} B over [0, s], an interval [a, b]
+    contributes Psi(T - a) - Psi(T - b).  Psi(T) is formed once per
+    evaluator and Psi(T - b) for all of a channel's interval ends in one
+    stacked exponential; one datum's crossings are bracketed on a single
+    product of the bracket rows and refined on one propagator map.
+    """
 
     def __init__(self, prob: DualProblem):
         if not prob.kind.penalized:
             raise ValueError("exact evaluation applies to the penalized kinds")
         self.prob = prob
+        self._psi_T = self._psi(prob.sys.T)
 
-    def _psi(self, tau: float) -> np.ndarray:
+    def _psi(self, tau) -> np.ndarray:
         return exp_action_integral(self.prob.sys.A, self.prob.sys.B, tau)
 
     def pieces(self, p_T):
@@ -297,14 +319,14 @@ class ExactEvaluator:
         from .extract import find_switchings
 
         prob = self.prob
-        tb, rows_b = prob.bracket_grid()
-        qb = rows_b @ p_T
+        tb, qb = prob.bracket_samples(p_T)
+        q_at = prob.propagator.at(p_T)
         out = []
         for ch in range(prob.channels):
             pen = prob.penalizations[ch]
 
             def qfun(t, ch=ch):
-                return prob.propagator(t, p_T)[:, ch]
+                return q_at(t)[:, ch]
 
             crossings, _ = find_switchings(
                 qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=False
@@ -324,9 +346,9 @@ class ExactEvaluator:
         integral = 0.0
         for ch, segs in enumerate(self.pieces(p_T)):
             pen = prob.penalizations[ch]
-            psi_hi = self._psi(T)[:, ch]
-            for a, b, k in segs:
-                psi_lo = self._psi(T - b)[:, ch]
+            psi_hi = self._psi_T[:, ch]
+            psi_ends = self._psi(T - np.array([b for _, b, _ in segs]))[:, :, ch]
+            for (a, b, k), psi_lo in zip(segs, psi_ends):
                 F = psi_hi - psi_lo  # integral of e^{(T-t)A} B_ch over [a, b]
                 base += pen.slopes[k] * F
                 integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)
@@ -436,7 +458,8 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     # Each evaluation returns the value and a callable for the gradient,
     # which is only needed at accepted points.
     def quadrature(x):
-        return eval_functional(prob, x), lambda: eval_subgradient(prob, x)
+        q = prob.adjoint_observations(x)
+        return eval_functional(prob, x, q), lambda: eval_subgradient(prob, x, q)
 
     def exact(x):
         value, grad = exact_evaluator.value_and_grad(x)

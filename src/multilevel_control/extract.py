@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dual import ExactEvaluator
 from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
-from .lti import exp_action_integral
+from .lti import exp_action_integral, zoh_exp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dual import DualProblem
@@ -151,9 +150,14 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     are tangential touches and are returned separately, not as switches.
 
     Returns (sorted crossing times, sorted touch times).  With
-    ``midpoint_guard`` the cell midpoints are also sampled; a sign flip
-    hidden inside a single cell (two crossings) raises with a request for a
-    finer grid.
+    ``midpoint_guard`` the cell midpoints are also sampled, once for all
+    breakpoints; a sign flip hidden inside a single cell (two crossings)
+    raises with a request for a finer grid.
+
+    The samples enter only through comparisons with the breakpoints.  The
+    brackets are refined together in breakpoint-major order, one ``q``
+    evaluation per bisection step; that batch decides the last bits of
+    the propagator's values, so its order is part of the result.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -162,37 +166,41 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     if qq.size != grid.size:
         raise ValueError("sample count does not match the grid")
     breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+    if midpoint_guard and breakpoints.size:
+        qm = np.asarray(q(0.5 * (grid[:-1] + grid[1:])), dtype=float).reshape(-1)
 
-    lo_list: list[float] = []
-    hi_list: list[float] = []
-    bk_list: list[float] = []
-    flo_list: list[float] = []
+    cells: list[np.ndarray] = []
+    bk_list: list[np.ndarray] = []
     crossings: list[float] = []
     touches: list[float] = []
     for bk in breakpoints:
-        f = qq - bk
-        sgn = np.sign(f)
-        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-            lo_list.append(grid[i])
-            hi_list.append(grid[i + 1])
-            bk_list.append(bk)
-            flo_list.append(f[i])
-        # exact hits at grid nodes: crossing or tangential touch
-        for i in np.nonzero(sgn == 0)[0]:
-            before = sgn[:i][sgn[:i] != 0]
-            after = sgn[i + 1 :][sgn[i + 1 :] != 0]
-            if before.size == 0 or after.size == 0:
-                continue
-            if before[-1] * after[0] < 0:
-                if 0 < i < grid.size - 1:
-                    crossings.append(float(grid[i]))
-            else:
-                touches.append(float(grid[i]))
+        above = qq > bk
+        change = above[:-1] != above[1:]
+        same = ~change
+        hit = qq == bk
+        if hit.any():
+            # a cell with an end on the level brackets nothing: the exact
+            # hit is a crossing or a tangential touch by the nearest
+            # nonzero signs on both sides
+            clear = ~(hit[:-1] | hit[1:])
+            change &= clear
+            same &= clear
+            sgn = np.sign(qq - bk)
+            for i in np.nonzero(hit)[0]:
+                before = sgn[:i][sgn[:i] != 0]
+                after = sgn[i + 1 :][sgn[i + 1 :] != 0]
+                if before.size == 0 or after.size == 0:
+                    continue
+                if before[-1] * after[0] < 0:
+                    if 0 < i < grid.size - 1:
+                        crossings.append(float(grid[i]))
+                else:
+                    touches.append(float(grid[i]))
+        idx = np.nonzero(change)[0]
+        cells.append(idx)
+        bk_list.append(np.full(idx.size, bk))
         if midpoint_guard:
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            fm = np.sign(np.asarray(q(mids), dtype=float).reshape(-1) - bk)
-            same = sgn[:-1] * sgn[1:] > 0
-            hidden = same & (fm * sgn[:-1] < 0)
+            hidden = same & np.where(above[:-1], qm < bk, qm > bk)
             if np.any(hidden):
                 cell = int(np.nonzero(hidden)[0][0])
                 raise ValueError(
@@ -200,12 +208,13 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
                     f"{bk} inside the grid cell [{grid[cell]}, {grid[cell+1]}]; "
                     "use a finer bracketing grid"
                 )
-    if lo_list:
+    idx = np.concatenate(cells) if cells else np.empty(0, dtype=int)
+    if idx.size:
         # refine all brackets together, one vectorized evaluation per step
-        lo = np.array(lo_list)
-        hi = np.array(hi_list)
-        bks = np.array(bk_list)
-        f_lo = np.array(flo_list)
+        lo = grid[idx]
+        hi = grid[idx + 1]
+        bks = np.concatenate(bk_list)
+        f_lo = qq[idx] - bks
         for _ in range(BISECTION_MAX_ITER):
             if np.all(hi - lo <= BISECTION_TOL):
                 break
@@ -222,24 +231,18 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     return np.sort(np.array(crossings)), np.sort(np.array(touches))
 
 
-def _channel_pieces(prob: "DualProblem", p_T, ch: int):
-    """Switching times and per-interval segment indices for one channel, or
-    None when the observation sits on a breakpoint over an interval."""
-    pen = prob.penalizations[ch]
-    tb, rows_b = prob.bracket_grid()
-    samples = (rows_b @ p_T)[:, ch]
-
-    def qfun(t):
-        return prob.propagator(t, p_T)[:, ch]
-
-    crossings, touches = find_switchings(qfun, pen.breakpoints, tb, samples=samples)
-    ts = np.concatenate([[0.0], crossings, [prob.sys.T]])
+def _channel_pieces(pen, q, grid, samples):
+    """Switching times and per-interval segment indices of one channel
+    whose observation is ``q`` and has ``samples`` on the bracketing
+    ``grid``, or None when it sits on a breakpoint over an interval."""
+    crossings, touches = find_switchings(q, pen.breakpoints, grid, samples=samples)
+    ts = np.concatenate([[0.0], crossings, [grid[-1]]])
     ks = []
     for a, b in zip(ts[:-1], ts[1:]):
         k = None
         for frac in (0.5, 0.35, 0.65, 0.2, 0.8):
             m = a + frac * (b - a)
-            qm = float(qfun(np.array([m]))[0])
+            qm = float(q(np.array([m]))[0])
             lo, hi = pen.slope_bounds(qm)
             if lo != hi:  # on a kink
                 continue
@@ -299,7 +302,12 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
 
     scale = prob.outer_slope(lambda: ExactEvaluator(prob).integral_and_grad(p_T_star)[0])
 
-    pieces = [_channel_pieces(prob, p_T_star, ch) for ch in range(prob.channels)]
+    tb, qb = prob.bracket_samples(p_T_star)
+    q_at = prob.propagator.at(p_T_star)
+    pieces = [
+        _channel_pieces(pen, lambda t, ch=ch: q_at(t)[:, ch], tb, qb[:, ch])
+        for ch, pen in enumerate(prob.penalizations)
+    ]
     if any(pc is None for pc in pieces):
         return _primal_staircase(prob, p_T_star, scale)
     chans = []
@@ -414,14 +422,11 @@ def _terminal_map(prob: "DualProblem", times, levels):
     (u_{k-1} - u_k) on the channel's column.
     """
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
-    N, K = B.shape
-    M = np.zeros((N + K, N + K))
-    M[:N, :N] = A
-    M[:N, N:] = B
+    N = B.shape[0]
     x = prob.drift + exp_action_integral(A, B, T) @ np.array([lv[0] for lv in levels])
     cols = []
     for ch, (tau, lv) in enumerate(zip(times, levels)):
-        E = sla.expm((T - tau)[:, None, None] * M)
+        E = zoh_exp(A, B, T - tau)
         jumps = np.diff(lv)
         x = x + jumps @ E[:, :N, N + ch]
         cols.append(-(E[:, :N, :N] @ B[:, ch]) * jumps[:, None])

@@ -20,6 +20,7 @@ __all__ = [
     "DynamicsClass",
     "mat_exp",
     "exp_action_integral",
+    "zoh_exp",
     "kalman_rank",
     "classify_dynamics",
     "adjoint_state",
@@ -130,11 +131,13 @@ def mat_exp(A, t: float) -> np.ndarray:
     return sla.expm(t * A)
 
 
-def exp_action_integral(A, B, tau: float) -> np.ndarray:
-    """Integral of e^{sA} B over s in [0, tau], as an N x K matrix.
+def zoh_exp(A, B, tau) -> np.ndarray:
+    """The exponential of tau [[A, B], [0, 0]]: its blocks are e^{tau A}
+    (top left) and the integral of e^{sA} B over s in [0, tau] (top right).
 
-    Computed from one exponential of the block matrix [[A, B], [0, 0]],
-    which also stays correct for singular A.
+    ``tau`` may be an array: the result then stacks one (N+K) x (N+K)
+    exponential per entry, from a single ``scipy.linalg.expm`` call whose
+    slices equal the scalar calls bit for bit.
     """
     A = _as_matrix(A)
     B = np.asarray(B, dtype=float)
@@ -144,7 +147,18 @@ def exp_action_integral(A, B, tau: float) -> np.ndarray:
     M = np.zeros((n + k, n + k))
     M[:n, :n] = A
     M[:n, n:] = B
-    return sla.expm(tau * M)[:n, n:]
+    return sla.expm(np.asarray(tau, dtype=float)[..., None, None] * M)
+
+
+def exp_action_integral(A, B, tau) -> np.ndarray:
+    """Integral of e^{sA} B over s in [0, tau], as an N x K matrix, or as a
+    (len(tau), N, K) stack for an array of ``tau``.
+
+    Read off one exponential of the block matrix [[A, B], [0, 0]]
+    (:func:`zoh_exp`), which also stays correct for singular A.
+    """
+    n = np.shape(A)[0]
+    return zoh_exp(A, B, tau)[..., :n, n:]
 
 
 def kalman_rank(A, B) -> int:
@@ -249,27 +263,45 @@ class AdjointPropagator:
         except np.linalg.LinAlgError:
             pass
 
-    def __call__(self, t, p) -> np.ndarray:
-        """Values of B^T e^{(T-t)A^T} p, shape (len(t), K)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def at(self, p):
+        """The map t -> B^T e^{(T-t)A^T} p, values of shape (len(t), K).
+
+        The modal coordinates V^{-1} p are formed once here, so repeated
+        evaluations at one datum (bisection steps, segment probes) skip
+        them.
+        """
         p = np.asarray(p, dtype=float).reshape(-1)
         if self._spectral is not None:
             lam, V, Vinv = self._spectral
             z = Vinv @ p.astype(complex)
-            E = np.exp(np.multiply.outer(self.T - t, lam))
-            pt = (E * z) @ V.T
-            return np.real(pt @ self.B)
-        out = np.empty((t.size, self.B.shape[1]))
-        for i, ti in enumerate(t):
-            out[i] = self.B.T @ mat_exp(self.A.T, self.T - ti) @ p
-        return out
+
+            def q(t):
+                t = np.atleast_1d(np.asarray(t, dtype=float))
+                E = np.exp(np.multiply.outer(self.T - t, lam))
+                return np.real(((E * z) @ V.T) @ self.B)
+
+            return q
+
+        def q(t):
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            out = np.empty((t.size, self.B.shape[1]))
+            for i, ti in enumerate(t):
+                out[i] = self.B.T @ mat_exp(self.A.T, self.T - ti) @ p
+            return out
+
+        return q
+
+    def __call__(self, t, p) -> np.ndarray:
+        """Values of B^T e^{(T-t)A^T} p, shape (len(t), K)."""
+        return self.at(p)(t)
 
 
 def adjoint_rows(A, B, T: float, times) -> np.ndarray:
     """Matrices B^T e^{(T-t_i)A^T} stacked as an array of shape (n, K, N).
 
-    ``times`` must be uniformly spaced; the rows are built by a one-step
-    recurrence so that only two exponentials are ever formed.
+    ``times`` must be uniformly spaced; the propagators e^{(T-t_i)A^T} are
+    built by a one-step recurrence, so that only two exponentials are ever
+    formed, and then multiplied by B^T in one stacked product.
     """
     A = _as_matrix(A)
     B = np.asarray(B, dtype=float)
@@ -280,10 +312,8 @@ def adjoint_rows(A, B, T: float, times) -> np.ndarray:
     if times.size > 2 and np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1.0):
         raise ValueError("adjoint_rows needs a uniform grid")
     step = sla.expm(-h * A.T)
-    M = sla.expm((T - times[0]) * A.T)
-    out = np.empty((times.size, B.shape[1], A.shape[0]))
-    for i in range(times.size):
-        out[i] = B.T @ M
-        if i < times.size - 1:
-            M = step @ M
-    return out
+    Ms = np.empty((times.size,) + A.shape)
+    Ms[0] = sla.expm((T - times[0]) * A.T)
+    for i in range(times.size - 1):
+        np.matmul(step, Ms[i], out=Ms[i + 1])
+    return B.T @ Ms

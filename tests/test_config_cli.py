@@ -167,6 +167,12 @@ class TestCliExitCodes:
         path.write_text("{]")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
 
+    def test_non_utf8_config_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "fast-\xf6sc"}')
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert "cannot read" in capsys.readouterr().err
+
     def test_unknown_optimizer_field_exit_4(self, tmp_path):
         raw = json.loads(json.dumps(FAST_OSC))
         raw["optimizer"] = {"exact_refinement": False}
@@ -233,6 +239,19 @@ class TestSuiteAndConverge:
         summary = json.loads((out / "suite_summary.json").read_text())
         assert summary["exit_code"] == 0
         assert len(summary["scenarios"]) == 2
+
+    def test_suite_unreadable_entry_exit_4(self, tmp_path, capsys):
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        write_cfg(suite_dir, FAST_OSC, "a.json")
+        (suite_dir / "bad.json").mkdir()
+        out = tmp_path / "out"
+        assert main(["suite", str(suite_dir), "--out", str(out)]) == 4
+        assert "bad.json: config error: config: cannot read" in capsys.readouterr().err
+        summary = json.loads((out / "suite_summary.json").read_text())
+        assert summary["exit_code"] == 4
+        assert [s["name"] for s in summary["scenarios"]] == ["fast-osc"]
+        assert summary["scenarios"][0]["exit_code"] == 0
 
     def test_suite_empty_dir_exit_4(self, tmp_path):
         empty = tmp_path / "nothing"

@@ -68,6 +68,10 @@ class TestFunctionalKind:
             p = rng.standard_normal(2)
             value, _ = kind.outer(prob.integral_term(p), 3.0)
             assert eval_functional(prob, p) == value + float(prob.drift @ p)
+            # the node observations a caller already holds give the same bits
+            q = prob.adjoint_observations(p)
+            assert eval_functional(prob, p, q) == eval_functional(prob, p)
+            assert np.array_equal(eval_subgradient(prob, p, q), eval_subgradient(prob, p))
 
 
 class TestQuadratureGrid:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multilevel_control import (
     ChannelControl,
@@ -23,6 +25,8 @@ from multilevel_control import (
     verify_staircase,
 )
 from multilevel_control.dual import ExactEvaluator
+from multilevel_control.extract import BISECTION_MAX_ITER, BISECTION_TOL
+from multilevel_control.lti import exp_action_integral
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -86,6 +90,155 @@ class TestFindSwitchings:
         root = np.arccos(0.4) / 1.7
         assert crossings.size == 1
         assert abs(crossings[0] - root) < 1e-11
+
+
+def _find_switchings_reference(q, breakpoints, grid, samples=None, midpoint_guard=True):
+    """find_switchings as a per-breakpoint np.sign scan with Python lists,
+    sampling the midpoints once per breakpoint."""
+    grid = np.asarray(grid, dtype=float)
+    qq = np.asarray(q(grid), dtype=float).reshape(-1) if samples is None else np.asarray(samples, dtype=float).reshape(-1)
+    breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+    lo_list, hi_list, bk_list, flo_list, crossings, touches = [], [], [], [], [], []
+    for bk in breakpoints:
+        f = qq - bk
+        sgn = np.sign(f)
+        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+            lo_list.append(grid[i])
+            hi_list.append(grid[i + 1])
+            bk_list.append(bk)
+            flo_list.append(f[i])
+        for i in np.nonzero(sgn == 0)[0]:
+            before = sgn[:i][sgn[:i] != 0]
+            after = sgn[i + 1 :][sgn[i + 1 :] != 0]
+            if before.size == 0 or after.size == 0:
+                continue
+            if before[-1] * after[0] < 0:
+                if 0 < i < grid.size - 1:
+                    crossings.append(float(grid[i]))
+            else:
+                touches.append(float(grid[i]))
+        if midpoint_guard:
+            mids = 0.5 * (grid[:-1] + grid[1:])
+            fm = np.sign(np.asarray(q(mids), dtype=float).reshape(-1) - bk)
+            hidden = (sgn[:-1] * sgn[1:] > 0) & (fm * sgn[:-1] < 0)
+            if np.any(hidden):
+                cell = int(np.nonzero(hidden)[0][0])
+                raise ValueError(
+                    "two crossings of level "
+                    f"{bk} inside the grid cell [{grid[cell]}, {grid[cell+1]}]; "
+                    "use a finer bracketing grid"
+                )
+    if lo_list:
+        lo, hi, bks, f_lo = map(np.array, (lo_list, hi_list, bk_list, flo_list))
+        for _ in range(BISECTION_MAX_ITER):
+            if np.all(hi - lo <= BISECTION_TOL):
+                break
+            mid = 0.5 * (lo + hi)
+            f_mid = np.asarray(q(mid), dtype=float).reshape(-1) - bks
+            right = f_lo * f_mid > 0
+            hi = np.where(right, hi, mid)
+            lo = np.where(right, mid, lo)
+            f_lo = np.where(right, f_mid, f_lo)
+        crossings.extend((0.5 * (lo + hi)).tolist())
+    eps = 10 * BISECTION_TOL
+    crossings = [t for t in crossings if grid[0] + eps < t < grid[-1] - eps]
+    return np.sort(np.array(crossings)), np.sort(np.array(touches))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Values drawn from a few levels, so that samples hit breakpoints exactly,
+# touch them and run along them.
+LEVELS = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
+level_or_float = st.one_of(st.sampled_from(LEVELS), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.lists(level_or_float, min_size=2, max_size=40),
+    mid_values=st.lists(level_or_float, min_size=39, max_size=39),
+    breakpoints=st.lists(st.sampled_from(LEVELS[1:-1]), min_size=1, max_size=5),
+    steps=st.lists(st.floats(0.01, 1.0), min_size=39, max_size=39),
+    guard=st.booleans(),
+    pass_samples=st.booleans(),
+)
+# a midpoint exactly on the level between two samples above it hides nothing
+@example([1.0, 1.0, 0.0], [0.5] * 39, [0.5], [0.1] * 39, True, True)
+def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, breakpoints, steps, guard, pass_samples):
+    """Same crossings, touches and guard error as the sign scan, on samples
+    with exact hits, touches and runs on a level, unsorted and repeated
+    breakpoints, with and without the midpoint guard."""
+    n = len(samples)
+    grid = np.concatenate([[0.0], np.cumsum(steps[: n - 1])])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    knots = np.empty(2 * n - 1)
+    knots[0::2], knots[1::2] = grid, mids
+    values = np.empty(2 * n - 1)
+    values[0::2], values[1::2] = samples, mid_values[: n - 1]
+
+    def q(t):
+        return np.interp(t, knots, values)
+
+    args = (q, breakpoints, grid)
+    kwargs = dict(samples=np.array(samples) if pass_samples else None, midpoint_guard=guard)
+    got = _outcome(find_switchings, *args, **kwargs)
+    expected = _outcome(_find_switchings_reference, *args, **kwargs)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+
+def _integral_and_grad_reference(prob, p_T):
+    """The exact integral term and its gradient from the stacked bracket
+    product, the reference crossing scan and one exp_action_integral per
+    switching interval."""
+    A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
+    tb, rows_b = prob.bracket_grid()
+    qb = rows_b @ p_T
+    base = np.zeros_like(p_T)
+    integral = 0.0
+    for ch, pen in enumerate(prob.penalizations):
+        qfun = lambda t, ch=ch: prob.propagator(t, p_T)[:, ch]
+        crossings, _ = _find_switchings_reference(qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=False)
+        ts = np.concatenate([[0.0], crossings, [T]])
+        ks = pen.segment_index(qfun(0.5 * (ts[:-1] + ts[1:])))
+        psi_hi = exp_action_integral(A, B, T)[:, ch]
+        for a, b, k in zip(ts[:-1], ts[1:], ks):
+            psi_lo = exp_action_integral(A, B, T - b)[:, ch]
+            F = psi_hi - psi_lo
+            base += pen.slopes[k] * F
+            integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)
+            psi_hi = psi_lo
+    return integral, base
+
+
+@pytest.mark.parametrize(
+    "A, B, p_T",
+    [
+        (A_OSC, B_OSC, np.array([0.9, -1.3])),
+        (
+            np.array([[-0.1, 2.0, 0.0], [-2.0, -0.1, 0.5], [0.0, -0.5, -0.2]]),
+            np.array([[1.0, 0.0], [0.0, 0.3], [0.5, 1.0]]),
+            np.array([1.1, -0.4, 0.8]),
+        ),
+    ],
+    ids=["k1", "k2"],
+)
+def test_exact_evaluation_matches_per_interval_reference(A, B, p_T):
+    sys = LtiSystem(A=A, B=B, x0=np.ones(A.shape[0]), T=4.0)
+    pens = [six_point_ladder() for _ in range(B.shape[1])]
+    prob = DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(4.0, 500))
+    integral, base = ExactEvaluator(prob).integral_and_grad(p_T)
+    ref_integral, ref_base = _integral_and_grad_reference(prob, p_T)
+    assert sum(len(segs) for segs in ExactEvaluator(prob).pieces(p_T)) > 2 * B.shape[1]
+    assert integral == ref_integral
+    assert np.array_equal(base, ref_base)
 
 
 class TestExtractControl:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 from multilevel_control import (
     DynamicsClass,
     LtiSystem,
@@ -10,6 +12,7 @@ from multilevel_control import (
     mat_exp,
     simulate_forward,
 )
+from multilevel_control.lti import AdjointPropagator, adjoint_rows, exp_action_integral
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -188,3 +191,69 @@ class TestSimulateForward:
             integral += np.trapezoid(vals, tt, axis=0)
         expected = mat_exp(A, 1.0) @ sys.x0 + integral
         assert np.allclose(traj.terminal, expected, atol=5e-8)
+
+
+# Plants for the bit-identity checks: a random one per size, the oscillator,
+# and the double integrator, whose defective A^T sends the propagator to its
+# per-point exponential path.
+def _plants():
+    rng = np.random.default_rng(11)
+    plants = [(rng.standard_normal((N, N)), rng.standard_normal((N, K))) for N, K in ((3, 1), (4, 2), (6, 2))]
+    return plants + [(A_OSC, B_OSC), (np.array([[0.0, 1.0], [0.0, 0.0]]), B_OSC)]
+
+
+def _adjoint_rows_reference(A, B, T, times):
+    """adjoint_rows as a per-node loop: B^T M_i with M_{i+1} = e^{-hA^T} M_i."""
+    step = sla.expm(-(times[1] - times[0]) * A.T)
+    M = sla.expm((T - times[0]) * A.T)
+    out = np.empty((times.size, B.shape[1], A.shape[0]))
+    for i in range(times.size):
+        out[i] = B.T @ M
+        M = step @ M
+    return out
+
+
+def _propagator_reference(prop, t, p):
+    """B^T e^{(T-t)A^T} p from the modal coordinates formed per call, or
+    one exponential per point."""
+    if prop._spectral is not None:
+        lam, V, Vinv = prop._spectral
+        z = Vinv @ p.astype(complex)
+        E = np.exp(np.multiply.outer(prop.T - t, lam))
+        return np.real(((E * z) @ V.T) @ prop.B)
+    return np.stack([prop.B.T @ mat_exp(prop.A.T, prop.T - ti) @ p for ti in t])
+
+
+def _exp_action_integral_reference(A, B, tau):
+    n, k = B.shape
+    M = np.zeros((n + k, n + k))
+    M[:n, :n] = A
+    M[:n, n:] = B
+    return sla.expm(tau * M)[:n, n:]
+
+
+@pytest.mark.parametrize("A, B", _plants())
+class TestBitIdentity:
+    def test_adjoint_rows_equal_per_node_loop(self, A, B):
+        times = np.linspace(0.0, 3.0, 2001)
+        assert np.array_equal(adjoint_rows(A, B, 3.0, times), _adjoint_rows_reference(A, B, 3.0, times))
+
+    def test_propagator_map_equals_call(self, A, B):
+        prop = AdjointPropagator(A, B, 3.0)
+        p = np.linspace(-1.0, 1.2, A.shape[0])
+        t = np.linspace(0.0, 3.0, 57)
+        expected = _propagator_reference(prop, t, p)
+        assert np.array_equal(prop.at(p)(t), expected)
+        assert np.array_equal(prop(t, p), expected)
+
+    def test_stacked_exp_action_integral_equals_scalar_calls(self, A, B):
+        taus = np.array([3.0, 2.2, 0.7, 1e-3, 0.0])
+        stacked = exp_action_integral(A, B, taus)
+        assert stacked.shape == (taus.size,) + B.shape
+        for tau, got in zip(taus, stacked):
+            assert np.array_equal(got, _exp_action_integral_reference(A, B, tau))
+        assert np.array_equal(exp_action_integral(A, B, 2.2), stacked[1])
+
+
+def test_double_integrator_propagator_is_per_point():
+    assert AdjointPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]), B_OSC, 3.0)._spectral is None
