@@ -7,9 +7,10 @@ The plants come from ``perfbench/workloads.synthesis_panel()`` and are built
 as the ``synthesis`` workload builds them (4000 quadrature nodes, 8x
 bracketing, so the bracket grid has 32,001 nodes): syn-01 has two channels
 and 8 breakpoints each, syn-11 has six states, one channel and 16
-breakpoints.  Every case runs at a fixed datum, the iterate after a fixed
-number of quadrature descent steps, so its crossings are those of a datum
-near the minimizer.
+breakpoints.  Every plant case runs at a fixed datum, the iterate after a
+fixed number of quadrature descent steps, so its crossings are those of a
+datum near the minimizer.  One case times the crossing search on samples
+that all sit on a breakpoint, as at a zero datum.
 """
 
 import numpy as np
@@ -74,6 +75,27 @@ def test_find_switchings(benchmark, plant, guard):
         samples=samples,
         midpoint_guard=guard,
     )
+
+
+def test_find_switchings_all_hits(benchmark):
+    """q = 0 on a 32,001-node grid against the breakpoint 0, as at a zero
+    datum whose ladder has no zero level: every sample is an exact hit."""
+    grid = np.linspace(0.0, 4.0, (workloads.GRID_NODES - 1) * workloads.BRACKET_MULTIPLIER + 1)
+    benchmark(
+        extract.find_switchings,
+        lambda t: np.zeros(np.size(t)),
+        np.array([0.0]),
+        grid,
+        samples=np.zeros(grid.size),
+        midpoint_guard=False,
+    )
+
+
+def test_extract_control(benchmark, plant):
+    """The staircase at the fixed datum: its crossings with the midpoint
+    guard, the segment probes and the levels."""
+    prob, p = plant
+    benchmark(extract.extract_control, p, prob)
 
 
 def test_adjoint_rows(benchmark, plant):

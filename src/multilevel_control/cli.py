@@ -20,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig, parse_config, read_raw_config
 from .experiments import (
     EXIT_CHECKS_FAILED,
@@ -29,6 +27,7 @@ from .experiments import (
     EXIT_PASS,
     convergence_study,
     run_scenario,
+    simulation_grid,
 )
 from .extract import MultilevelControl
 from .lti import simulate_forward
@@ -91,17 +90,23 @@ def cmd_suite(args) -> int:
         return EXIT_CONFIG_ERROR
     out_root = _output_root(args)
     codes = {}
+    owners = {}  # output_dir -> the config file that writes there
     summaries = []
     for path in configs:
         try:
             cfg = _load(path, args)
+            if cfg.output_dir in owners:
+                raise ConfigError(
+                    f"output_dir: {cfg.output_dir!r} is also the output_dir of {owners[cfg.output_dir]}"
+                )
         except ConfigError as exc:
             print(f"{path.name}: config error: {exc}", file=sys.stderr)
-            codes[path.stem] = EXIT_CONFIG_ERROR
+            codes[path] = EXIT_CONFIG_ERROR
             continue
+        owners[cfg.output_dir] = path.name
         rep = run_scenario(cfg, out_root / cfg.output_dir)
         _print_report(rep)
-        codes[cfg.name] = rep.exit_code
+        codes[path] = rep.exit_code
         summaries.append({"name": cfg.name, "exit_code": rep.exit_code, "passed": rep.passed})
     worst = max(codes.values()) if codes else EXIT_CONFIG_ERROR
     (out_root / "suite_summary.json").parent.mkdir(parents=True, exist_ok=True)
@@ -147,9 +152,7 @@ def cmd_report(args) -> int:
     if rep.get("control") and rep.get("terminal_norm") is not None:
         cfg = parse_config(rep["config"], name_hint=rep["name"])
         ctrl = MultilevelControl.from_record(rep["control"])
-        switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
-        grid = np.union1d(np.linspace(0.0, cfg.system.T, cfg.grid_nodes), switches)
-        traj = simulate_forward(cfg.system, ctrl, grid)
+        traj = simulate_forward(cfg.system, ctrl, simulation_grid(cfg.quadrature().nodes, ctrl))
         drift = abs(traj.terminal_norm - rep["terminal_norm"])
         print(f"  re-simulated terminal norm: {traj.terminal_norm:.6e} (drift {drift:.2e})")
         if drift > 1e-10:

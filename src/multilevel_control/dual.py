@@ -225,15 +225,6 @@ class DualProblem:
             self._bracket = (tb, adjoint_rows(self.sys.A, self.sys.B, self.sys.T, tb))
         return self._bracket
 
-    def bracket_samples(self, p_T):
-        """The bracketing grid and B^T p on it, shape (nb, K), from one
-        product over all rows.  The samples are used only through their
-        signs against the breakpoints, so the rounding of this product
-        matters only for a sample within the last bit of a breakpoint."""
-        tb, rows_b = self.bracket_grid()
-        nb, K, N = rows_b.shape
-        return tb, (rows_b.reshape(-1, N) @ p_T).reshape(nb, K)
-
 
 # -- functional / subgradient ------------------------------------------------
 
@@ -291,6 +282,9 @@ def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
 
 # -- exact piecewise evaluation ----------------------------------------------
 
+# fractions of a switching interval at which its segment is read, in order
+PROBES = np.array([0.5, 0.35, 0.65, 0.2, 0.8])
+
 
 class ExactEvaluator:
     """Evaluate the penalized kinds' integral term and its gradient exactly
@@ -301,8 +295,8 @@ class ExactEvaluator:
     With Psi(s) the integral of e^{rA} B over [0, s], an interval [a, b]
     contributes Psi(T - a) - Psi(T - b).  Psi(T) is formed once per
     evaluator and Psi(T - b) for all of a channel's interval ends in one
-    stacked exponential; one datum's crossings are bracketed on a single
-    product of the bracket rows and refined on one propagator map.
+    stacked exponential.  :meth:`pieces` is the one reading of a datum's
+    switching intervals; extraction uses it too.
     """
 
     def __init__(self, prob: DualProblem):
@@ -314,41 +308,57 @@ class ExactEvaluator:
     def _psi(self, tau) -> np.ndarray:
         return exp_action_integral(self.prob.sys.A, self.prob.sys.B, tau)
 
-    def pieces(self, p_T):
-        """Per channel: list of (a, b, segment index) covering (0, T)."""
+    def pieces(self, p_T, midpoint_guard=False):
+        """Per channel: (crossing times, segment index per switching
+        interval, pinned).
+
+        An interval's segment is read at the first probe of ``PROBES`` off a
+        kink, or at the midpoint when every probe is on one; ``pinned`` says
+        that this happens on some interval, i.e. B^T p sits on a breakpoint
+        there.  The crossings are bracketed
+        on one product of the bracket rows and refined on one propagator
+        map; ``midpoint_guard`` is passed to :func:`find_switchings`.
+        """
         from .extract import find_switchings
 
         prob = self.prob
-        tb, qb = prob.bracket_samples(p_T)
+        tb, rows_b = prob.bracket_grid()
+        nb, K, N = rows_b.shape
+        qb = (rows_b.reshape(-1, N) @ p_T).reshape(nb, K)
         q_at = prob.propagator.at(p_T)
         out = []
-        for ch in range(prob.channels):
-            pen = prob.penalizations[ch]
+        for ch, pen in enumerate(prob.penalizations):
 
             def qfun(t, ch=ch):
                 return q_at(t)[:, ch]
 
             crossings, _ = find_switchings(
-                qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=False
+                qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=midpoint_guard
             )
             ts = np.concatenate([[0.0], crossings, [prob.sys.T]])
-            mids = 0.5 * (ts[:-1] + ts[1:])
-            ks = pen.segment_index(qfun(mids))
-            out.append([(ts[i], ts[i + 1], int(ks[i])) for i in range(ts.size - 1)])
+            probes = ts[:-1, None] + PROBES * np.diff(ts)[:, None]
+            qp = qfun(probes.reshape(-1)).reshape(probes.shape)
+            lo, hi = pen.slope_bounds(qp)
+            off = lo == hi
+            first = np.argmax(off, axis=1)
+            ks = pen.segment_index(qp[np.arange(first.size), first])
+            out.append((crossings, ks, not off.any(axis=1).all()))
         return out
 
-    def integral_and_grad(self, p_T):
-        """The integral term I(p_T) and its gradient."""
+    def integral_and_grad(self, p_T, pieces=None):
+        """The integral term I(p_T) and its gradient; ``pieces`` may pass
+        :meth:`pieces` of p_T when the caller already has them."""
         prob = self.prob
         p_T = prob._check_p(p_T)
         T = prob.sys.T
         base = np.zeros_like(p_T)
         integral = 0.0
-        for ch, segs in enumerate(self.pieces(p_T)):
+        for ch, (crossings, ks, _) in enumerate(self.pieces(p_T) if pieces is None else pieces):
             pen = prob.penalizations[ch]
+            ts = np.concatenate([[0.0], crossings, [T]])
             psi_hi = self._psi_T[:, ch]
-            psi_ends = self._psi(T - np.array([b for _, b, _ in segs]))[:, :, ch]
-            for (a, b, k), psi_lo in zip(segs, psi_ends):
+            psi_ends = self._psi(T - ts[1:])[:, :, ch]
+            for a, b, k, psi_lo in zip(ts[:-1], ts[1:], ks, psi_ends):
                 F = psi_hi - psi_lo  # integral of e^{(T-t)A} B_ch over [a, b]
                 base += pen.slopes[k] * F
                 integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)

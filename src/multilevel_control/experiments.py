@@ -115,13 +115,12 @@ def build_problem(cfg: ExperimentConfig) -> DualProblem:
     )
 
 
-def _simulation_grid(prob: DualProblem, control: Optional[MultilevelControl]) -> np.ndarray:
-    base = prob.grid.nodes
+def simulation_grid(nodes, control: Optional[MultilevelControl]) -> np.ndarray:
+    """The quadrature nodes joined with the control's switch times."""
     if control is None:
-        return base
+        return nodes
     switches = np.concatenate([ch.switch_times for ch in control.channels]) if control.channels else np.empty(0)
-    grid = np.union1d(base, switches)
-    return grid
+    return np.union1d(nodes, switches)
 
 
 def _solve_record(report_status, value, iterations, grad_norm, message) -> dict:
@@ -191,7 +190,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
     timings["extract_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grid = _simulation_grid(prob, control)
+    grid = simulation_grid(prob.grid.nodes, control)
     traj = simulate_forward(cfg.system, u_fun, grid)
     timings["simulate_s"] = time.perf_counter() - t0
     rep.terminal_norm = traj.terminal_norm

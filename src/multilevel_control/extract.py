@@ -3,15 +3,16 @@
 The adjoint observation q(t) = B^T p(t) is analytic, so it crosses any
 penalization breakpoint finitely often; each crossing is bracketed on a
 dense grid and refined by bisection.  Between crossings the control level is
-the slope of the penalization segment containing q, sampled at the interval
-midpoint.
+the slope of the penalization segment containing q.  Both come from
+:meth:`ExactEvaluator.pieces`, the same reading of the datum that the exact
+dual evaluation integrates.
 
-Where the datum is degenerate (zero while x0 is not, or with q pinned on a
-breakpoint over an interval) the optimal controls are the selections of the
-two adjacent slopes there, and the staircase is read off a vertex of the
-discrete Fenchel primal instead: bang-bang on that pair except at a few
-nodes, each of which becomes one switch inside its cell, and the switch
-times are then polished onto the exact terminal map.
+Where the datum is degenerate, with q pinned on a breakpoint over an
+interval (the zero datum whenever 0 is a breakpoint), the optimal controls
+are the selections of the two adjacent slopes there, and the staircase is
+read off a vertex of the discrete Fenchel primal instead: bang-bang on that
+pair except at a few nodes, each of which becomes one switch inside its
+cell, and the switch times are then polished onto the exact terminal map.
 """
 
 from __future__ import annotations
@@ -53,15 +54,14 @@ class DegenerateAdjointError(RuntimeError):
     """The degenerate adjoint datum handed to :func:`extract_control` is not
     a dual minimizer.
 
-    A datum is degenerate when it is zero while the initial state is not,
-    or when its adjoint observation sits on a penalization breakpoint over
-    an interval.  The staircase is then selected from the discrete Fenchel
-    primal, and this error says that the primal is infeasible or that its
-    node values leave the subdifferential along the datum (complementary
-    slackness fails), or that the level scale there is not positive.  As a
-    safeguard it is also raised when the primal skips a level between
-    neighbouring nodes, or when the selected staircase cannot be polished
-    to steer x0 exactly.
+    A datum is degenerate when its adjoint observation sits on a
+    penalization breakpoint over an interval.  The staircase is then
+    selected from the discrete Fenchel primal, and this error says that the
+    primal is infeasible or that its node values leave the subdifferential
+    along the datum (complementary slackness fails), or that the level
+    scale there is not positive.  As a safeguard it is also raised when the
+    primal skips a level between neighbouring nodes, or when the selected
+    staircase cannot be polished to steer x0 exactly.
     """
 
 
@@ -186,16 +186,14 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
             change &= clear
             same &= clear
             sgn = np.sign(qq - bk)
-            for i in np.nonzero(hit)[0]:
-                before = sgn[:i][sgn[:i] != 0]
-                after = sgn[i + 1 :][sgn[i + 1 :] != 0]
-                if before.size == 0 or after.size == 0:
-                    continue
-                if before[-1] * after[0] < 0:
-                    if 0 < i < grid.size - 1:
-                        crossings.append(float(grid[i]))
-                else:
-                    touches.append(float(grid[i]))
+            signed = np.flatnonzero(sgn)
+            i = np.flatnonzero(hit)
+            j = np.searchsorted(signed, i)  # first signed sample after each hit
+            inner = (j > 0) & (j < signed.size)
+            i, j = i[inner], j[inner]
+            flip = sgn[signed[j - 1]] * sgn[signed[j]] < 0
+            crossings.extend(grid[i[flip]].tolist())
+            touches.extend(grid[i[~flip]].tolist())
         idx = np.nonzero(change)[0]
         cells.append(idx)
         bk_list.append(np.full(idx.size, bk))
@@ -231,29 +229,6 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     return np.sort(np.array(crossings)), np.sort(np.array(touches))
 
 
-def _channel_pieces(pen, q, grid, samples):
-    """Switching times and per-interval segment indices of one channel
-    whose observation is ``q`` and has ``samples`` on the bracketing
-    ``grid``, or None when it sits on a breakpoint over an interval."""
-    crossings, touches = find_switchings(q, pen.breakpoints, grid, samples=samples)
-    ts = np.concatenate([[0.0], crossings, [grid[-1]]])
-    ks = []
-    for a, b in zip(ts[:-1], ts[1:]):
-        k = None
-        for frac in (0.5, 0.35, 0.65, 0.2, 0.8):
-            m = a + frac * (b - a)
-            qm = float(q(np.array([m]))[0])
-            lo, hi = pen.slope_bounds(qm)
-            if lo != hi:  # on a kink
-                continue
-            k = int(pen.segment_index(qm))
-            break
-        if k is None:
-            return None
-        ks.append(k)
-    return crossings, touches, ks
-
-
 def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     """Staircase control associated with a converged adjoint datum.
 
@@ -263,9 +238,10 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     squared kind.
 
     A regular datum gives the levels of the segments that B^T p visits and
-    switches at its breakpoint crossings.  A degenerate datum (zero while x0
-    is not, or with B^T p on a breakpoint over an interval) leaves a choice
-    between the two adjacent levels there, and one rule selects it:
+    switches at its breakpoint crossings, both read off
+    :meth:`ExactEvaluator.pieces` with the midpoint guard on.  A degenerate
+    datum, with B^T p pinned on a breakpoint over an interval, leaves a
+    choice between the two adjacent levels there, and one rule selects it:
 
     1. solve the discrete Fenchel primal of scale * penalization;
     2. check complementary slackness, every node value in scale times the
@@ -285,35 +261,15 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     if p_T_star.shape[0] != prob.sys.dim:
         raise ValueError("p_T_star has the wrong length")
 
-    if float(np.linalg.norm(p_T_star)) <= 1e-12:
-        if float(np.linalg.norm(prob.sys.x0)) > 1e-10:
-            # the integrand is constant at the zero datum, so quadrature is exact
-            scale = prob.outer_slope(lambda: prob.integral_term(p_T_star))
-            return _primal_staircase(prob, p_T_star, scale)
-        chans = tuple(
-            ChannelControl(
-                switch_times=np.empty(0),
-                levels=np.array([0.0]),
-                level_set=np.asarray(prob.penalizations[ch].slopes, dtype=float),
-            )
-            for ch in range(prob.channels)
-        )
-        return MultilevelControl(channels=chans, scale=1.0, horizon=prob.sys.T)
-
-    scale = prob.outer_slope(lambda: ExactEvaluator(prob).integral_and_grad(p_T_star)[0])
-
-    tb, qb = prob.bracket_samples(p_T_star)
-    q_at = prob.propagator.at(p_T_star)
-    pieces = [
-        _channel_pieces(pen, lambda t, ch=ch: q_at(t)[:, ch], tb, qb[:, ch])
-        for ch, pen in enumerate(prob.penalizations)
-    ]
-    if any(pc is None for pc in pieces):
+    evaluator = ExactEvaluator(prob)
+    pieces = evaluator.pieces(p_T_star, midpoint_guard=True)
+    scale = prob.outer_slope(lambda: evaluator.integral_and_grad(p_T_star, pieces)[0])
+    if any(pinned for _, _, pinned in pieces):
         return _primal_staircase(prob, p_T_star, scale)
     chans = []
-    for ch, (crossings, _touches, ks) in enumerate(pieces):
+    for ch, (crossings, ks, _) in enumerate(pieces):
         level_set = scale * prob.penalizations[ch].slopes
-        levels = level_set[np.asarray(ks, dtype=int)]
+        levels = level_set[ks]
         # a grazing touch can yield equal neighbours; merge them defensively
         keep_times, keep_levels = [], [levels[0]]
         for t_sw, lv in zip(crossings, levels[1:]):

@@ -253,6 +253,32 @@ class TestSuiteAndConverge:
         assert [s["name"] for s in summary["scenarios"]] == ["fast-osc"]
         assert summary["scenarios"][0]["exit_code"] == 0
 
+    def test_suite_keys_exit_codes_by_file(self, tmp_path, capsys):
+        # two scenarios share a name; the failing one must still count
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        failing = json.loads(json.dumps(FAST_OSC))
+        failing["checks"]["terminal_tol"] = 1e-12
+        failing["output_dir"] = "fast-osc-strict"
+        write_cfg(suite_dir, FAST_OSC, "a.json")
+        write_cfg(suite_dir, failing, "b.json")
+        out = tmp_path / "out"
+        assert main(["suite", str(suite_dir), "--out", str(out)]) == 2
+        assert "suite: 1/2 scenarios passed" in capsys.readouterr().out
+        assert json.loads((out / "suite_summary.json").read_text())["exit_code"] == 2
+
+    def test_suite_repeated_output_dir_exit_4(self, tmp_path, capsys):
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        write_cfg(suite_dir, FAST_OSC, "a.json")
+        write_cfg(suite_dir, FAST_OSC, "b.json")
+        out = tmp_path / "out"
+        assert main(["suite", str(suite_dir), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "b.json: config error: output_dir: 'fast-osc' is also the output_dir of a.json" in err
+        summary = json.loads((out / "suite_summary.json").read_text())
+        assert [s["exit_code"] for s in summary["scenarios"]] == [0]
+
     def test_suite_empty_dir_exit_4(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -304,3 +330,40 @@ class TestTwoChannelRunner:
         assert rep.passed and rep.terminal_norm == 0.0
         for ch in rep.control["channels"]:
             assert ch["levels"] == [0.0] and ch["switch_times"] == []
+
+
+def zero_state_osc(kind, partition):
+    raw = json.loads(json.dumps(FAST_OSC))
+    raw["name"] = f"zero-state-{kind}"
+    raw["system"]["x0"] = [0.0, 0.0]
+    raw["kind"] = kind
+    if kind == "scaled":
+        raw["beta"] = 2.0
+    raw["penalization"]["partitions"] = [partition]
+    return raw
+
+
+# ladders without a zero level: 0 is a breakpoint of the penalization
+ZERO_BREAKPOINT_PARTITIONS = [[-1.0, -0.5, 0.0, 0.5, 1.0], [-1.0, -0.5, 0.0, 0.5, 0.8, 1.0]]
+
+
+class TestZeroStateWithoutZeroLevel:
+    """At x0 = 0 the minimizer is p = 0, and q = 0 sits on a breakpoint: the
+    control is selected between the two levels around it."""
+
+    @pytest.mark.parametrize("partition", ZERO_BREAKPOINT_PARTITIONS, ids=["5-point", "6-point"])
+    @pytest.mark.parametrize("kind", ["plain", "scaled"])
+    def test_selects_a_ladder_staircase(self, tmp_path, kind, partition):
+        rep = run_scenario(parse_config(zero_state_osc(kind, partition)), tmp_path / "out")
+        assert rep.passed and rep.staircase_ok
+        assert rep.terminal_norm <= 1e-2
+        for ch in rep.control["channels"]:
+            assert set(ch["levels"]) <= set(ch["level_set"])
+
+    @pytest.mark.parametrize("partition", ZERO_BREAKPOINT_PARTITIONS, ids=["5-point", "6-point"])
+    def test_squared_kind_is_degenerate(self, tmp_path, capsys, partition):
+        # the squared kind's level scale is the integral term, 0 at p = 0
+        cfg = write_cfg(tmp_path, zero_state_osc("squared", partition))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr().out
+        assert "status=degenerate" in printed and "level scale 0 " in printed

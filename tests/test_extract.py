@@ -194,6 +194,32 @@ def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, b
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
 
+@pytest.mark.parametrize("signed_ends", [False, True], ids=["all-hits", "signed-ends"])
+def test_find_switchings_on_a_breakpoint_everywhere(signed_ends):
+    """All 32,001 samples of a bracket grid on the breakpoint 0, as at the
+    zero datum; with signed samples at the ends and in between, every hit
+    is a crossing or a touch by its nearest signed neighbours."""
+    grid = np.linspace(0.0, 4.0, 32_001)
+    samples = np.zeros(grid.size)
+    if signed_ends:
+        samples[[0, 10_000, 20_000, -1]] = [-1.0, 0.5, 0.3, -0.2]
+
+    def q(t):
+        return np.interp(t, grid, samples)
+
+    levels = [-0.5, 0.0, 0.5]
+    for guard in (False, True):
+        got = find_switchings(q, levels, grid, samples=samples, midpoint_guard=guard)
+        expected = _find_switchings_reference(q, levels, grid, samples=samples, midpoint_guard=guard)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    if signed_ends:
+        # level 0: hits 1..9,999 and 20,001..31,999 cross, 10,001..19,999
+        # touch; level 0.5 is touched at 10,000; level -0.5 is crossed once
+        assert got[0].size == 9_999 + 11_999 + 1 and got[1].size == 9_999 + 1
+    else:
+        assert got[0].size == 0 and got[1].size == 0
+
+
 def _integral_and_grad_reference(prob, p_T):
     """The exact integral term and its gradient from the stacked bracket
     product, the reference crossing scan and one exp_action_integral per
@@ -236,7 +262,7 @@ def test_exact_evaluation_matches_per_interval_reference(A, B, p_T):
     prob = DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(4.0, 500))
     integral, base = ExactEvaluator(prob).integral_and_grad(p_T)
     ref_integral, ref_base = _integral_and_grad_reference(prob, p_T)
-    assert sum(len(segs) for segs in ExactEvaluator(prob).pieces(p_T)) > 2 * B.shape[1]
+    assert sum(ks.size for _, ks, _ in ExactEvaluator(prob).pieces(p_T)) > 2 * B.shape[1]
     assert integral == ref_integral
     assert np.array_equal(base, ref_base)
 
@@ -311,9 +337,13 @@ class TestExtractControl:
         assert np.all(np.isin(ctrl.channels[0].levels, ctrl.channels[0].level_set))
 
     def test_zero_state_zero_control(self):
+        # q = 0 lies inside the segment whose chord slope is the ladder's
+        # zero level (2.3e-16 in floating point), so it is held throughout
         prob, rep = solved_oscillator(x0=np.zeros(2))
         ctrl = extract_control(rep.p_T_star, prob)
-        assert ctrl.channels[0].levels.tolist() == [0.0]
+        pen = prob.penalizations[0]
+        assert ctrl.channels[0].switch_times.size == 0
+        assert ctrl.channels[0].levels.tolist() == [pen.slopes[pen.segment_index(0.0)]]
 
     def test_degenerate_zero_datum_with_nonzero_state(self):
         # the origin minimizes here: x0 is reachable below the inner slopes

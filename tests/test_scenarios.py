@@ -19,6 +19,7 @@ from multilevel_control import (
     simulate_forward,
     verify_staircase,
 )
+from multilevel_control.dual import ExactEvaluator
 
 
 def six_point_ladder():
@@ -79,6 +80,18 @@ class TestDoubleIntegrator:
         # exact zero-order hold: one step per constant piece
         traj = simulate_forward(self.SYS, ctrl, np.concatenate([[0.0], ch.switch_times, [self.SYS.T]]))
         assert traj.terminal_norm <= 1e-9
+
+    def test_pieces_flag_the_snapped_datum_as_pinned(self):
+        prob = DualProblem(
+            self.SYS, [six_point_ladder()], grid=QuadratureGrid.trapezoid(3.0, 2000)
+        )
+        p_star = minimize(prob).p_T_star
+        evaluator = ExactEvaluator(prob)
+        [(crossings, ks, pinned)] = evaluator.pieces(p_star)
+        assert pinned and crossings.size == 0
+        # the same constant observation off the kink is regular
+        [(crossings, ks, pinned)] = evaluator.pieces(p_star + np.array([0.0, 0.05]))
+        assert not pinned and crossings.size == 0 and ks.size == 1
 
     def test_squared_kind_controls(self):
         _, traj = synthesize(self.SYS, kind="squared")
