@@ -10,14 +10,15 @@ and 8 breakpoints each, syn-11 has six states, one channel and 16
 breakpoints.  Every plant case runs at a fixed datum, the iterate after a
 fixed number of quadrature descent steps, so its crossings are those of a
 datum near the minimizer.  One case times the crossing search on samples
-that all sit on a breakpoint, as at a zero datum.
+that all sit on a breakpoint, as at a zero datum, and one the discrete
+Fenchel primal LP on the data of acceptance criterion 1.
 """
 
 import numpy as np
 import pytest
 
 import workloads
-from multilevel_control import dual, extract, lti
+from multilevel_control import dual, extract, fenchel, lti, pwl
 
 PLANTS = {"syn-01": 1, "syn-11": 11}
 DESCENT_STEPS = 200
@@ -89,6 +90,17 @@ def test_find_switchings_all_hits(benchmark):
         samples=np.zeros(grid.size),
         midpoint_guard=False,
     )
+
+
+def test_solve_discrete_primal(benchmark):
+    """The N-row primal LP on criterion-1 data (oscillator, T = 4, x0 =
+    (-1, 0.5), four-level ladder, 4000 nodes), whose dual minimizer is the
+    degenerate origin: the LP that certifies it and selects its staircase."""
+    sys_ = lti.LtiSystem(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], x0=[-1.0, 0.5], T=4.0)
+    partition = pwl.Partition(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    ladder = pwl.build_penalization(pwl.quadratic_profile(), partition)
+    dp = fenchel.build_discrete_primal(dual.DualProblem(sys_, [ladder]))
+    benchmark(fenchel.solve_primal, dp)
 
 
 def test_extract_control(benchmark, plant):

@@ -21,7 +21,8 @@ the requested tolerance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -183,6 +184,7 @@ class DualProblem:
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
         self.propagator = AdjointPropagator(sys.A, sys.B, sys.T)
         self._bracket = None
+        self._primal = {}
 
     # -- basic maps ---------------------------------------------------------
 
@@ -224,6 +226,17 @@ class DualProblem:
             tb = np.linspace(0.0, self.sys.T, nb)
             self._bracket = (tb, adjoint_rows(self.sys.A, self.sys.B, self.sys.T, tb))
         return self._bracket
+
+    def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
+        """Node values (n, K) of the discrete Fenchel primal of ``scale``
+        times the penalizations, solved once per scale (an infeasible one
+        raises :class:`~.fenchel.InfeasiblePrimalError` on every call)."""
+        if scale not in self._primal:
+            from .fenchel import build_discrete_primal, solve_primal
+
+            dp = build_discrete_primal(self)
+            self._primal[scale] = solve_primal(replace(dp, c=dp.c / scale)).v * scale
+        return self._primal[scale]
 
 
 # -- functional / subgradient ------------------------------------------------
@@ -398,20 +411,13 @@ class SolveReport:
         return self.status == SolveStatus.CONVERGED
 
 
-def _box_residual(prob: DualProblem, p_T) -> float:
-    """Stationarity residual: the distance from 0 to the coordinate-interval
-    hull of the subdifferential at p_T."""
-    lo, hi = subgradient_box(prob, p_T)
-    return float(np.linalg.norm(np.clip(0.0, lo, hi)))
-
-
 def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6):
     """Project p onto the manifold where near-active node observations sit
     exactly on their penalization breakpoints.
 
     Systems with a singular A^T admit constant adjoint observations, so a
     minimizer can pin B^T p(t) to a kink over the whole window (not just at
-    isolated crossings); the interval-subgradient certificate only fires
+    isolated crossings); the complementary-slackness certificate only holds
     once those nodes are exactly active.  Returns None when nothing is
     nearly active or the projection moves p by more than ``loose``-scale.
     """
@@ -448,22 +454,55 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     flattens out, the penalized kinds continue from the same iterate on the
     exact piecewise evaluation, which removes the quadrature floor of the
     subgradient.  The run converges when the gradient norm is within
-    ``gtol``, or when an interval-subgradient certificate holds at the
-    origin or on the active breakpoints near the last iterate.  Divergence
-    is certified when the iterate norm passes the threshold while the
-    accepted values are still strictly decreasing; a descent that stalls
-    otherwise, or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
+    ``gtol``, or when extraction's complementary-slackness test
+    (:func:`~.extract.complementary_slackness`) certifies a kinked point:
+    the origin, tested before the descent if a penalization is kinked at 0,
+    or the active breakpoints near the last iterate.  Divergence is
+    certified when the iterate norm passes the threshold while the accepted
+    values are still strictly decreasing; a descent that stalls otherwise,
+    or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     st = prob.settings
     if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
-        import warnings
-
-        warnings.warn("system is not controllable: the dual functional may have no minimizer")
+        logging.getLogger("multilevel_control").warning(
+            "system is not controllable: the dual functional may have no minimizer"
+        )
 
     zero = np.zeros(prob.sys.dim)
     p = zero.copy() if p0 is None else np.asarray(p0, dtype=float).reshape(-1).copy()
 
     exact_evaluator = ExactEvaluator(prob) if prob.kind.penalized else None
+    it = 0
+    trace_rows = []
+
+    def report(status, p_star, value, gnorm, message=""):
+        return SolveReport(
+            status=status,
+            p_T_star=p_star,
+            value=value,
+            iterations=it,
+            grad_norm=gnorm,
+            trace=np.asarray(trace_rows).reshape(-1, 3),
+            message=message,
+        )
+
+    def certified(x):
+        # extraction's test of a degenerate datum, at the level scale it would use
+        from .extract import DegenerateAdjointError, complementary_slackness
+
+        scale = prob.outer_slope(lambda: exact_evaluator.integral_and_grad(x)[0])
+        try:
+            complementary_slackness(prob, x, scale)
+        except DegenerateAdjointError:
+            return False
+        return True
+
+    # zero is a frequent exact minimizer of the penalized kinds because the
+    # penalization is kinked at its minimum
+    kinked = prob.kind.penalized and any(np.less(*pen.slope_bounds(0.0)) for pen in prob.penalizations)
+    if kinked and certified(zero):
+        message = "stationary at the origin (complementary-slackness certificate)"
+        return report(SolveStatus.CONVERGED, zero, eval_functional(prob, zero), 0.0, message)
 
     # Each evaluation returns the value and a callable for the gradient,
     # which is only needed at accepted points.
@@ -483,38 +522,8 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
     since_improve = 0
     accepted: list[float] = [J]
-    trace_rows = [(J, float(np.linalg.norm(p)), float(np.linalg.norm(g)))]
-    it = 0
+    trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
 
-    def report(status, p_star, value, gnorm, message=""):
-        return SolveReport(
-            status=status,
-            p_T_star=p_star,
-            value=value,
-            iterations=it,
-            grad_norm=gnorm,
-            trace=np.asarray(trace_rows),
-            message=message,
-        )
-
-    def origin_certificate():
-        # zero is a frequent exact minimizer of the penalized kinds because
-        # the penalization is kinked at its minimum
-        res = _box_residual(prob, zero)
-        if res > st.gtol:
-            return None
-        J_zero = evaluate(zero)[0]
-        if J_zero <= J + FLAT_TOL:
-            return report(
-                SolveStatus.CONVERGED,
-                zero,
-                J_zero,
-                res,
-                "stationary at the origin (interval-subgradient certificate)",
-            )
-        return None
-
-    origin_checked = False
     while it < st.max_iterations:
         it += 1
         gn = float(np.linalg.norm(g))
@@ -554,11 +563,7 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
                 )
 
         if since_improve >= FLAT_WINDOW:
-            certificate = origin_certificate()
-            if certificate is not None:
-                return certificate
             if exact_evaluator is None or evaluate is exact:
-                origin_checked = True
                 break
             evaluate = exact
             J, grad = evaluate(p)
@@ -569,23 +574,10 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     gn = float(np.linalg.norm(g))
     if gn <= st.gtol:
         return report(SolveStatus.CONVERGED, p, J, gn)
-    if not origin_checked:
-        certificate = origin_certificate()
-        if certificate is not None:
-            return certificate
     snapped = _snap_to_active_kinks(prob, p)
-    if snapped is not None:
-        J_snap = evaluate(snapped)[0]
-        if J_snap <= J + FLAT_TOL:
-            res = _box_residual(prob, snapped)
-            if res <= st.gtol:
-                return report(
-                    SolveStatus.CONVERGED,
-                    snapped,
-                    J_snap,
-                    res,
-                    "stationary on active breakpoints (interval-subgradient certificate)",
-                )
+    if snapped is not None and certified(snapped):
+        message = "stationary on active breakpoints (complementary-slackness certificate)"
+        return report(SolveStatus.CONVERGED, snapped, evaluate(snapped)[0], 0.0, message)
     return report(
         SolveStatus.ITERATION_CAP,
         p,

@@ -17,13 +17,13 @@ cell, and the switch times are then polished onto the exact terminal map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .dual import ExactEvaluator
-from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
+from .fenchel import InfeasiblePrimalError
 from .lti import exp_action_integral, zoh_exp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,6 +35,7 @@ __all__ = [
     "MultilevelControl",
     "find_switchings",
     "extract_control",
+    "complementary_slackness",
     "verify_staircase",
     "quadratic_control",
 ]
@@ -247,6 +248,7 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     2. check complementary slackness, every node value in scale times the
        slopes supporting the penalization at B^T p there, else raise
        :class:`DegenerateAdjointError` (the datum is not a minimizer);
+       :func:`~.dual.minimize` certifies kinked points with the same two steps;
     3. hold each node value over its quadrature cell: a ladder value stays,
        a value between two adjacent levels becomes one switch inside the
        cell that splits it in the matching shares;
@@ -287,29 +289,24 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     return MultilevelControl(channels=tuple(chans), scale=scale, horizon=prob.sys.T)
 
 
-def _primal_staircase(prob: "DualProblem", p_T, scale: float) -> MultilevelControl:
-    """The degenerate selection of :func:`extract_control` (steps 1-4)."""
+def complementary_slackness(prob: "DualProblem", p_T, scale: float) -> np.ndarray:
+    """Steps 1-2 of the degenerate selection, and the certificate of kinked
+    points in :func:`~.dual.minimize`: the primal node values at ``scale``,
+    each checked to lie in ``scale`` times the slopes supporting the
+    penalization at B^T p_T, which holds exactly when p_T minimizes the
+    discrete dual; raises :class:`DegenerateAdjointError` otherwise."""
     if not (np.isfinite(scale) and scale > 0):
         # a zero scale (squared kind, zero integral) makes the gradient the
         # drift, which is nonzero with x0
         raise DegenerateAdjointError(f"the level scale {scale:g} at the datum is not positive")
-    dp = build_discrete_primal(prob)
-    if scale != 1.0:
-        dp = replace(dp, c=dp.c / scale)
     try:
-        v = solve_primal(dp).v
+        v = prob.primal_nodes(scale)
     except InfeasiblePrimalError as exc:
         raise DegenerateAdjointError(f"the datum is not a minimizer: {exc}") from None
-    if scale != 1.0:
-        v = v * scale
-
     q = prob.adjoint_observations(p_T)
     nodes = prob.grid.nodes
-    edges = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]), [prob.sys.T]])
-    ladders = [scale * pen.slopes for pen in prob.penalizations]
-    plans = []
-    for ch, (pen, ladder) in enumerate(zip(prob.penalizations, ladders)):
-        tol = NODE_TOL * float(np.max(np.abs(ladder)))
+    for ch, pen in enumerate(prob.penalizations):
+        tol = NODE_TOL * float(np.max(np.abs(scale * pen.slopes)))
         lo, hi = pen.slope_bounds(q[:, ch])
         off = np.nonzero((v[:, ch] < scale * lo - tol) | (v[:, ch] > scale * hi + tol))[0]
         if off.size:
@@ -320,8 +317,16 @@ def _primal_staircase(prob: "DualProblem", p_T, scale: float) -> MultilevelContr
                 f"[{scale * lo[i]:.6g}, {scale * hi[i]:.6g}] at B^T p = {q[i, ch]:.6g} "
                 f"({off.size} of {nodes.size} nodes)"
             )
-        plans.append(_cell_staircase(v[:, ch], ladder, edges, tol, ch))
+    return v
 
+
+def _primal_staircase(prob: "DualProblem", p_T, scale: float) -> MultilevelControl:
+    """The degenerate selection of :func:`extract_control` (steps 1-4)."""
+    v = complementary_slackness(prob, p_T, scale)
+    nodes = prob.grid.nodes
+    edges = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]), [prob.sys.T]])
+    ladders = [scale * pen.slopes for pen in prob.penalizations]
+    plans = [_cell_staircase(v[:, ch], ladder, edges, ch) for ch, ladder in enumerate(ladders)]
     times = _polish(prob, plans, ladders)
     chans = tuple(
         ChannelControl(switch_times=st, levels=ladder[ks], level_set=ladder)
@@ -330,16 +335,17 @@ def _primal_staircase(prob: "DualProblem", p_T, scale: float) -> MultilevelContr
     return MultilevelControl(channels=chans, scale=scale, horizon=prob.sys.T)
 
 
-def _cell_staircase(v, ladder, edges, tol, ch):
+def _cell_staircase(v, ladder, edges, ch):
     """(switch times, level indices, switch-time bounds) of the staircase
     that holds node value ``v[i]`` over the cell [edges[i], edges[i+1]].
 
-    A value within ``tol`` of a ladder level keeps that level; a value
-    between two adjacent levels spends the matching shares of the cell on
-    them, starting with the one nearer the level before.  A switch inside a
-    cell may move within it, one on a cell edge within the two cells around
-    it.
+    A value within ``NODE_TOL`` (relative to the ladder) of a level keeps
+    that level; a value between two adjacent levels spends the matching
+    shares of the cell on them, starting with the one nearer the level
+    before.  A switch inside a cell may move within it, one on a cell edge
+    within the two cells around it.
     """
+    tol = NODE_TOL * float(np.max(np.abs(ladder)))
     times, ks, bounds = [], [], []
     for i, vi in enumerate(v):
         a, b = edges[i], edges[i + 1]

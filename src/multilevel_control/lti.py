@@ -247,7 +247,7 @@ class AdjointPropagator:
     """Fast evaluation of q(t) = B^T e^{(T-t)A^T} p at arbitrary times.
 
     Uses the spectral decomposition of A^T when it is well conditioned and
-    falls back to explicit matrix exponentials otherwise.
+    falls back to one stacked matrix exponential over all times otherwise.
     """
 
     def __init__(self, A, B, T: float):
@@ -284,10 +284,7 @@ class AdjointPropagator:
 
         def q(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty((t.size, self.B.shape[1]))
-            for i, ti in enumerate(t):
-                out[i] = self.B.T @ mat_exp(self.A.T, self.T - ti) @ p
-            return out
+            return self.B.T @ sla.expm((self.T - t)[:, None, None] * self.A.T) @ p
 
         return q
 

@@ -1,8 +1,14 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multilevel_control import (
     ConvexProfile,
+    DegenerateAdjointError,
     DualProblem,
     FunctionalKind,
     LtiSystem,
@@ -14,10 +20,14 @@ from multilevel_control import (
     build_penalization,
     eval_functional,
     eval_subgradient,
+    extract_control,
     interp_error_bound,
+    kalman_rank,
     minimize,
     quadratic_profile,
+    simulate_forward,
     subgradient_box,
+    verify_staircase,
 )
 from multilevel_control.dual import quadratic_minimizer
 
@@ -278,6 +288,89 @@ class TestMinimize:
         rep = minimize(oscillator_problem(six_point_ladder()))
         assert rep.trace.shape[1] == 3
         assert rep.trace.shape[0] >= rep.iterations // 2
+
+
+    def test_uncontrollable_system_is_logged(self, caplog):
+        sys = LtiSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]], x0=np.zeros(2), T=1.0)
+        prob = DualProblem(sys, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 200))
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="multilevel_control"):
+            warnings.simplefilter("error")
+            minimize(prob)
+        assert [r.name for r in caplog.records] == ["multilevel_control"]
+        assert "not controllable" in caplog.records[0].getMessage()
+
+
+FOUR_LEVELS = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def constant_observation_problem(partition, x0):
+    """A = 0 and B = [[1, 1], [1, -1]]: B^T p is constant in time, and x0 is
+    steerable by levels in [-s, s] exactly when |x0|_1 <= 2 s (T = 1).  The
+    coordinatewise hull of the subdifferential at a kink is a box, while the
+    subdifferential itself is the rotated square |g|_1 <= 2 s."""
+    sys = LtiSystem(A=np.zeros((2, 2)), B=[[1.0, 1.0], [1.0, -1.0]], x0=x0, T=1.0)
+    pens = [build_penalization(quadratic_profile(), Partition(np.array(partition))) for _ in range(2)]
+    return DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(1.0, 400))
+
+
+class TestKinkCertificate:
+    @pytest.mark.parametrize(
+        "partition, x0",
+        [
+            # levels +-1 reach |x0|_1 <= 2 only: infeasible
+            ([-1.0, 0.0, 1.0], (1.5, 0.6)),
+            # the inner levels +-0.5 reach |x0|_1 <= 1 only: 0 is no minimizer
+            (FOUR_LEVELS, (0.75, 0.3)),
+            # the descent stalls near a kinked point that is no minimizer
+            (FOUR_LEVELS, (1.2, 0.5)),
+        ],
+        ids=["infeasible", "origin-not-minimizer", "active-kinks-not-minimizer"],
+    )
+    def test_non_minimizers_are_not_certified(self, partition, x0):
+        rep = minimize(constant_observation_problem(partition, x0))
+        assert rep.status is not SolveStatus.CONVERGED
+
+    def test_origin_certified_before_the_descent(self):
+        prob = constant_observation_problem(FOUR_LEVELS, (0.6, 0.3))
+        rep = minimize(prob)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.iterations == 0 and "stationary at the origin" in rep.message
+        assert np.array_equal(rep.p_T_star, np.zeros(2))
+        ctrl = extract_control(rep.p_T_star, prob)
+        for ch in ctrl.channels:
+            assert verify_staircase(ctrl, ch.level_set)[0]
+        times = np.unique(np.concatenate([[0.0, 1.0]] + [ch.switch_times for ch in ctrl.channels]))
+        assert simulate_forward(prob.sys, ctrl, times).terminal_norm <= 1e-9
+
+
+@st.composite
+def kinked_plants(draw):
+    """Controllable plants with 2-3 states and 1-2 channels, each channel on
+    the four-level ladder (kinked at 0), T in [0.5, 4] and |x0| <= 2."""
+    N = draw(st.integers(2, 3))
+    K = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
+    B = np.array(draw(st.lists(entries, min_size=N * K, max_size=N * K))).reshape(N, K)
+    assume(kalman_rank(A, B) == N)
+    x0 = np.array(draw(st.lists(entries, min_size=N, max_size=N)))
+    T = draw(st.floats(0.5, 4.0))
+    sys = LtiSystem(A=A, B=B, x0=x0, T=T)
+    pens = [five_point_ladder() for _ in range(K)]
+    return DualProblem(
+        sys, pens, grid=QuadratureGrid.trapezoid(T, 400), settings=OptimizerSettings(max_iterations=3000)
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(prob=kinked_plants())
+def test_converged_data_extract_without_degenerate_error(prob):
+    rep = minimize(prob)
+    if rep.status is SolveStatus.CONVERGED:
+        try:
+            extract_control(rep.p_T_star, prob)
+        except DegenerateAdjointError as exc:
+            pytest.fail(f"{rep.message}: {exc}")
 
 
 class TestOptimizerSettings:

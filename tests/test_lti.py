@@ -195,7 +195,7 @@ class TestSimulateForward:
 
 # Plants for the bit-identity checks: a random one per size, the oscillator,
 # and the double integrator, whose defective A^T sends the propagator to its
-# per-point exponential path.
+# stacked exponential path.
 def _plants():
     rng = np.random.default_rng(11)
     plants = [(rng.standard_normal((N, N)), rng.standard_normal((N, K))) for N, K in ((3, 1), (4, 2), (6, 2))]
@@ -257,3 +257,16 @@ class TestBitIdentity:
 
 def test_double_integrator_propagator_is_per_point():
     assert AdjointPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]), B_OSC, 3.0)._spectral is None
+
+
+def test_stacked_fallback_equals_per_point_exponentials():
+    # a defective 3-state chain with two channels: one stacked expm over all
+    # times, bit for bit the per-point exponentials
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    B = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    prop = AdjointPropagator(A, B, 3.0)
+    assert prop._spectral is None
+    p = np.linspace(-0.7, 0.4, A.shape[0])
+    t = np.linspace(0.0, 3.0, 4001)
+    expected = np.stack([B.T @ mat_exp(A.T, 3.0 - ti) @ p for ti in t])
+    assert np.array_equal(prop(t, p), expected)
