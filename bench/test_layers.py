@@ -11,7 +11,8 @@ breakpoints.  Every plant case runs at a fixed datum, the iterate after a
 fixed number of quadrature descent steps, so its crossings are those of a
 datum near the minimizer.  One case times the crossing search on samples
 that all sit on a breakpoint, as at a zero datum, and one the discrete
-Fenchel primal LP on the data of acceptance criterion 1.
+Fenchel primal LP on the data of acceptance criterion 1.  The last case
+propagates the staircase extracted at the datum with ``simulate_forward``.
 """
 
 import numpy as np
@@ -115,3 +116,12 @@ def test_adjoint_rows(benchmark, plant):
     tb, _ = prob.bracket_grid()
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
     benchmark(lti.adjoint_rows, A, B, T, tb)
+
+
+def test_simulate_forward(benchmark, plant):
+    """The staircase at the fixed datum propagated through the quadrature
+    nodes joined with its switch times, as the synthesis op checks it."""
+    prob, p = plant
+    ctrl = extract.extract_control(p, prob)
+    switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+    benchmark(lti.simulate_forward, prob.sys, ctrl, np.union1d(prob.grid.nodes, switches))

@@ -130,7 +130,7 @@ def cmd_converge(args) -> int:
         dist = r.get("l2_distance")
         print(
             f"{r['segments']:>6} {r['status']:>12} "
-            f"{dist if dist is None else format(dist, '.6e'):>14} "
+            f"{'-' if dist is None else format(dist, '.6e'):>14} "
             f"{r.get('levels_used', '-'):>7} {'ok' if r.get('bound_ok') else 'FAIL':>6}"
         )
     print(f"wrote {out}")

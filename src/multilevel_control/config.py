@@ -104,6 +104,13 @@ def _number(value, path: str, cast=float):
         raise ConfigError(f"{path}: expected a number, got {value!r}") from None
 
 
+def _positive(value, path: str) -> float:
+    x = _number(value, path)
+    if not (np.isfinite(x) and x > 0):
+        raise ConfigError(f"{path}: must be finite and > 0, got {x!r}")
+    return x
+
+
 def _numeric_array(value, path: str, *ndims: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -204,12 +211,12 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     chk_raw = _section(raw, "checks")
     agreement = chk_raw.get("fenchel_agreement_tol", 0.05)
     if agreement is not None:
-        agreement = _number(agreement, "checks.fenchel_agreement_tol")
+        agreement = _positive(agreement, "checks.fenchel_agreement_tol")
     checks = ChecksConfig(
-        terminal_tol=_number(chk_raw.get("terminal_tol", 1e-2), "checks.terminal_tol"),
+        terminal_tol=_positive(chk_raw.get("terminal_tol", 1e-2), "checks.terminal_tol"),
         staircase=bool(chk_raw.get("staircase", True)),
         fenchel=bool(chk_raw.get("fenchel", False)),
-        fenchel_gap_rtol=_number(chk_raw.get("fenchel_gap_rtol", 1e-3), "checks.fenchel_gap_rtol"),
+        fenchel_gap_rtol=_positive(chk_raw.get("fenchel_gap_rtol", 1e-3), "checks.fenchel_gap_rtol"),
         fenchel_agreement_tol=agreement,
         solvable=bool(chk_raw.get("solvable", False)),
         expect_divergence=bool(chk_raw.get("expect_divergence", False)),

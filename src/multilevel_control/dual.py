@@ -11,11 +11,12 @@ penalized kinds and |B^T p|^2 for the quadratic kinds; phi is the identity
 square (``squared``, ``quadratic_squared``).  The control levels are the
 slope phi'(I) times the penalizations' chord slopes.
 
-The penalized kinds have piecewise-linear integrands, so the quadrature
-subgradient has a resolution floor at the optimizer's scale: the solver
-therefore finishes on an exact piecewise evaluation whose switching times
-are refined by bisection, which drives the true stationarity residual to
-the requested tolerance.
+The quadratic kinds are solved in closed form from the Gram normal
+equations.  The penalized kinds have piecewise-linear integrands, so the
+quadrature subgradient has a resolution floor at the optimizer's scale: the
+descent therefore finishes on an exact piecewise evaluation whose switching
+times are refined by bisection, which drives the true stationarity residual
+to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .lti import AdjointPropagator, LtiSystem, adjoint_rows, exp_action_integral, kalman_rank, mat_exp
 from .pwl import PwlConvex
@@ -421,8 +421,6 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
     once those nodes are exactly active.  Returns None when nothing is
     nearly active or the projection moves p by more than ``loose``-scale.
     """
-    if not prob.kind.penalized:
-        return None
     q = prob.adjoint_observations(p)
     rows = []
     targets = []
@@ -446,15 +444,23 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
     return p + delta
 
 
-def minimize(prob: DualProblem, p0=None) -> SolveReport:
+def minimize(prob: DualProblem) -> SolveReport:
     """Minimize the dual functional over p_T.
 
-    Monotone descent with an adaptive step, grown on every decrease and
-    halved otherwise, first on the quadrature functional.  Once that descent
-    flattens out, the penalized kinds continue from the same iterate on the
-    exact piecewise evaluation, which removes the quadrature floor of the
-    subgradient.  The run converges when the gradient norm is within
-    ``gtol``, or when extraction's complementary-slackness test
+    The quadratic kinds are solved in closed form by
+    :func:`quadratic_minimizer`, with no iterations: the run converges when
+    the gradient there is within ``gtol``.  On an uncontrollable plant a
+    larger gradient is the least-squares residual of the normal equations,
+    which G annihilates, so the functional is unbounded below along it and
+    the run diverges; on a controllable one it is rounding error amplified
+    by an ill-conditioned G, and the run ends at ``ITERATION_CAP``.
+
+    The penalized kinds take a monotone descent with an adaptive step,
+    grown on every decrease and halved otherwise, first on the quadrature
+    functional.  Once that descent flattens out, it continues from the same
+    iterate on the exact piecewise evaluation, which removes the quadrature
+    floor of the subgradient.  The run converges when the gradient norm is
+    within ``gtol``, or when extraction's complementary-slackness test
     (:func:`~.extract.complementary_slackness`) certifies a kinked point:
     the origin, tested before the descent if a penalization is kinked at 0,
     or the active breakpoints near the last iterate.  Divergence is
@@ -463,15 +469,27 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
     or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     st = prob.settings
-    if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
+    controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim
+    if not controllable:
         logging.getLogger("multilevel_control").warning(
             "system is not controllable: the dual functional may have no minimizer"
         )
 
-    zero = np.zeros(prob.sys.dim)
-    p = zero.copy() if p0 is None else np.asarray(p0, dtype=float).reshape(-1).copy()
+    if not prob.kind.penalized:
+        p = quadratic_minimizer(prob)
+        value = eval_functional(prob, p)
+        gn = float(np.linalg.norm(eval_subgradient(prob, p)))
+        if gn <= st.gtol:
+            return SolveReport(SolveStatus.CONVERGED, p, value, 0, gn, message="closed-form solution")
+        if not controllable:
+            message = "the drift leaves the range of the Gram matrix (functional unbounded below)"
+            return SolveReport(SolveStatus.DIVERGED, None, value, 0, gn, message=message)
+        message = "the closed form misses the stationarity tolerance (ill-conditioned Gram matrix)"
+        return SolveReport(SolveStatus.ITERATION_CAP, p, value, 0, gn, message=message)
 
-    exact_evaluator = ExactEvaluator(prob) if prob.kind.penalized else None
+    zero = np.zeros(prob.sys.dim)
+    p = zero.copy()
+    exact_evaluator = ExactEvaluator(prob)
     it = 0
     trace_rows = []
 
@@ -497,9 +515,9 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
             return False
         return True
 
-    # zero is a frequent exact minimizer of the penalized kinds because the
-    # penalization is kinked at its minimum
-    kinked = prob.kind.penalized and any(np.less(*pen.slope_bounds(0.0)) for pen in prob.penalizations)
+    # zero is a frequent exact minimizer because the penalization is kinked
+    # at its minimum
+    kinked = any(np.less(*pen.slope_bounds(0.0)) for pen in prob.penalizations)
     if kinked and certified(zero):
         message = "stationary at the origin (complementary-slackness certificate)"
         return report(SolveStatus.CONVERGED, zero, eval_functional(prob, zero), 0.0, message)
@@ -563,7 +581,7 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
                 )
 
         if since_improve >= FLAT_WINDOW:
-            if exact_evaluator is None or evaluate is exact:
+            if evaluate is exact:
                 break
             evaluate = exact
             J, grad = evaluate(p)
@@ -588,8 +606,18 @@ def minimize(prob: DualProblem, p0=None) -> SolveReport:
 
 
 def quadratic_minimizer(prob: DualProblem) -> np.ndarray:
-    """Closed-form minimizer of the quadratic kind via the normal equations
-    2 G p = -drift with G the quadrature Gram matrix (oracle path)."""
+    """Minimum-norm stationary point of the quadratic kinds in closed form.
+
+    With G the quadrature Gram matrix sum_i w_i R_i^T R_i and y = G^+ drift,
+    the quadratic kind's normal equations 2 G p = -drift give p = -y / 2;
+    the squared kind's, 2 I G p = -drift with I = p^T G p, give
+    p = -(2 c)^(-1/3) y with c = drift^T y.  When the drift leaves the range
+    of G, p solves the normal equations in the least-squares sense.
+    """
     w = prob.grid.weights
     G = np.einsum("i,ikm,ikn->mn", w, prob.rows, prob.rows)
-    return sla.solve(2.0 * G, -prob.drift, assume_a="pos")
+    y = np.linalg.lstsq(G, prob.drift, rcond=None)[0]
+    if not prob.kind.squared:
+        return -0.5 * y
+    c = float(prob.drift @ y)
+    return -((2.0 * c) ** (-1.0 / 3.0)) * y if c > 0 else np.zeros_like(y)

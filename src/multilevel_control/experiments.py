@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +33,7 @@ from .extract import (
 )
 from .fenchel import InfeasiblePrimalError, duality_gap, optimality_fraction
 from .lti import simulate_forward
+from .pwl import Partition, interp_error_bound, quadratic_profile
 from .solvable import solvable_bound
 
 __all__ = [
@@ -86,22 +87,7 @@ class ExperimentReport:
         return EXIT_PASS if self.passed else EXIT_CHECKS_FAILED
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "checks": self.checks,
-            "solve": self.solve,
-            "control": self.control,
-            "terminal_norm": self.terminal_norm,
-            "staircase_ok": self.staircase_ok,
-            "staircase_violation": self.staircase_violation,
-            "gap": self.gap,
-            "solvable": self.solvable,
-            "timings": self.timings,
-            "message": self.message,
-        }
+        return {**asdict(self), "passed": self.passed, "exit_code": self.exit_code}
 
 
 def build_problem(cfg: ExperimentConfig) -> DualProblem:
@@ -123,16 +109,6 @@ def simulation_grid(nodes, control: Optional[MultilevelControl]) -> np.ndarray:
     return np.union1d(nodes, switches)
 
 
-def _solve_record(report_status, value, iterations, grad_norm, message) -> dict:
-    return {
-        "status": report_status,
-        "value": value,
-        "iterations": iterations,
-        "grad_norm": grad_norm,
-        "message": message,
-    }
-
-
 def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> ExperimentReport:
     """Execute one scenario: minimize, extract, simulate, verify, emit."""
     timings = {}
@@ -147,9 +123,13 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
     rep = ExperimentReport(
         name=cfg.name,
         status=solve.status.value,
-        solve=_solve_record(
-            solve.status.value, solve.value, solve.iterations, solve.grad_norm, solve.message
-        ),
+        solve={
+            "status": solve.status.value,
+            "value": solve.value,
+            "iterations": solve.iterations,
+            "grad_norm": solve.grad_norm,
+            "message": solve.message,
+        },
         timings=timings,
     )
 
@@ -197,20 +177,13 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
     rep.checks["terminal"] = bool(traj.terminal_norm <= cfg.checks.terminal_tol)
 
     if control is not None and cfg.checks.staircase:
-        ok_all = True
-        violation = None
-        for ch in control.channels:
-            ok, vio = verify_staircase(
-                MultilevelControl(channels=(ch,), scale=control.scale, horizon=control.horizon),
-                ch.level_set,
-            )
+        for ci, ch in enumerate(control.channels):
+            ok, vio = verify_staircase(replace(control, channels=(ch,)), ch.level_set)
             if not ok:
-                ok_all = False
-                violation = vio
+                rep.staircase_violation = dict(vio, channel=ci)
                 break
-        rep.staircase_ok = ok_all
-        rep.staircase_violation = violation
-        rep.checks["staircase"] = ok_all
+        rep.staircase_ok = rep.staircase_violation is None
+        rep.checks["staircase"] = rep.staircase_ok
 
     if cfg.checks.fenchel and cfg.kind == FunctionalKind.PLAIN:
         t0 = time.perf_counter()
@@ -317,35 +290,24 @@ def convergence_study(
         raise ValueError("the convergence study is single-channel")
     lo, hi = cfg.partitions[0][0], cfg.partitions[0][-1]
 
-    quad_cfg_prob = DualProblem(
-        sys=cfg.system,
-        penalizations=[],
-        kind=FunctionalKind.QUADRATIC,
-        grid=cfg.quadrature(),
-        settings=cfg.optimizer,
-    )
-    quad_solve = minimize(quad_cfg_prob)
+    quad_prob = build_problem(replace(cfg, kind=FunctionalKind.QUADRATIC))
+    quad_solve = minimize(quad_prob)
     if quad_solve.status != SolveStatus.CONVERGED:
         raise RuntimeError("quadratic reference solve did not converge")
-    u2 = quadratic_control(quad_solve.p_T_star, quad_cfg_prob)
-    u2_nodes = u2(quad_cfg_prob.grid.nodes)[:, 0]
+    u2_nodes = quadratic_control(quad_solve.p_T_star, quad_prob)(quad_prob.grid.nodes)[:, 0]
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    from .pwl import ConvexProfile, Partition, build_penalization, interp_error_bound, quadratic_profile
-
     for M in sizes:
         part = Partition.uniform(lo, hi, int(M))
-        prof = quadratic_profile()
-        if np.min(np.abs(part.points)) > 1e-12:
-            prof = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
-        pen = build_penalization(prof, part)
-        prob = DualProblem(
-            sys=cfg.system,
-            penalizations=[pen],
-            kind=FunctionalKind.PLAIN,
-            grid=cfg.quadrature(),
-            settings=cfg.optimizer,
+        prob = build_problem(
+            replace(
+                cfg,
+                kind=FunctionalKind.PLAIN,
+                partitions=(tuple(part.points.tolist()),),
+                profile="quadratic",
+                allow_offgrid_minimum=True,
+            )
         )
         solve = minimize(prob)
         row = {"segments": int(M), "status": solve.status.value}
@@ -369,7 +331,7 @@ def convergence_study(
             amax = float(np.max(np.abs(q)))
             if amax > 0:
                 p = p * (0.99 * min(abs(lo), abs(hi)) / amax)
-            diff = abs(eval_functional(prob, p) - eval_functional(quad_cfg_prob, p))
+            diff = abs(eval_functional(prob, p) - eval_functional(quad_prob, p))
             if diff > bound * cfg.system.T + 1e-9:
                 ok = False
         row["bound_ok"] = ok

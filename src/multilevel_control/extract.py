@@ -111,10 +111,6 @@ class MultilevelControl:
     def num_channels(self) -> int:
         return len(self.channels)
 
-    @property
-    def total_switches(self) -> int:
-        return int(sum(ch.switch_times.size for ch in self.channels))
-
     def to_record(self) -> dict:
         return {
             "scale": self.scale,

@@ -258,7 +258,9 @@ class AdjointPropagator:
         self._spectral = None
         try:
             lam, V = np.linalg.eig(self.A.T)
-            if np.linalg.cond(V) < 1e8:
+            # subnormal entries can make LAPACK return wrong eigenvectors
+            residual = np.linalg.norm(self.A.T @ V - V * lam)
+            if np.linalg.cond(V) < 1e8 and residual <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
                 self._spectral = (lam, V, np.linalg.inv(V))
         except np.linalg.LinAlgError:
             pass

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from multilevel_control import ConfigError, load_config, run_scenario
+from multilevel_control import (
+    ChannelControl,
+    ConfigError,
+    MultilevelControl,
+    experiments,
+    load_config,
+    run_scenario,
+)
 from multilevel_control.cli import main
 from multilevel_control.config import parse_config
 
@@ -124,6 +131,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{path}: "):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["terminal_tol", "fenchel_gap_rtol", "fenchel_agreement_tol"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_check_tolerance_must_be_finite_and_positive(self, key, value):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["checks"][key] = value
+        with pytest.raises(ConfigError, match=rf"^checks\.{key}: must be finite and > 0"):
+            parse_config(raw)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -161,6 +176,13 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, FAST_OSC)
         code = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--tol", "1e-12"])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tolerance_override_exit_4(self, tmp_path, capsys, tol):
+        cfg = write_cfg(tmp_path, FAST_OSC)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--tol", tol]) == 4
+        assert "checks.terminal_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_4(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -316,6 +338,28 @@ class TestTwoChannelRunner:
         assert rep.passed
         assert rep.terminal_norm <= 1e-2
         assert rep.staircase_ok
+
+    def test_staircase_violation_names_its_channel(self, tmp_path, monkeypatch):
+        ladder = np.array([-1.6, -0.8, 0.0, 0.8, 1.6])
+
+        def skipping_control(p_T, prob):
+            # channel 1 jumps from the lowest level straight to the highest
+            return MultilevelControl(
+                channels=(
+                    ChannelControl(switch_times=[], levels=[0.0], level_set=ladder),
+                    ChannelControl(switch_times=[2.0], levels=[-1.6, 1.6], level_set=ladder),
+                ),
+                scale=1.0,
+                horizon=4.0,
+            )
+
+        monkeypatch.setattr(experiments, "extract_control", skipping_control)
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw["system"]["B"] = [[1, 0], [1, 1]]
+        raw["penalization"]["partitions"] = [[-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]] * 2
+        rep = run_scenario(parse_config(raw), tmp_path / "out")
+        assert rep.staircase_ok is False and rep.checks["staircase"] is False
+        assert rep.staircase_violation == {"channel": 1, "jump": 0, "from_level": -1.6, "to_level": 1.6}
 
     def test_zero_state_gives_zero_controls(self, tmp_path):
         raw = json.loads(json.dumps(FAST_OSC))

@@ -24,6 +24,7 @@ from multilevel_control import (
     interp_error_bound,
     kalman_rank,
     minimize,
+    quadratic_control,
     quadratic_profile,
     simulate_forward,
     subgradient_box,
@@ -270,11 +271,18 @@ class TestMinimize:
         assert rep.p_T_star is None
 
     def test_quadratic_matches_normal_equations(self):
-        prob = oscillator_problem(kind="quadratic")
-        rep = minimize(prob)
-        assert rep.status is SolveStatus.CONVERGED
-        oracle = quadratic_minimizer(prob)
-        assert np.allclose(rep.p_T_star, oracle, atol=1e-6)
+        # over one period the oscillator's Gram matrix is pi I and the drift
+        # is x0, so y = x0 / pi and c = |x0|^2 / pi
+        sys = LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=2 * np.pi)
+        y = X0 / np.pi
+        c = float(X0 @ y)
+        cases = {"quadratic": -0.5 * y, "quadratic_squared": -((2.0 * c) ** (-1.0 / 3.0)) * y}
+        for kind, expected in cases.items():
+            prob = DualProblem(sys, [], kind=kind)
+            rep = minimize(prob)
+            assert rep.status is SolveStatus.CONVERGED and rep.iterations == 0
+            assert np.allclose(rep.p_T_star, expected, rtol=1e-12, atol=0)
+            assert np.array_equal(rep.p_T_star, quadratic_minimizer(prob))
 
     def test_iteration_cap_reports_last_iterate(self):
         prob = oscillator_problem(six_point_ladder(), settings=OptimizerSettings(max_iterations=5))
@@ -298,6 +306,60 @@ class TestMinimize:
             minimize(prob)
         assert [r.name for r in caplog.records] == ["multilevel_control"]
         assert "not controllable" in caplog.records[0].getMessage()
+
+
+class TestQuadraticClosedForm:
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_squared"])
+    def test_uncontrollable_plant(self, kind):
+        # A = 0, B = e1: the Gram matrix is diag(T, 0)
+        def solve(x0):
+            sys = LtiSystem(A=np.zeros((2, 2)), B=[[1.0], [0.0]], x0=x0, T=1.0)
+            return minimize(DualProblem(sys, [], kind=kind, grid=QuadratureGrid.trapezoid(1.0, 200)))
+
+        unreachable = solve((0.0, 1.0))
+        assert unreachable.status is SolveStatus.DIVERGED and unreachable.iterations == 0
+        assert unreachable.p_T_star is None
+        reachable = solve((1.0, 0.0))
+        assert reachable.status is SolveStatus.CONVERGED and reachable.iterations == 0
+        # the minimum-norm minimizer has no component along the null direction
+        assert reachable.p_T_star[1] == 0.0 and reachable.p_T_star[0] < 0.0
+
+    def test_ill_conditioned_controllable_plant_is_not_diverged(self):
+        # a six-state integrator chain over T = 0.5: the Gram matrix has
+        # condition number ~1e13, so rounding keeps the gradient above gtol
+        sys = LtiSystem(A=np.eye(6, k=1), B=np.eye(6)[:, 5:], x0=np.ones(6), T=0.5)
+        rep = minimize(DualProblem(sys, [], kind="quadratic", grid=QuadratureGrid.trapezoid(0.5, 400)))
+        assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 0
+        assert rep.grad_norm > 1e-6 and rep.p_T_star is not None
+
+
+@st.composite
+def controllable_plants(draw):
+    """Controllable plants with 2-6 states and 1-2 channels, a quadratic
+    kind, T in [0.5, 3], entries in [-1, 1] and a Gram matrix conditioned
+    below 1e4 (the quadrature's error in the terminal state grows with it)."""
+    N = draw(st.integers(2, 6))
+    K = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
+    B = np.array(draw(st.lists(entries, min_size=N * K, max_size=N * K))).reshape(N, K)
+    assume(kalman_rank(A, B) == N)
+    x0 = np.array(draw(st.lists(entries, min_size=N, max_size=N)))
+    T = draw(st.floats(0.5, 3.0))
+    kind = draw(st.sampled_from(["quadratic", "quadratic_squared"]))
+    prob = DualProblem(LtiSystem(A=A, B=B, x0=x0, T=T), [], kind=kind, grid=QuadratureGrid.trapezoid(T, 2000))
+    assume(np.linalg.cond(np.einsum("i,ikm,ikn->mn", prob.grid.weights, prob.rows, prob.rows)) < 1e4)
+    return prob
+
+
+@settings(max_examples=40, deadline=None)
+@given(prob=controllable_plants())
+def test_quadratic_kinds_solve_in_closed_form(prob):
+    rep = minimize(prob)
+    assert rep.status is SolveStatus.CONVERGED and rep.iterations == 0
+    assert np.linalg.norm(eval_subgradient(prob, rep.p_T_star)) <= prob.settings.gtol
+    traj = simulate_forward(prob.sys, quadratic_control(rep.p_T_star, prob), prob.grid.nodes)
+    assert traj.terminal_norm <= 1e-3 * (1.0 + np.linalg.norm(prob.drift))
 
 
 FOUR_LEVELS = [-1.0, -0.5, 0.0, 0.5, 1.0]

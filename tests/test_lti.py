@@ -270,3 +270,14 @@ def test_stacked_fallback_equals_per_point_exponentials():
     t = np.linspace(0.0, 3.0, 4001)
     expected = np.stack([B.T @ mat_exp(A.T, 3.0 - ti) @ p for ti in t])
     assert np.array_equal(prop(t, p), expected)
+
+
+def test_subnormal_entry_falls_back_to_exponentials():
+    # LAPACK returns the identity as eigenvectors of this A^T, which is wrong
+    A = np.array([[0.0, 1.0], [5e-324, 1.0]])
+    prop = AdjointPropagator(A, B_OSC, 1.0)
+    assert prop._spectral is None
+    p = np.array([1.0, -2.0])
+    t = np.linspace(0.0, 1.0, 5)
+    expected = np.stack([B_OSC.T @ mat_exp(A.T, 1.0 - ti) @ p for ti in t])
+    assert np.allclose(prop(t, p), expected, rtol=1e-12, atol=0)
