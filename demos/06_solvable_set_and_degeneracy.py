@@ -4,8 +4,8 @@ degeneracy.
 Two distinct obstructions cap what a given level ladder can do:
 
 1. NECESSITY.  A steerable initial state must satisfy
-   ||x0|| <= sigma_bar * ||e^{-tau A} B||_{L^2(0,T)}.  States above the
-   bound are out of reach for any control built from the ladder.
+   ||x0|| <= sigma_bar * sqrt(T) * ||e^{-tau A} B||_{L^2(0,T)}.  States
+   above the bound are out of reach for any control built from the ladder.
 
 2. DEGENERACY.  When the penalization's minimum sits on a kink (the ladder
    has no zero level), initial states that are reachable with controls

@@ -7,7 +7,7 @@ with the dotted path of the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -90,10 +90,21 @@ def _require(raw, key: str, path: str):
     return raw[key]
 
 
-def _section(raw: dict, key: str) -> dict:
+def _section(raw: dict, key: str, known) -> dict:
+    """The object ``raw[key]`` (empty if absent), whose fields must be ``known``."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: must be an object")
+    for name in value:
+        if name not in known:
+            raise ConfigError(f"{key}.{name}: unknown field")
+    return value
+
+
+def _flag(raw: dict, key: str, default: bool, path: str) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}{key}: expected true or false, got {value!r}")
     return value
 
 
@@ -149,7 +160,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if kind == FunctionalKind.SCALED and not beta > 1.0:
         raise ConfigError(f"beta: the scaled kind needs beta > 1, got {beta}")
 
-    pen_raw = _section(raw, "penalization")
+    pen_raw = _section(raw, "penalization", ("profile", "partitions", "values", "allow_offgrid_minimum"))
     profile = pen_raw.get("profile", "quadratic")
     if profile not in ("quadratic", "custom-table"):
         raise ConfigError(f"penalization.profile: unknown profile {profile!r}")
@@ -189,7 +200,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     else:
         partitions = tuple()
 
-    grid_raw = _section(raw, "grid")
+    grid_raw = _section(raw, "grid", ("nodes", "bracket_multiplier"))
     grid_nodes = _number(grid_raw.get("nodes", 4000), "grid.nodes", int)
     if grid_nodes < 2:
         raise ConfigError(f"grid.nodes: need at least 2, got {grid_nodes}")
@@ -197,10 +208,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if multiplier < 1:
         raise ConfigError("grid.bracket_multiplier: must be >= 1")
 
-    opt_raw = _section(raw, "optimizer")
-    for key in opt_raw:
-        if key not in ("max_iterations", "gtol"):
-            raise ConfigError(f"optimizer.{key}: unknown field")
+    opt_raw = _section(raw, "optimizer", ("max_iterations", "gtol"))
     max_iterations = _number(opt_raw.get("max_iterations", 50_000), "optimizer.max_iterations", int)
     gtol = _number(opt_raw.get("gtol", 1e-6), "optimizer.gtol")
     try:
@@ -208,34 +216,37 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from None
 
-    chk_raw = _section(raw, "checks")
+    chk_raw = _section(raw, "checks", [f.name for f in fields(ChecksConfig)])
     agreement = chk_raw.get("fenchel_agreement_tol", 0.05)
     if agreement is not None:
         agreement = _positive(agreement, "checks.fenchel_agreement_tol")
     checks = ChecksConfig(
         terminal_tol=_positive(chk_raw.get("terminal_tol", 1e-2), "checks.terminal_tol"),
-        staircase=bool(chk_raw.get("staircase", True)),
-        fenchel=bool(chk_raw.get("fenchel", False)),
+        staircase=_flag(chk_raw, "staircase", True, "checks."),
+        fenchel=_flag(chk_raw, "fenchel", False, "checks."),
         fenchel_gap_rtol=_positive(chk_raw.get("fenchel_gap_rtol", 1e-3), "checks.fenchel_gap_rtol"),
         fenchel_agreement_tol=agreement,
-        solvable=bool(chk_raw.get("solvable", False)),
-        expect_divergence=bool(chk_raw.get("expect_divergence", False)),
+        solvable=_flag(chk_raw, "solvable", False, "checks."),
+        expect_divergence=_flag(chk_raw, "expect_divergence", False, "checks."),
     )
 
+    seed = _number(raw.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     cfg = ExperimentConfig(
         name=str(name),
         system=system,
         partitions=partitions,
         profile=profile,
         table_values=table_values,
-        allow_offgrid_minimum=bool(pen_raw.get("allow_offgrid_minimum", False)),
+        allow_offgrid_minimum=_flag(pen_raw, "allow_offgrid_minimum", False, "penalization."),
         kind=kind,
         beta=beta,
         grid_nodes=grid_nodes,
         optimizer=optimizer,
         checks=checks,
         output_dir=str(raw.get("output_dir", name)),
-        seed=_number(raw.get("seed", 0), "seed", int),
+        seed=seed,
         raw=raw,
     )
     if kind.penalized:

@@ -11,12 +11,12 @@ penalized kinds and |B^T p|^2 for the quadratic kinds; phi is the identity
 square (``squared``, ``quadratic_squared``).  The control levels are the
 slope phi'(I) times the penalizations' chord slopes.
 
-The quadratic kinds are solved in closed form from the Gram normal
-equations.  The penalized kinds have piecewise-linear integrands, so the
-quadrature subgradient has a resolution floor at the optimizer's scale: the
-descent therefore finishes on an exact piecewise evaluation whose switching
-times are refined by bisection, which drives the true stationarity residual
-to the requested tolerance.
+The quadratic kinds are solved in closed form from the exact Gramian W.
+The penalized kinds have piecewise-linear integrands, so the quadrature
+subgradient has a resolution floor at the optimizer's scale: the descent
+therefore finishes on an exact piecewise evaluation whose switching times
+are refined by bisection, which drives the true stationarity residual to
+the requested tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lti import AdjointPropagator, LtiSystem, adjoint_rows, exp_action_integral, kalman_rank, mat_exp
+from .lti import AdjointPropagator, LtiSystem, adjoint_rows, exp_action_integral, gramian, kalman_rank, mat_exp
 from .pwl import PwlConvex
 
 __all__ = [
@@ -85,6 +85,8 @@ class QuadratureGrid:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.size != weights.size or nodes.size < 2:
             raise ValueError("grid needs matching nodes and weights (>= 2)")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("grid nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         if np.any(weights <= 0):
@@ -99,6 +101,8 @@ class QuadratureGrid:
     def trapezoid(cls, T: float, n: int = 4000) -> "QuadratureGrid":
         if n < 2:
             raise ValueError("need at least 2 quadrature nodes")
+        if not np.isfinite(T):
+            raise ValueError(f"the horizon must be finite, got {T}")
         nodes = np.linspace(0.0, T, n)
         w = np.full(n, T / (n - 1))
         w[0] *= 0.5
@@ -115,10 +119,9 @@ class OptimizerSettings:
     """Descent configuration.
 
     ``max_iterations`` caps the descent steps over both phases, ``gtol`` is
-    the stationarity tolerance on the gradient (or interval-subgradient)
-    norm, and ``bracket_multiplier`` sets how much denser than the
-    quadrature grid the grid is on which the exact phase brackets level
-    crossings.
+    the stationarity tolerance on the gradient norm, and
+    ``bracket_multiplier`` sets how much denser than the quadrature grid
+    the grid is on which the exact phase brackets level crossings.
     """
 
     max_iterations: int = 50_000
@@ -148,8 +151,8 @@ class DualProblem:
     """An LTI system, one penalization per control channel, a functional
     kind and a quadrature grid.
 
-    Node rows B^T e^{(T-t_i)A^T} are precomputed once; functional values and
-    subgradients are then matrix products.
+    Node rows B^T e^{(T-t_i)A^T} and the Gramian W are precomputed once;
+    functional values and subgradients are then matrix products.
     """
 
     def __init__(
@@ -179,8 +182,9 @@ class DualProblem:
         if abs(self.grid.nodes[0]) > 1e-12 or abs(self.grid.nodes[-1] - sys.T) > 1e-9:
             raise ValueError("quadrature grid must cover [0, T]")
         self.settings = settings if settings is not None else OptimizerSettings()
-        # (n, K, N) adjoint rows and the exact terminal drift e^{TA} x0
+        # (n, K, N) adjoint rows, the Gramian and the exact terminal drift e^{TA} x0
         self.rows = adjoint_rows(sys.A, sys.B, sys.T, self.grid.nodes)
+        self.gram = gramian(sys.A, sys.B, sys.T)
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
         self.propagator = AdjointPropagator(sys.A, sys.B, sys.T)
         self._bracket = None
@@ -204,14 +208,14 @@ class DualProblem:
         return p_T
 
     def integral_term(self, p_T, q=None) -> float:
-        """Quadrature value of the integral term I(p_T); ``q`` may pass the
-        node observations of p_T when the caller already has them."""
+        """I(p_T): p^T W p for the quadratic kinds, else its quadrature value,
+        for which ``q`` may pass the node observations of p_T."""
+        if not self.kind.penalized:
+            return float(p_T @ self.gram @ p_T)
         if q is None:
             q = self.adjoint_observations(p_T)
         w = self.grid.weights
-        if self.kind.penalized:
-            return float(sum(w @ pen.value(q[:, ch]) for ch, pen in enumerate(self.penalizations)))
-        return float(w @ (q * q).sum(axis=1))
+        return float(sum(w @ pen.value(q[:, ch]) for ch, pen in enumerate(self.penalizations)))
 
     def outer_slope(self, integral) -> float:
         """Slope of the kind's map; the callable ``integral`` is evaluated
@@ -254,14 +258,12 @@ def eval_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
     integrand avoids breakpoints at the nodes); ``q`` as for
     :func:`eval_functional`."""
     p_T = prob._check_p(p_T)
-    if q is None:
-        q = prob.adjoint_observations(p_T)
-    w = prob.grid.weights
     if prob.kind.penalized:
+        q = prob.adjoint_observations(p_T) if q is None else q
         s = np.stack([pen.selection(q[:, ch]) for ch, pen in enumerate(prob.penalizations)], axis=1)
-        base = np.einsum("i,ikn,ik->n", w, prob.rows, s)
+        base = np.einsum("i,ikn,ik->n", prob.grid.weights, prob.rows, s)
     else:
-        base = 2.0 * np.einsum("i,ikn,ik->n", w, prob.rows, q)
+        base = 2.0 * prob.gram @ p_T
     return prob.outer_slope(lambda: prob.integral_term(p_T, q)) * base + prob.drift
 
 
@@ -451,9 +453,9 @@ def minimize(prob: DualProblem) -> SolveReport:
     :func:`quadratic_minimizer`, with no iterations: the run converges when
     the gradient there is within ``gtol``.  On an uncontrollable plant a
     larger gradient is the least-squares residual of the normal equations,
-    which G annihilates, so the functional is unbounded below along it and
+    which W annihilates, so the functional is unbounded below along it and
     the run diverges; on a controllable one it is rounding error amplified
-    by an ill-conditioned G, and the run ends at ``ITERATION_CAP``.
+    by an ill-conditioned W, and the run ends at ``ITERATION_CAP``.
 
     The penalized kinds take a monotone descent with an adaptive step,
     grown on every decrease and halved otherwise, first on the quadrature
@@ -477,6 +479,8 @@ def minimize(prob: DualProblem) -> SolveReport:
 
     if not prob.kind.penalized:
         p = quadratic_minimizer(prob)
+        if not np.all(np.isfinite(p)):
+            raise FloatingPointError("the closed-form minimizer overflows (Gramian too small)")
         value = eval_functional(prob, p)
         gn = float(np.linalg.norm(eval_subgradient(prob, p)))
         if gn <= st.gtol:
@@ -608,15 +612,13 @@ def minimize(prob: DualProblem) -> SolveReport:
 def quadratic_minimizer(prob: DualProblem) -> np.ndarray:
     """Minimum-norm stationary point of the quadratic kinds in closed form.
 
-    With G the quadrature Gram matrix sum_i w_i R_i^T R_i and y = G^+ drift,
-    the quadratic kind's normal equations 2 G p = -drift give p = -y / 2;
-    the squared kind's, 2 I G p = -drift with I = p^T G p, give
-    p = -(2 c)^(-1/3) y with c = drift^T y.  When the drift leaves the range
-    of G, p solves the normal equations in the least-squares sense.
+    With W the Gramian and y = W^+ drift, the quadratic kind's normal
+    equations 2 W p = -drift give p = -y / 2; the squared kind's,
+    2 I W p = -drift with I = p^T W p, give p = -(2 c)^(-1/3) y with
+    c = drift^T y.  When the drift leaves the range of W, p solves the
+    normal equations in the least-squares sense.
     """
-    w = prob.grid.weights
-    G = np.einsum("i,ikm,ikn->mn", w, prob.rows, prob.rows)
-    y = np.linalg.lstsq(G, prob.drift, rcond=None)[0]
+    y = np.linalg.lstsq(prob.gram, prob.drift, rcond=None)[0]
     if not prob.kind.squared:
         return -0.5 * y
     c = float(prob.drift @ y)

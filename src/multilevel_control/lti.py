@@ -20,6 +20,7 @@ __all__ = [
     "DynamicsClass",
     "mat_exp",
     "exp_action_integral",
+    "gramian",
     "zoh_exp",
     "kalman_rank",
     "classify_dynamics",
@@ -159,6 +160,18 @@ def exp_action_integral(A, B, tau) -> np.ndarray:
     """
     n = np.shape(A)[0]
     return zoh_exp(A, B, tau)[..., :n, n:]
+
+
+def gramian(A, B, T: float) -> np.ndarray:
+    """The integral of e^{sA} B B^T e^{sA^T} over s in [0, T], read off one
+    exponential E of T [[-A, B B^T], [0, A^T]] as E_22^T E_12 (Van Loan,
+    IEEE TAC 1978)."""
+    A = _as_matrix(A)
+    n = A.shape[0]
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    E = sla.expm(T * np.block([[-A, B @ B.T], [np.zeros_like(A), A.T]]))
+    W = E[n:, n:].T @ E[:n, n:]
+    return 0.5 * (W + W.T)
 
 
 def kalman_rank(A, B) -> int:

@@ -201,6 +201,39 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("checks", "expect_divergence"),
+            ("checks", "staircase"),
+            ("checks", "fenchel"),
+            ("checks", "solvable"),
+            ("penalization", "allow_offgrid_minimum"),
+        ],
+    )
+    def test_string_boolean_exit_4(self, tmp_path, capsys, section, key):
+        # "false" is a true string: only JSON booleans are accepted
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw[section][key] = "false"
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert f"{section}.{key}: expected true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key", [("checks", "terminal_toll"), ("grid", "node"), ("penalization", "partition")]
+    )
+    def test_unknown_section_field_exit_4(self, tmp_path, capsys, section, key):
+        raw = json.loads(json.dumps(FAST_OSC))
+        raw[section][key] = 1e-9
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+
+    def test_negative_seed_exit_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_OSC)
+        assert main(["converge", str(cfg), "--sizes", "5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 4
+        assert "seed: must be >= 0" in capsys.readouterr().err
+
     def test_non_numeric_config_value_exit_4(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_OSC))
         raw["grid"]["nodes"] = "many"

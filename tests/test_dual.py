@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from multilevel_control import (
     extract_control,
     interp_error_bound,
     kalman_rank,
+    mat_exp,
     minimize,
     quadratic_control,
     quadratic_profile,
@@ -31,6 +33,7 @@ from multilevel_control import (
     verify_staircase,
 )
 from multilevel_control.dual import quadratic_minimizer
+from multilevel_control.lti import gramian
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -95,6 +98,15 @@ class TestQuadratureGrid:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             QuadratureGrid(np.array([0.0, 1.0]), np.array([0.4, 0.4]))
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureGrid([0.0, np.nan, 1.0], [0.25, 0.5, 0.25])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureGrid([0.0, 0.5, 1.0], [0.25, np.nan, 0.25])
+        for T in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureGrid.trapezoid(T)
 
 
 class TestEvalFunctional:
@@ -324,6 +336,30 @@ class TestQuadraticClosedForm:
         # the minimum-norm minimizer has no component along the null direction
         assert reachable.p_T_star[1] == 0.0 and reachable.p_T_star[0] < 0.0
 
+    def test_ill_conditioned_random_plant_steers(self):
+        # cond(W) = 2.6e8: the closed form on the exact Gramian still steers,
+        # checked against W solved from the Lyapunov equation
+        # A W + W A^T = e^{TA} B B^T e^{TA^T} - B B^T
+        rng = np.random.default_rng(0)
+        A = rng.uniform(-1.0, 1.0, (6, 6))
+        B = rng.uniform(-1.0, 1.0, (6, 1))
+        x0 = rng.uniform(-1.0, 1.0, 6)
+        E = mat_exp(A, 2.0)
+        W = sla.solve_continuous_lyapunov(A, E @ B @ B.T @ E.T - B @ B.T)
+        sys = LtiSystem(A=A, B=B, x0=x0, T=2.0)
+        prob = DualProblem(sys, [], kind="quadratic", grid=QuadratureGrid.trapezoid(2.0, 2000))
+        rep = minimize(prob)
+        assert rep.status is SolveStatus.CONVERGED
+        terminal = E @ x0 + 2.0 * W @ rep.p_T_star
+        assert np.linalg.norm(terminal) <= 1e-6 * (1.0 + np.linalg.norm(prob.drift))
+
+    def test_minimizer_beyond_the_float_range_raises(self):
+        # B = 3.6e-158 is controllable, but W ~ 1e-315 puts |p| near 1e315
+        sys = LtiSystem(A=np.eye(2, k=-1), B=[[3.55192400437013e-158], [0.0]], x0=(0.0, 1.0), T=1.0)
+        prob = DualProblem(sys, [], kind="quadratic", grid=QuadratureGrid.trapezoid(1.0, 200))
+        with pytest.raises(FloatingPointError, match="overflows"):
+            minimize(prob)
+
     def test_ill_conditioned_controllable_plant_is_not_diverged(self):
         # a six-state integrator chain over T = 0.5: the Gram matrix has
         # condition number ~1e13, so rounding keeps the gradient above gtol
@@ -336,8 +372,10 @@ class TestQuadraticClosedForm:
 @st.composite
 def controllable_plants(draw):
     """Controllable plants with 2-6 states and 1-2 channels, a quadratic
-    kind, T in [0.5, 3], entries in [-1, 1] and a Gram matrix conditioned
-    below 1e4 (the quadrature's error in the terminal state grows with it)."""
+    kind, T in [0.5, 3], entries in [-1, 1] and a Gramian conditioned below
+    1e4 (the simulation's midpoint-rule error grows with |p|, so with it)
+    whose eigenvalues exceed 1e-100 (|p| ~ |drift| / lambda_min must stay
+    in the float range)."""
     N = draw(st.integers(2, 6))
     K = draw(st.integers(1, 2))
     entries = st.floats(-1.0, 1.0, allow_nan=False)
@@ -348,7 +386,8 @@ def controllable_plants(draw):
     T = draw(st.floats(0.5, 3.0))
     kind = draw(st.sampled_from(["quadratic", "quadratic_squared"]))
     prob = DualProblem(LtiSystem(A=A, B=B, x0=x0, T=T), [], kind=kind, grid=QuadratureGrid.trapezoid(T, 2000))
-    assume(np.linalg.cond(np.einsum("i,ikm,ikn->mn", prob.grid.weights, prob.rows, prob.rows)) < 1e4)
+    W = gramian(A, B, T)
+    assume(np.linalg.cond(W) < 1e4 and np.linalg.eigvalsh(W)[0] > 1e-100)
     return prob
 
 
@@ -358,6 +397,12 @@ def test_quadratic_kinds_solve_in_closed_form(prob):
     rep = minimize(prob)
     assert rep.status is SolveStatus.CONVERGED and rep.iterations == 0
     assert np.linalg.norm(eval_subgradient(prob, rep.p_T_star)) <= prob.settings.gtol
+    # u = 2 phi'(I) B^T p, with I = p^T W p, steers x0 to e^{TA} x0 + 2 phi'(I) W p
+    sys, p = prob.sys, rep.p_T_star
+    W = gramian(sys.A, sys.B, sys.T)
+    factor = 2.0 * (float(p @ W @ p) if prob.kind.squared else 1.0)
+    terminal = mat_exp(sys.A, sys.T) @ sys.x0 + factor * W @ p
+    assert np.linalg.norm(terminal) <= 1e-6 * (1.0 + np.linalg.norm(prob.drift))
     traj = simulate_forward(prob.sys, quadratic_control(rep.p_T_star, prob), prob.grid.nodes)
     assert traj.terminal_norm <= 1e-3 * (1.0 + np.linalg.norm(prob.drift))
 

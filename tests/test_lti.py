@@ -12,7 +12,7 @@ from multilevel_control import (
     mat_exp,
     simulate_forward,
 )
-from multilevel_control.lti import AdjointPropagator, adjoint_rows, exp_action_integral
+from multilevel_control.lti import AdjointPropagator, adjoint_rows, exp_action_integral, gramian
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -191,6 +191,28 @@ class TestSimulateForward:
             integral += np.trapezoid(vals, tt, axis=0)
         expected = mat_exp(A, 1.0) @ sys.x0 + integral
         assert np.allclose(traj.terminal, expected, atol=5e-8)
+
+
+class TestGramian:
+    @pytest.mark.parametrize("N, K, T", [(2, 1, 0.7), (3, 2, 1.7), (6, 1, 2.0), (6, 3, 3.5)])
+    def test_lyapunov_residual(self, N, K, T):
+        # d/ds e^{sA} B B^T e^{sA^T} integrates to A W + W A^T over [0, T]
+        rng = np.random.default_rng(N * 10 + K)
+        A = rng.uniform(-1.0, 1.0, (N, N))
+        B = rng.uniform(-1.0, 1.0, (N, K))
+        W = gramian(A, B, T)
+        E = sla.expm(T * A)
+        end = E @ B @ B.T @ E.T
+        residual = A @ W + W @ A.T + B @ B.T - end
+        scale = np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(end) + 1.0
+        assert np.linalg.norm(residual) <= 1e-13 * scale
+        assert np.array_equal(W, W.T) and np.min(np.linalg.eigvalsh(W)) > 0
+
+    def test_oscillator_over_one_period(self):
+        assert np.allclose(gramian(A_OSC, B_OSC, 2 * np.pi), np.pi * np.eye(2), rtol=0, atol=1e-13)
+
+    def test_one_dimensional_B_is_a_column(self):
+        assert np.array_equal(gramian(A_OSC, B_OSC[:, 0], 1.3), gramian(A_OSC, B_OSC, 1.3))
 
 
 # Plants for the bit-identity checks: a random one per size, the oscillator,

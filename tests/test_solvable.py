@@ -11,9 +11,11 @@ from multilevel_control import (
     extract_control,
     minimize,
     quadratic_profile,
+    run_scenario,
     simulate_forward,
     solvable_bound,
 )
+from multilevel_control.config import parse_config
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 B_OSC = np.array([[0.0], [1.0]])
@@ -29,7 +31,8 @@ class TestGramNorm:
         rep = solvable_bound(sys, five_point_ladder())
         assert rep.gram_norm == pytest.approx(np.sqrt(2.25), rel=1e-12)
         assert rep.sigma_bar == 1.5
-        assert rep.bound == pytest.approx(1.5 * np.sqrt(2.25), rel=1e-12)
+        # sigma_bar * sqrt(T) * ||e^{-tau A} B||_{L^2(0,T)}
+        assert rep.bound == pytest.approx(1.5 * 2.25, rel=1e-12)
 
     def test_oscillator_orthogonal_flow(self):
         sys = LtiSystem(A=A_OSC, B=B_OSC, x0=[-1.0, 0.5], T=4.0)
@@ -77,6 +80,22 @@ class TestNecessity:
         assert simulate_forward(sys, ctrl, grid).terminal_norm <= 1e-6
         report = solvable_bound(sys, pen, scale=ctrl.scale)
         assert report.passes
+
+    def test_steerable_state_beyond_the_unit_horizon_passes(self):
+        # T = 4: sigma_bar * ||e^{-tau A} B||_{L^2} = 3.0 < |x0| = 3.1, yet a
+        # verified staircase steers x0; only the sqrt(T) factor makes the
+        # bound necessary
+        x0 = 3.1 * np.array([-1.0, 0.5]) / np.linalg.norm([-1.0, 0.5])
+        raw = {
+            "system": {"A": A_OSC.tolist(), "B": B_OSC.tolist(), "x0": x0.tolist(), "T": 4.0},
+            "penalization": {"partitions": [[-1.0, -0.5, 0.0, 0.5, 1.0]]},
+            "checks": {"terminal_tol": 1e-6, "solvable": True},
+        }
+        rep = run_scenario(parse_config(raw), None)
+        assert rep.status == "converged" and rep.terminal_norm <= 1e-6
+        checks = ["converged", "extraction", "terminal", "staircase", "solvable_bound"]
+        assert rep.checks == dict.fromkeys(checks, True)
+        assert rep.solvable["bound"] == pytest.approx(6.0, rel=1e-12) and rep.exit_code == 0
 
     def test_violating_state_is_not_steerable(self):
         # norm above the bound: the plain functional cannot null it, and the
