@@ -13,6 +13,9 @@ datum near the minimizer.  One case times the crossing search on samples
 that all sit on a breakpoint, as at a zero datum, and one the discrete
 Fenchel primal LP on the data of acceptance criterion 1.  The last case
 propagates the staircase extracted at the datum with ``simulate_forward``.
+The ``minimize`` case times the descent itself at the fixed budget and
+records its step count in ``extra_info``, so that the cost per step is its
+time over ``iterations`` in ``--benchmark-json``.
 """
 
 import numpy as np
@@ -48,6 +51,14 @@ def test_exact_value_and_grad(benchmark, plant):
     prob, p = plant
     evaluator = dual.ExactEvaluator(prob)
     benchmark(evaluator.value_and_grad, p)
+
+
+def test_minimize(benchmark, plant):
+    """The descent from the origin, capped at ``DESCENT_STEPS`` steps."""
+    prob, _ = plant
+    rep = benchmark(dual.minimize, prob)
+    benchmark.extra_info["iterations"] = rep.iterations
+    benchmark.extra_info["status"] = rep.status.value
 
 
 def test_quadrature_value_and_grad(benchmark, plant):

@@ -24,6 +24,10 @@ class ConfigError(ValueError):
     """Configuration field error; the message names the field."""
 
 
+# the JSON types a field may take, as Python types, and their names
+EXPECTED = {(bool,): "true or false", (int,): "an integer", (int, float): "a number", (str,): "a string"}
+
+
 @dataclass(frozen=True)
 class ChecksConfig:
     terminal_tol: float = 1e-2
@@ -90,29 +94,34 @@ def _require(raw, key: str, path: str):
     return raw[key]
 
 
-def _section(raw: dict, key: str, known) -> dict:
-    """The object ``raw[key]`` (empty if absent), whose fields must be ``known``."""
-    value = raw.get(key, {})
+def _section(raw: dict, key: Optional[str], known) -> dict:
+    """The object ``raw[key]`` (empty if absent, ``raw`` for no key), whose
+    fields must be ``known``."""
+    value = raw if key is None else raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: must be an object")
     for name in value:
         if name not in known:
-            raise ConfigError(f"{key}.{name}: unknown field")
+            raise ConfigError(f"{'' if key is None else key + '.'}{name}: unknown field")
+    return value
+
+
+def _typed(value, path: str, types: tuple):
+    """``value`` if it is an instance of ``types``, in which a bool is no number."""
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        raise ConfigError(f"{path}: expected {EXPECTED[types]}, got {value!r}")
     return value
 
 
 def _flag(raw: dict, key: str, default: bool, path: str) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}{key}: expected true or false, got {value!r}")
-    return value
+    return _typed(raw.get(key, default), path + key, (bool,))
 
 
-def _number(value, path: str, cast=float):
+def _number(value, path: str) -> float:
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+        return float(_typed(value, path, (int, float)))
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got {value!r}") from None
 
 
 def _positive(value, path: str) -> float:
@@ -123,10 +132,8 @@ def _positive(value, path: str) -> float:
 
 
 def _numeric_array(value, path: str, *ndims: int) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from None
+    entries = np.asarray(value, dtype=object)  # the lists of a ragged array stay entries
+    arr = np.array([_number(x, path) for x in entries.ravel()]).reshape(entries.shape)
     if arr.ndim not in ndims:
         expected = " or ".join(f"{d}-d" for d in ndims)
         raise ConfigError(f"{path}: expected a {expected} numeric array, got ndim={arr.ndim}")
@@ -138,9 +145,11 @@ def _numeric_array(value, path: str, *ndims: int) -> np.ndarray:
 def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
-    name = raw.get("name", name_hint)
+    _section(raw, None, ("name", "system", "kind", "beta", "penalization", "grid", "optimizer", "checks",
+                         "output_dir", "seed"))
+    name = _typed(raw.get("name", name_hint), "name", (str,))
 
-    sys_raw = _require(raw, "system", "")
+    sys_raw = _section(raw, "system", ("A", "B", "x0", "T"))
     A = _numeric_array(_require(sys_raw, "A", "system."), "system.A", 2)
     B = _numeric_array(_require(sys_raw, "B", "system."), "system.B", 1, 2)
     x0 = _numeric_array(_require(sys_raw, "x0", "system."), "system.x0", 1)
@@ -201,15 +210,15 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         partitions = tuple()
 
     grid_raw = _section(raw, "grid", ("nodes", "bracket_multiplier"))
-    grid_nodes = _number(grid_raw.get("nodes", 4000), "grid.nodes", int)
+    grid_nodes = _typed(grid_raw.get("nodes", 4000), "grid.nodes", (int,))
     if grid_nodes < 2:
         raise ConfigError(f"grid.nodes: need at least 2, got {grid_nodes}")
-    multiplier = _number(grid_raw.get("bracket_multiplier", 8), "grid.bracket_multiplier", int)
+    multiplier = _typed(grid_raw.get("bracket_multiplier", 8), "grid.bracket_multiplier", (int,))
     if multiplier < 1:
         raise ConfigError("grid.bracket_multiplier: must be >= 1")
 
     opt_raw = _section(raw, "optimizer", ("max_iterations", "gtol"))
-    max_iterations = _number(opt_raw.get("max_iterations", 50_000), "optimizer.max_iterations", int)
+    max_iterations = _typed(opt_raw.get("max_iterations", 50_000), "optimizer.max_iterations", (int,))
     gtol = _number(opt_raw.get("gtol", 1e-6), "optimizer.gtol")
     try:
         optimizer = OptimizerSettings(max_iterations, gtol, multiplier)
@@ -230,11 +239,11 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         expect_divergence=_flag(chk_raw, "expect_divergence", False, "checks."),
     )
 
-    seed = _number(raw.get("seed", 0), "seed", int)
+    seed = _typed(raw.get("seed", 0), "seed", (int,))
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
     cfg = ExperimentConfig(
-        name=str(name),
+        name=name,
         system=system,
         partitions=partitions,
         profile=profile,
@@ -245,7 +254,7 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         grid_nodes=grid_nodes,
         optimizer=optimizer,
         checks=checks,
-        output_dir=str(raw.get("output_dir", name)),
+        output_dir=_typed(raw.get("output_dir", name), "output_dir", (str,)),
         seed=seed,
         raw=raw,
     )

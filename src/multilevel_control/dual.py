@@ -24,12 +24,22 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .lti import AdjointPropagator, LtiSystem, adjoint_rows, exp_action_integral, gramian, kalman_rank, mat_exp
-from .pwl import PwlConvex
+from .lti import (
+    AdjointPropagator,
+    LtiSystem,
+    adjoint_rows,
+    exp_action_integral,
+    gramian,
+    kalman_rank,
+    mat_exp,
+    uniform_step,
+)
+from .pwl import PwlConvex, conjugate
 
 __all__ = [
     "FunctionalKind",
@@ -140,19 +150,26 @@ class OptimizerSettings:
 # Descent constants.  A phase ends after FLAT_WINDOW iterations without a
 # decrease of more than FLAT_TOL; divergence is certified once the iterate
 # norm passes DIVERGENCE_THRESHOLD while the last DIVERGENCE_WINDOW accepted
-# values kept strictly decreasing.
+# values kept strictly decreasing.  A stalled iterate is snapped onto the
+# breakpoints its node observations lie within SNAP_TOL of (relative).
 FLAT_TOL = 1e-12
 FLAT_WINDOW = 200
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_WINDOW = 100
+SNAP_TOL = 1e-6
 
 
 class DualProblem:
     """An LTI system, one penalization per control channel, a functional
     kind and a quadrature grid.
 
-    Node rows B^T e^{(T-t_i)A^T} and the Gramian W are precomputed once;
-    functional values and subgradients are then matrix products.
+    The construction validates the inputs and forms the terminal drift
+    e^{TA} x0, which every kind reads.  The other constants are formed on
+    first read, so only by the kinds and outcomes that read them: the node
+    rows B^T e^{(T-t_i)A^T} (:attr:`rows`), the Gramian W (:attr:`gram`),
+    Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`) and
+    the adjoint :attr:`propagator`.  Functional values and subgradients are
+    then matrix products.  No constant refers back to the problem.
     """
 
     def __init__(
@@ -181,14 +198,38 @@ class DualProblem:
         self.grid = grid if grid is not None else QuadratureGrid.trapezoid(sys.T)
         if abs(self.grid.nodes[0]) > 1e-12 or abs(self.grid.nodes[-1] - sys.T) > 1e-9:
             raise ValueError("quadrature grid must cover [0, T]")
+        uniform_step(self.grid.nodes)  # the rows need a uniform grid
         self.settings = settings if settings is not None else OptimizerSettings()
-        # (n, K, N) adjoint rows, the Gramian and the exact terminal drift e^{TA} x0
-        self.rows = adjoint_rows(sys.A, sys.B, sys.T, self.grid.nodes)
-        self.gram = gramian(sys.A, sys.B, sys.T)
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
-        self.propagator = AdjointPropagator(sys.A, sys.B, sys.T)
         self._bracket = None
         self._primal = {}
+
+    # -- constants, formed on first read -------------------------------------
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The adjoint rows B^T e^{(T-t_i)A^T} at the quadrature nodes, (n, K, N)."""
+        return adjoint_rows(self.sys.A, self.sys.B, self.sys.T, self.grid.nodes)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gramian W, the integral of e^{sA} B B^T e^{sA^T} over [0, T]."""
+        return gramian(self.sys.A, self.sys.B, self.sys.T)
+
+    @cached_property
+    def psi_T(self) -> np.ndarray:
+        """Psi(T), the integral of e^{sA} B over [0, T], N x K."""
+        return exp_action_integral(self.sys.A, self.sys.B, self.sys.T)
+
+    @cached_property
+    def conjugates(self) -> tuple:
+        """The convex conjugate of each channel's penalization."""
+        return tuple(conjugate(pen) for pen in self.penalizations)
+
+    @cached_property
+    def propagator(self) -> AdjointPropagator:
+        """The map (t, p) -> B^T e^{(T-t)A^T} p at arbitrary times."""
+        return AdjointPropagator(self.sys.A, self.sys.B, self.sys.T)
 
     # -- basic maps ---------------------------------------------------------
 
@@ -267,11 +308,11 @@ def eval_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
     return prob.outer_slope(lambda: prob.integral_term(p_T, q)) * base + prob.drift
 
 
-def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
+def subgradient_box(prob: DualProblem, p_T):
     """Coordinatewise interval hull of the subdifferential at p_T.
 
-    Nodes within ``tol`` of a penalization breakpoint contribute their full
-    slope interval; all other nodes contribute their single slope.  The
+    Nodes within :data:`~.pwl.COINCIDENCE_TOL` of a penalization breakpoint
+    contribute their full slope interval; all others their single slope.  The
     intervals are scaled by the slope of the kind's map at the current
     integral term.  The quadratic kinds are smooth: both bounds are the
     gradient.
@@ -286,7 +327,7 @@ def subgradient_box(prob: DualProblem, p_T, tol: float = 1e-12):
     lo = prob.drift.copy()
     hi = prob.drift.copy()
     for ch, pen in enumerate(prob.penalizations):
-        s_lo, s_hi = pen.slope_bounds(q[:, ch], tol)
+        s_lo, s_hi = pen.slope_bounds(q[:, ch])
         contrib = factor * w[:, None] * prob.rows[:, ch, :]
         a = contrib * s_lo[:, None]
         b = contrib * s_hi[:, None]
@@ -308,20 +349,16 @@ class ExactEvaluator:
     kind's map of that integral plus the drift term.
 
     With Psi(s) the integral of e^{rA} B over [0, s], an interval [a, b]
-    contributes Psi(T - a) - Psi(T - b).  Psi(T) is formed once per
-    evaluator and Psi(T - b) for all of a channel's interval ends in one
-    stacked exponential.  :meth:`pieces` is the one reading of a datum's
-    switching intervals; extraction uses it too.
+    contributes Psi(T - a) - Psi(T - b).  Psi(T) is the problem's
+    :attr:`~DualProblem.psi_T`, and Psi(T - b) for all of a channel's
+    interval ends is one stacked exponential.  :meth:`pieces` is the one
+    reading of a datum's switching intervals; extraction uses it too.
     """
 
     def __init__(self, prob: DualProblem):
         if not prob.kind.penalized:
             raise ValueError("exact evaluation applies to the penalized kinds")
         self.prob = prob
-        self._psi_T = self._psi(prob.sys.T)
-
-    def _psi(self, tau) -> np.ndarray:
-        return exp_action_integral(self.prob.sys.A, self.prob.sys.B, tau)
 
     def pieces(self, p_T, midpoint_guard=False):
         """Per channel: (crossing times, segment index per switching
@@ -365,14 +402,14 @@ class ExactEvaluator:
         :meth:`pieces` of p_T when the caller already has them."""
         prob = self.prob
         p_T = prob._check_p(p_T)
-        T = prob.sys.T
+        A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
         base = np.zeros_like(p_T)
         integral = 0.0
         for ch, (crossings, ks, _) in enumerate(self.pieces(p_T) if pieces is None else pieces):
             pen = prob.penalizations[ch]
             ts = np.concatenate([[0.0], crossings, [T]])
-            psi_hi = self._psi_T[:, ch]
-            psi_ends = self._psi(T - ts[1:])[:, :, ch]
+            psi_hi = prob.psi_T[:, ch]
+            psi_ends = exp_action_integral(A, B, T - ts[1:])[:, :, ch]
             for a, b, k, psi_lo in zip(ts[:-1], ts[1:], ks, psi_ends):
                 F = psi_hi - psi_lo  # integral of e^{(T-t)A} B_ch over [a, b]
                 base += pen.slopes[k] * F
@@ -413,7 +450,7 @@ class SolveReport:
         return self.status == SolveStatus.CONVERGED
 
 
-def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6):
+def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):
     """Project p onto the manifold where near-active node observations sit
     exactly on their penalization breakpoints.
 
@@ -421,7 +458,7 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
     minimizer can pin B^T p(t) to a kink over the whole window (not just at
     isolated crossings); the complementary-slackness certificate only holds
     once those nodes are exactly active.  Returns None when nothing is
-    nearly active or the projection moves p by more than ``loose``-scale.
+    nearly active or the projection moves p by more than ``SNAP_TOL``-scale.
     """
     q = prob.adjoint_observations(p)
     rows = []
@@ -432,7 +469,7 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
             continue
         d = np.abs(q[:, ch][:, None] - pen.breakpoints)
         j = np.argmin(d, axis=1)
-        near = d[np.arange(q.shape[0]), j] <= loose * (1.0 + np.abs(q[:, ch]))
+        near = d[np.arange(q.shape[0]), j] <= SNAP_TOL * (1.0 + np.abs(q[:, ch]))
         if np.any(near):
             rows.append(prob.rows[near, ch, :])
             targets.append(pen.breakpoints[j[near]])
@@ -441,7 +478,7 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray, loose: float = 1e-6)
     A = np.vstack(rows)
     b = np.concatenate(targets)
     delta, *_ = np.linalg.lstsq(A, b - A @ p, rcond=None)
-    if float(np.linalg.norm(delta)) > 10.0 * loose * (1.0 + float(np.linalg.norm(p))):
+    if float(np.linalg.norm(delta)) > 10.0 * SNAP_TOL * (1.0 + float(np.linalg.norm(p))):
         return None
     return p + delta
 

@@ -268,12 +268,7 @@ def _emit(cfg, rep, out_dir, trajectory=None, control=None, prob=None) -> None:
             )
 
 
-def convergence_study(
-    cfg: ExperimentConfig,
-    sizes,
-    out_dir: Path | str | None = None,
-    bound_samples: int = 10,
-) -> list[dict]:
+def convergence_study(cfg: ExperimentConfig, sizes, out_dir: Path | str | None = None) -> list[dict]:
     """Refine the level ladder and measure the distance to the quadratic-cost
     control.
 
@@ -282,7 +277,7 @@ def convergence_study(
     partition) is compared in discrete L^2 against the quadratic-kind
     control; the rows also record the number of distinct levels used and a
     check of the interpolation-error bound |penalized - quadratic| <= bound*T
-    at ``bound_samples`` random adjoint data kept inside the interval.
+    at 10 random adjoint data kept inside the interval.
     """
     if not cfg.kind.penalized:
         raise ValueError("the convergence study starts from a penalized configuration")
@@ -325,7 +320,7 @@ def convergence_study(
         # interpolation-error bound check at random adjoint data
         _, bound = interp_error_bound(quadratic_profile(), part)
         ok = True
-        for _ in range(bound_samples):
+        for _ in range(10):
             p = rng.standard_normal(cfg.system.dim)
             q = prob.adjoint_observations(p)
             amax = float(np.max(np.abs(q)))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dual import ExactEvaluator
 from .fenchel import InfeasiblePrimalError
-from .lti import exp_action_integral, zoh_exp
+from .lti import zoh_exp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dual import DualProblem
@@ -377,11 +377,12 @@ def _terminal_map(prob: "DualProblem", times, levels):
     With Psi(s) the integral of e^{rA} B over [0, s], the terminal state is
     e^{TA} x0 + sum over channels of Psi(T) u_0 + sum_k (u_k - u_{k-1})
     Psi(T - tau_k), and its derivative in tau_k is e^{(T - tau_k)A} B
-    (u_{k-1} - u_k) on the channel's column.
+    (u_{k-1} - u_k) on the channel's column.  Psi(T) is the problem's
+    :attr:`~.dual.DualProblem.psi_T`.
     """
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
     N = B.shape[0]
-    x = prob.drift + exp_action_integral(A, B, T) @ np.array([lv[0] for lv in levels])
+    x = prob.drift + prob.psi_T @ np.array([lv[0] for lv in levels])
     cols = []
     for ch, (tau, lv) in enumerate(zip(times, levels)):
         E = zoh_exp(A, B, T - tau)

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .dual import DualProblem, eval_functional
-from .pwl import conjugate
 
 __all__ = [
     "InfeasiblePrimalError",
@@ -31,11 +30,17 @@ __all__ = [
     "optimality_fraction",
 ]
 
+# optimality_fraction's widening of the breakpoint and domain-end snapping
+# and of the membership test
+OPTIMALITY_SLACK = 1e-6
+
 
 class InfeasiblePrimalError(RuntimeError):
-    """The terminal constraint cannot be met with controls confined to the
-    conjugate's domain (the initial state violates the necessary norm bound
-    sigma_bar * ||e^{-tau A} B||_{L^2})."""
+    """The terminal constraint cannot be met with node controls confined to
+    the conjugates' domains.  For the continuous problem with one channel,
+    |u| <= sigma_bar steers x0 only if
+    ||x0|| <= sigma_bar * sqrt(T) * ||e^{-tau A} B||_{L^2(0,T)}
+    (:func:`~.solvable.solvable_bound`)."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ def build_discrete_primal(prob: DualProblem) -> DiscretePrimal:
     K = prob.channels
     W = prob.grid.weights[:, None, None] * prob.rows  # (n, K, N)
     G = W.reshape(n * K, -1).T
-    conjugates = tuple(conjugate(pen) for pen in prob.penalizations)
+    conjugates = prob.conjugates
     if not all(np.isfinite(conj.domain).all() for conj in conjugates):
         raise ValueError("conjugate domain must be a bounded interval")
     return DiscretePrimal(
@@ -114,15 +119,15 @@ def _infeasible_message(dp: DiscretePrimal) -> str:
     sigma_bar = max(
         max(abs(conj.domain[0]), abs(conj.domain[1])) for conj in dp.conjugates
     )
-    norm_c = float(np.linalg.norm(dp.c))
-    # ||G||-based reachability radius of the discretized steering map
-    radius = sigma_bar * float(np.abs(dp.G).sum(axis=1).max())
+    # a node control bounded by sigma_bar moves coordinate j of G v by at
+    # most sigma_bar times the l1 norm of row j of G
+    reach = sigma_bar * float(np.abs(dp.G).sum(axis=1).max())
     return (
         "terminal constraint unreachable with node controls confined to the "
         f"conjugate domain (level magnitudes capped at {sigma_bar:g}): "
-        f"||e^(TA) x0|| = {norm_c:g}; compare the necessary bound "
-        f"sigma_bar * ||e^(-tau A) B||_L2 from the solvable-set analysis "
-        f"(crude reachability radius here {radius:g})"
+        f"the largest coordinate magnitude of e^(TA) x0 is {float(np.abs(dp.c).max()):g} and "
+        f"the largest per-coordinate reach of the discretized steering map is {reach:g}; "
+        "with one channel, steering needs ||x0|| <= sigma_bar * sqrt(T) * ||e^(-tau A) B||_L2(0,T)"
     )
 
 
@@ -175,20 +180,19 @@ def duality_gap(v, p_T_star, prob: DualProblem) -> GapReport:
     returned alongside the gap.  ``v`` must live on the problem's grid.
     """
     v = _node_values(v, prob)
-    primal = _primal_value(prob.grid.weights, [conjugate(pen) for pen in prob.penalizations], v)
+    primal = _primal_value(prob.grid.weights, prob.conjugates, v)
     dual = eval_functional(prob, p_T_star)
     return GapReport(gap=primal + dual, primal_value=primal, dual_value=dual)
 
 
-def optimality_fraction(v, p_T_star, prob: DualProblem, slack: float = 1e-6) -> float:
+def optimality_fraction(v, p_T_star, prob: DualProblem) -> float:
     """Fraction of nodes where B^T p*(t_i) lies in the conjugate's
-    subdifferential at the primal control value; ``slack`` widens both the
-    breakpoint and domain-end snapping and the membership test."""
+    subdifferential at the primal control value, both within
+    ``OPTIMALITY_SLACK``."""
     v = _node_values(v, prob)
     q = prob.adjoint_observations(p_T_star)
     ok = 0
-    for ch, pen in enumerate(prob.penalizations):
-        conj = conjugate(pen)
-        lo, hi = conj.slope_bounds(np.clip(v[:, ch], *conj.domain), slack)
-        ok += int(np.count_nonzero((lo - slack <= q[:, ch]) & (q[:, ch] <= hi + slack)))
+    for ch, conj in enumerate(prob.conjugates):
+        lo, hi = conj.slope_bounds(np.clip(v[:, ch], *conj.domain), OPTIMALITY_SLACK)
+        ok += int(np.count_nonzero((lo - OPTIMALITY_SLACK <= q[:, ch]) & (q[:, ch] <= hi + OPTIMALITY_SLACK)))
     return ok / (prob.grid.n * prob.channels)

@@ -27,6 +27,7 @@ __all__ = [
     "adjoint_state",
     "simulate_forward",
     "AdjointPropagator",
+    "uniform_step",
 ]
 
 # numerical rank: singular values below RANK_TOL * sigma_max count as zero
@@ -320,12 +321,19 @@ def adjoint_rows(A, B, T: float, times) -> np.ndarray:
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     times = np.asarray(times, dtype=float)
-    h = times[1] - times[0]
-    if times.size > 2 and np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1.0):
-        raise ValueError("adjoint_rows needs a uniform grid")
+    h = uniform_step(times)
     step = sla.expm(-h * A.T)
     Ms = np.empty((times.size,) + A.shape)
     Ms[0] = sla.expm((T - times[0]) * A.T)
     for i in range(times.size - 1):
         np.matmul(step, Ms[i], out=Ms[i + 1])
     return B.T @ Ms
+
+
+def uniform_step(times) -> float:
+    """The spacing of a uniform time grid; raises on a non-uniform one."""
+    times = np.asarray(times, dtype=float)
+    h = times[1] - times[0]
+    if times.size > 2 and np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1.0):
+        raise ValueError("adjoint_rows needs a uniform grid")
+    return h

@@ -204,9 +204,9 @@ class PwlConvex:
             hi = np.where(at_hi, np.inf, np.where(at_lo, self.slopes[0], hi))
         return lo, hi
 
-    def selection(self, u, tol: float = COINCIDENCE_TOL) -> np.ndarray:
+    def selection(self, u) -> np.ndarray:
         """A pointwise subgradient: the midpoint of :meth:`slope_bounds`."""
-        lo, hi = self.slope_bounds(np.atleast_1d(u), tol)
+        lo, hi = self.slope_bounds(np.atleast_1d(u))
         return 0.5 * (lo + hi)
 
     def __repr__(self):
@@ -371,18 +371,18 @@ def barrier_constants(pwl: PwlConvex, interval) -> tuple[float, float]:
     return float(a1), float(a2)
 
 
-def interp_error_bound(profile: ConvexProfile, part: Partition, samples: int = 33):
+def interp_error_bound(profile: ConvexProfile, part: Partition):
     """Per-segment and global chord-interpolation error bounds.
 
     Each segment bound is (h_k^2 / 2) * max |profile''| over the segment
-    (second derivative sampled at ``samples`` points); the global bound uses
+    (second derivative sampled at 33 points); the global bound uses
     the largest width and the overall sampled maximum.
     """
     pts = part.points
     seg_bounds = np.empty(part.segments)
     overall = 0.0
     for k in range(part.segments):
-        xs = np.linspace(pts[k], pts[k + 1], samples)
+        xs = np.linspace(pts[k], pts[k + 1], 33)
         m = float(np.max(np.abs(profile.second_derivative(xs))))
         seg_bounds[k] = 0.5 * part.widths[k] ** 2 * m
         overall = max(overall, m)

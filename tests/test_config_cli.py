@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ DIVERGENT = {
     "output_dir": "fast-divergent",
     "seed": 0,
 }
+
+
+OSC_T4 = json.loads((Path(__file__).resolve().parents[1] / "configs" / "osc-t4.json").read_text())
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -228,6 +232,54 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("sed", 5, "sed: unknown field"),
+            ("system.x00", [-1.0, 0.5], "system.x00: unknown field"),
+            ("seed", 1.7, "seed: expected an integer, got 1.7"),
+            ("seed", True, "seed: expected an integer, got True"),
+            ("grid.nodes", 4000.9, "grid.nodes: expected an integer"),
+            ("grid.nodes", 4000.0, "grid.nodes: expected an integer"),
+            ("grid.bracket_multiplier", 2.5, "grid.bracket_multiplier: expected an integer"),
+            ("optimizer.max_iterations", True, "optimizer.max_iterations: expected an integer"),
+            ("optimizer.gtol", False, "optimizer.gtol: expected a number"),
+            ("system.T", True, "system.T: expected a number, got True"),
+            ("beta", "2", "beta: expected a number"),
+            ("system.A", [[0, 1], [-1, False]], "system.A: expected a number, got False"),
+            ("system.B", [["0"], [1]], "system.B: expected a number"),
+            ("system.x0", ["-1.0", "0.5"], "system.x0: expected a number, got '-1.0'"),
+            ("checks.terminal_tol", "1e-2", "checks.terminal_tol: expected a number, got '1e-2'"),
+            ("checks.fenchel_gap_rtol", True, "checks.fenchel_gap_rtol: expected a number"),
+            (
+                "penalization.partitions",
+                [[-1.0, -0.6, "-0.2", 0.2, 0.6, 1.0]],
+                "penalization.partitions[0]: expected a number",
+            ),
+            (
+                "penalization",
+                {"profile": "custom-table", "partitions": [[-1.0, 0.0, 1.0]], "values": [[1.0, "0", 1.0]]},
+                "penalization.values[0]: expected a number",
+            ),
+            ("name", 5, "name: expected a string"),
+            ("output_dir", ["a"], "output_dir: expected a string, got ['a']"),
+        ],
+    )
+    def test_json_type_exit_4(self, tmp_path, capsys, path, value, message):
+        # osc-t4 with one field of the wrong JSON type or an unknown field
+        raw = json.loads(json.dumps(OSC_T4))
+        *sections, key = path.split(".")
+        (raw.setdefault(sections[0], {}) if sections else raw)[key] = value
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_agreement_tolerance_is_accepted(self):
+        raw = json.loads(json.dumps(OSC_T4))
+        raw["checks"]["fenchel_agreement_tol"] = None
+        assert parse_config(raw).checks.fenchel_agreement_tol is None
 
     def test_negative_seed_exit_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_OSC)

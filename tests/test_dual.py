@@ -1,5 +1,9 @@
+import gc
 import logging
+import sys as _sys
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,10 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
+from multilevel_control import lti, pwl
+from multilevel_control.config import load_config
 from multilevel_control.dual import quadratic_minimizer
+from multilevel_control.experiments import run_scenario
 from multilevel_control.lti import gramian
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -492,3 +499,75 @@ class TestOptimizerSettings:
     def test_bracket_multiplier_at_least_one(self):
         with pytest.raises(ValueError, match="bracket_multiplier"):
             OptimizerSettings(bracket_multiplier=0)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(module, name) records the positional arguments of every call of
+    ``module.name``, through every library module that holds the name."""
+
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(_sys.modules.items()):
+            if mod_name.split(".")[0] == "multilevel_control" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    return install
+
+
+class TestConstantsOnFirstRead:
+    CONSTANTS = ("adjoint_rows", "gramian", "exp_action_integral", "AdjointPropagator")
+
+    @pytest.mark.parametrize("kind", [k.value for k in FunctionalKind])
+    def test_construction_forms_none(self, spy, kind):
+        calls = {name: spy(lti, name) for name in self.CONSTANTS}
+        oscillator_problem(kind=kind, beta=2.0)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(self.CONSTANTS, 0)
+
+    def test_construction_still_rejects_a_non_uniform_grid(self):
+        nodes = np.array([0.0, 1.0, 4.0])
+        with pytest.raises(ValueError, match="uniform grid"):
+            oscillator_problem(grid=QuadratureGrid(nodes, np.array([0.5, 2.0, 1.5])))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "quadratic_squared"])
+    def test_quadratic_minimize_forms_no_rows(self, spy, kind):
+        rows = spy(lti, "adjoint_rows")
+        assert minimize(oscillator_problem(kind=kind)).converged
+        assert rows == []
+
+    @pytest.mark.parametrize("kind", ["plain", "squared"])
+    def test_penalized_minimize_forms_no_gramian(self, spy, kind):
+        grams = spy(lti, "gramian")
+        assert minimize(oscillator_problem(six_point_ladder(), kind=kind)).converged
+        assert grams == []
+
+    def test_scenario_forms_psi_and_conjugates_once(self, spy, tmp_path):
+        # osc-t4 runs the descent, the extraction and the Fenchel check
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "osc-t4.json")
+        psi = spy(lti, "exp_action_integral")
+        conjugates = spy(pwl, "conjugate")
+        rep = run_scenario(cfg, tmp_path)
+        assert rep.passed and "fenchel_gap" in rep.checks
+        assert sum(np.ndim(tau) == 0 and tau == cfg.system.T for _, _, tau in psi) == 1
+        assert len(conjugates) == cfg.system.channels
+
+    def test_problem_is_freed_without_the_cycle_collector(self):
+        # no constant refers back to the problem, so its rows and bracket
+        # rows go with its last reference
+        gc.disable()
+        try:
+            prob = oscillator_problem(six_point_ladder())
+            rep = minimize(prob)
+            extract_control(rep.p_T_star, prob)
+            ref = weakref.ref(prob)
+            del prob
+            assert ref() is None
+        finally:
+            gc.enable()
