@@ -12,11 +12,13 @@ square (``squared``, ``quadratic_squared``).  The control levels are the
 slope phi'(I) times the penalizations' chord slopes.
 
 The quadratic kinds are solved in closed form from the exact Gramian W.
-The penalized kinds have piecewise-linear integrands, so the quadrature
-subgradient has a resolution floor at the optimizer's scale: the descent
-therefore finishes on an exact piecewise evaluation whose switching times
-are refined by bisection, which drives the true stationarity residual to
-the requested tolerance.
+The penalized kinds have piecewise-linear integrands, so their functional
+is piecewise smooth and its quadrature subgradient has a resolution floor
+at the optimizer's scale.  A short descent on the quadrature functional is
+therefore finished by semismooth Newton steps on the exact piecewise
+evaluation, whose switching times are refined by bisection and whose
+generalized Hessian is read off the same crossings; this drives the true
+stationarity residual to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ class QuadratureGrid:
 class OptimizerSettings:
     """Descent configuration.
 
-    ``max_iterations`` caps the descent steps over both phases, ``gtol`` is
-    the stationarity tolerance on the gradient norm, and
-    ``bracket_multiplier`` sets how much denser than the quadrature grid
-    the grid is on which the exact phase brackets level crossings.
+    ``max_iterations`` caps the steps over both phases, quadrature and
+    Newton steps, ``gtol`` is the stationarity tolerance on the gradient
+    norm, and ``bracket_multiplier`` sets how much denser than the
+    quadrature grid the grid is on which the exact evaluation brackets
+    level crossings.
     """
 
     max_iterations: int = 50_000
@@ -147,15 +150,16 @@ class OptimizerSettings:
             raise ValueError(f"bracket_multiplier must be >= 1, got {self.bracket_multiplier}")
 
 
-# Descent constants.  A phase ends after FLAT_WINDOW iterations without a
-# decrease of more than FLAT_TOL; divergence is certified once the iterate
-# norm passes DIVERGENCE_THRESHOLD while the last DIVERGENCE_WINDOW accepted
-# values kept strictly decreasing.  A stalled iterate is snapped onto the
-# breakpoints its node observations lie within SNAP_TOL of (relative).
-FLAT_TOL = 1e-12
-FLAT_WINDOW = 200
+# Descent constants.  Divergence is certified once the iterate norm passes
+# DIVERGENCE_THRESHOLD after DIVERGENCE_WINDOW accepted steps, each a strict
+# decrease.  A Newton step solves (H + mu I) d = -g with mu =
+# NEWTON_REGULARIZATION (1 + tr H) and is backtracked until it meets the
+# Armijo condition with constant ARMIJO.  A stalled iterate is snapped onto
+# the breakpoints its node observations lie within SNAP_TOL of (relative).
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_WINDOW = 100
+NEWTON_REGULARIZATION = 1e-10
+ARMIJO = 1e-4
 SNAP_TOL = 1e-6
 
 
@@ -366,10 +370,13 @@ class ExactEvaluator:
 
         An interval's segment is read at the first probe of ``PROBES`` off a
         kink, or at the midpoint when every probe is on one; ``pinned`` says
-        that this happens on some interval, i.e. B^T p sits on a breakpoint
-        there.  The crossings are bracketed
-        on one product of the bracket rows and refined on one propagator
-        map; ``midpoint_guard`` is passed to :func:`find_switchings`.
+        that this happens on some interval at least one bracket cell long,
+        i.e. B^T p sits on a breakpoint there.  B^T p is analytic, so it sits
+        on a breakpoint over an interval only if it does over the whole
+        horizon; a shorter interval is a sliver beside a crossing, every
+        probe of which lies on the kink only because it is short.  The crossings are bracketed on one
+        product of the bracket rows and refined on one propagator map;
+        ``midpoint_guard`` is passed to :func:`find_switchings`.
         """
         from .extract import find_switchings
 
@@ -394,7 +401,8 @@ class ExactEvaluator:
             off = lo == hi
             first = np.argmax(off, axis=1)
             ks = pen.segment_index(qp[np.arange(first.size), first])
-            out.append((crossings, ks, not off.any(axis=1).all()))
+            on_kink = ~off.any(axis=1) & (np.diff(ts) >= tb[1] - tb[0])
+            out.append((crossings, ks, bool(on_kink.any())))
         return out
 
     def integral_and_grad(self, p_T, pieces=None):
@@ -417,13 +425,41 @@ class ExactEvaluator:
                 psi_hi = psi_lo
         return integral, base
 
-    def value_and_grad(self, p_T):
-        """Exact value and gradient of the functional at p_T."""
+    def value_and_grad(self, p_T, pieces=None):
+        """Exact value and gradient of the functional at p_T; ``pieces`` as
+        for :meth:`integral_and_grad`."""
         prob = self.prob
         p_T = prob._check_p(p_T)
-        integral, base = self.integral_and_grad(p_T)
+        integral, base = self.integral_and_grad(p_T, pieces)
         value, slope = prob.kind.outer(integral, prob.beta)
         return value + float(prob.drift @ p_T), slope * base + prob.drift
+
+    def hessian(self, p_T, pieces=None):
+        """Generalized Hessian of the functional at p_T; ``pieces`` as for
+        :meth:`integral_and_grad`.
+
+        Moving p_T moves a crossing t_c of channel ch by -r(t_c) / q'(t_c),
+        with r(t) = B_ch^T e^{(T-t)A^T} and q'(t) = -r(t) A^T p_T, and the
+        integrand's slope jumps there by ds_c, so the integral term has the
+        generalized Hessian H_I = sum_c |ds_c| r(t_c) r(t_c)^T / |q'(t_c)|
+        (Ulbrich, Semismooth Newton Methods, SIAM 2011).  The kind's map
+        makes it beta H_I for the scaled kind and grad I grad I^T + I H_I
+        for the squared kind.
+        """
+        prob = self.prob
+        p_T = prob._check_p(p_T)
+        pieces = self.pieces(p_T) if pieces is None else pieces
+        Ap = prob.sys.A.T @ p_T
+        H = np.zeros((p_T.size, p_T.size))
+        for ch, (crossings, ks, _) in enumerate(pieces):
+            if crossings.size:
+                r = prob.propagator.rows(crossings)[:, ch, :]
+                jumps = np.abs(np.diff(prob.penalizations[ch].slopes[ks]))
+                H += (r.T * (jumps / np.abs(r @ Ap))) @ r
+        if prob.kind.squared:
+            integral, base = self.integral_and_grad(p_T, pieces)
+            return np.outer(base, base) + integral * H
+        return prob.kind.outer(0.0, prob.beta)[1] * H
 
 
 # -- solver -------------------------------------------------------------------
@@ -437,6 +473,11 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class SolveReport:
+    """The outcome of :func:`minimize`.  ``iterations`` counts the steps
+    that ``max_iterations`` caps, quadrature and Newton steps alike;
+    ``newton_steps`` and ``line_search_halvings`` count the Newton steps and
+    the halvings of their line searches."""
+
     status: SolveStatus
     p_T_star: Optional[np.ndarray]
     value: float
@@ -444,6 +485,8 @@ class SolveReport:
     grad_norm: float
     trace: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     message: str = ""
+    newton_steps: int = 0
+    line_search_halvings: int = 0
 
     @property
     def converged(self) -> bool:
@@ -494,18 +537,28 @@ def minimize(prob: DualProblem) -> SolveReport:
     the run diverges; on a controllable one it is rounding error amplified
     by an ill-conditioned W, and the run ends at ``ITERATION_CAP``.
 
-    The penalized kinds take a monotone descent with an adaptive step,
-    grown on every decrease and halved otherwise, first on the quadrature
-    functional.  Once that descent flattens out, it continues from the same
-    iterate on the exact piecewise evaluation, which removes the quadrature
-    floor of the subgradient.  The run converges when the gradient norm is
-    within ``gtol``, or when extraction's complementary-slackness test
+    The penalized kinds first take gradient steps on the quadrature
+    functional, grown on every decrease, up to the first step that does not
+    decrease it.  From that iterate, semismooth Newton steps on the exact
+    piecewise evaluation remove the quadrature floor of the subgradient:
+    each solves (H + mu I) d = -g with the generalized Hessian H of
+    :meth:`ExactEvaluator.hessian` and halves the step until the value
+    decreases strictly and by the Armijo fraction of the predicted
+    decrease.  The step follows -g instead when d is no descent direction
+    or no step along d decreases the value: H misses the curvature of
+    crossings about to appear, so near a tangency d can overshoot.
+
+    The run converges when the gradient norm is within ``gtol``, or when
+    extraction's complementary-slackness test
     (:func:`~.extract.complementary_slackness`) certifies a kinked point:
-    the origin, tested before the descent if a penalization is kinked at 0,
-    or the active breakpoints near the last iterate.  Divergence is
-    certified when the iterate norm passes the threshold while the accepted
-    values are still strictly decreasing; a descent that stalls otherwise,
-    or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
+    the origin, tested first if a penalization is kinked at 0, or the
+    active breakpoints near the iterate, tested after a backtracked Newton
+    step onto a pinned datum and when the run stops.  Divergence is
+    certified when the iterate norm passes the threshold after a window of
+    accepted steps, each a strict decrease; a run that finds no decreasing
+    step otherwise, or uses up ``max_iterations``, ends at
+    ``ITERATION_CAP``.  The report counts the Newton steps and the
+    line-search halvings beside the total ``iterations``.
     """
     st = prob.settings
     controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim
@@ -530,8 +583,8 @@ def minimize(prob: DualProblem) -> SolveReport:
 
     zero = np.zeros(prob.sys.dim)
     p = zero.copy()
-    exact_evaluator = ExactEvaluator(prob)
-    it = 0
+    evaluator = ExactEvaluator(prob)
+    it = newton_steps = halvings = 0
     trace_rows = []
 
     def report(status, p_star, value, gnorm, message=""):
@@ -541,102 +594,123 @@ def minimize(prob: DualProblem) -> SolveReport:
             value=value,
             iterations=it,
             grad_norm=gnorm,
+            newton_steps=newton_steps,
+            line_search_halvings=halvings,
             trace=np.asarray(trace_rows).reshape(-1, 3),
             message=message,
         )
 
-    def certified(x):
+    def certified(x, integral):
         # extraction's test of a degenerate datum, at the level scale it would use
         from .extract import DegenerateAdjointError, complementary_slackness
 
-        scale = prob.outer_slope(lambda: exact_evaluator.integral_and_grad(x)[0])
         try:
-            complementary_slackness(prob, x, scale)
+            complementary_slackness(prob, x, prob.outer_slope(integral))
         except DegenerateAdjointError:
             return False
         return True
 
+    def pinned_certificate():
+        snapped = _snap_to_active_kinks(prob, p)
+        if snapped is None or not certified(snapped, lambda: evaluator.integral_and_grad(snapped)[0]):
+            return None
+        message = "stationary on active breakpoints (complementary-slackness certificate)"
+        return report(SolveStatus.CONVERGED, snapped, evaluator.value_and_grad(snapped)[0], 0.0, message)
+
     # zero is a frequent exact minimizer because the penalization is kinked
-    # at its minimum
+    # at its minimum; there B^T p = 0, so I(0) is T times the penalizations at 0
     kinked = any(np.less(*pen.slope_bounds(0.0)) for pen in prob.penalizations)
-    if kinked and certified(zero):
+    if kinked and certified(zero, lambda: prob.sys.T * sum(pen.value(0.0) for pen in prob.penalizations)):
         message = "stationary at the origin (complementary-slackness certificate)"
         return report(SolveStatus.CONVERGED, zero, eval_functional(prob, zero), 0.0, message)
 
-    # Each evaluation returns the value and a callable for the gradient,
-    # which is only needed at accepted points.
-    def quadrature(x):
-        q = prob.adjoint_observations(x)
-        return eval_functional(prob, x, q), lambda: eval_subgradient(prob, x, q)
+    def trace():
+        trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
 
-    def exact(x):
-        value, grad = exact_evaluator.value_and_grad(x)
-        return value, lambda: grad
+    def line_search(d):
+        # the first of p + d, p + d/2, ... that decreases the exact value
+        # strictly and by the Armijo fraction, or None once the step falls
+        # below rounding at the scale 1 + |p|
+        nonlocal halvings
+        slope = float(g @ d)
+        floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
+        t = 1.0
+        while t > floor:
+            cand = p + t * d
+            cand_pieces = evaluator.pieces(cand)
+            J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
+            if J_cand < J and J_cand <= J + ARMIJO * t * slope:
+                return t, cand, J_cand, g_cand, cand_pieces
+            t *= 0.5
+            halvings += 1
+        return None
 
-    evaluate = quadrature
-    J, grad = evaluate(p)
-    g = grad()
+    # Gradient steps on the quadrature functional, grown on every decrease,
+    # up to the first rejected one; then Newton steps on the exact
+    # functional, along -g when no step along the Newton direction descends.
+    q = prob.adjoint_observations(p)
+    J, g = eval_functional(prob, p, q), eval_subgradient(prob, p, q)
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise FloatingPointError(f"functional not finite at the initial point p={p}")
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    since_improve = 0
-    accepted: list[float] = [J]
-    trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
-
+    accepted = 0
+    newton = False
+    trace()
     while it < st.max_iterations:
         it += 1
         gn = float(np.linalg.norm(g))
         if gn <= st.gtol:
             return report(SolveStatus.CONVERGED, p, J, gn)
-
-        cand = p - step * g
-        J_cand, grad = evaluate(cand)
-        if not np.isfinite(J_cand):
-            raise FloatingPointError(
-                f"functional overflowed at iterate {it} (|p| = {np.linalg.norm(cand):.3e})"
-            )
-
-        if J_cand < J:
-            since_improve = 0 if J_cand < J - FLAT_TOL else since_improve + 1
-            p, J, g = cand, J_cand, grad()
-            accepted.append(J)
+        if not newton:
+            cand = p - step * g
+            q = prob.adjoint_observations(cand)
+            J_cand = eval_functional(prob, cand, q)
+            if not np.isfinite(J_cand):
+                raise FloatingPointError(
+                    f"functional overflowed at iterate {it} (|p| = {np.linalg.norm(cand):.3e})"
+                )
+            if not J_cand < J:
+                newton = True
+                pieces = evaluator.pieces(p)
+                J, g = evaluator.value_and_grad(p, pieces)
+                trace()
+                continue
+            p, J, g = cand, J_cand, eval_subgradient(prob, cand, q)
             step *= 1.3
         else:
-            since_improve += 1
-            step *= 0.5
-            if step < 1e-17 * (1.0 + float(np.linalg.norm(p))):
-                since_improve = max(since_improve, FLAT_WINDOW)
-
-        trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
-
-        if float(np.linalg.norm(p)) > DIVERGENCE_THRESHOLD and len(accepted) > DIVERGENCE_WINDOW:
-            window = accepted[-DIVERGENCE_WINDOW:]
-            if all(b < a for a, b in zip(window[:-1], window[1:])):
-                return report(
-                    SolveStatus.DIVERGED,
-                    None,
-                    J,
-                    gn,
-                    "iterate norm passed the divergence threshold with strictly "
-                    "decreasing values (non-coercive functional)",
-                )
-
-        if since_improve >= FLAT_WINDOW:
-            if evaluate is exact:
-                break
-            evaluate = exact
-            J, grad = evaluate(p)
-            g = grad()
-            step = max(step, 1e-6)
-            since_improve = 0
+            newton_steps += 1
+            H = evaluator.hessian(p, pieces)
+            mu = NEWTON_REGULARIZATION * (1.0 + float(np.trace(H)))
+            d = -np.linalg.solve(H + mu * np.eye(p.size), g)
+            found = line_search(d) if float(g @ d) < 0.0 else None
+            if found is None:
+                found = line_search(-g)
+            if found is None:
+                trace()
+                break  # no step decreases the value
+            t, p, J, g, pieces = found
+        accepted += 1
+        trace()
+        if float(np.linalg.norm(p)) > DIVERGENCE_THRESHOLD and accepted >= DIVERGENCE_WINDOW:
+            return report(
+                SolveStatus.DIVERGED,
+                None,
+                J,
+                gn,
+                "iterate norm passed the divergence threshold with strictly "
+                "decreasing values (non-coercive functional)",
+            )
+        if newton and t < 1.0 and any(pinned for _, _, pinned in pieces):
+            done = pinned_certificate()
+            if done is not None:
+                return done
 
     gn = float(np.linalg.norm(g))
     if gn <= st.gtol:
         return report(SolveStatus.CONVERGED, p, J, gn)
-    snapped = _snap_to_active_kinks(prob, p)
-    if snapped is not None and certified(snapped):
-        message = "stationary on active breakpoints (complementary-slackness certificate)"
-        return report(SolveStatus.CONVERGED, snapped, evaluate(snapped)[0], 0.0, message)
+    done = pinned_certificate()
+    if done is not None:
+        return done
     return report(
         SolveStatus.ITERATION_CAP,
         p,

@@ -127,6 +127,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
             "status": solve.status.value,
             "value": solve.value,
             "iterations": solve.iterations,
+            "newton_steps": solve.newton_steps,
+            "line_search_halvings": solve.line_search_halvings,
             "grad_norm": solve.grad_norm,
             "message": solve.message,
         },

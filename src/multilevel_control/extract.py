@@ -236,7 +236,8 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
 
     A regular datum gives the levels of the segments that B^T p visits and
     switches at its breakpoint crossings, both read off
-    :meth:`ExactEvaluator.pieces` with the midpoint guard on.  A degenerate
+    :meth:`ExactEvaluator.pieces` with the midpoint guard on (a pinned
+    datum that trips the guard is read without it).  A degenerate
     datum, with B^T p pinned on a breakpoint over an interval, leaves a
     choice between the two adjacent levels there, and one rule selects it:
 
@@ -260,7 +261,14 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
         raise ValueError("p_T_star has the wrong length")
 
     evaluator = ExactEvaluator(prob)
-    pieces = evaluator.pieces(p_T_star, midpoint_guard=True)
+    try:
+        pieces = evaluator.pieces(p_T_star, midpoint_guard=True)
+    except ValueError:
+        # B^T p pinned on a breakpoint crosses it at rounding level in every
+        # cell, which trips the guard; such a datum takes the primal path
+        pieces = evaluator.pieces(p_T_star)
+        if not any(pinned for _, _, pinned in pieces):
+            raise
     scale = prob.outer_slope(lambda: evaluator.integral_and_grad(p_T_star, pieces)[0])
     if any(pinned for _, _, pinned in pieces):
         return _primal_staircase(prob, p_T_star, scale)

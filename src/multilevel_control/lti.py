@@ -308,6 +308,15 @@ class AdjointPropagator:
         """Values of B^T e^{(T-t)A^T} p, shape (len(t), K)."""
         return self.at(p)(t)
 
+    def rows(self, t) -> np.ndarray:
+        """The matrices B^T e^{(T-t)A^T} at the times ``t``, shape (len(t), K, N)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if self._spectral is not None:
+            lam, V, Vinv = self._spectral
+            E = np.exp(np.multiply.outer(self.T - t, lam))
+            return np.real(((self.B.T @ V) * E[:, None, :]) @ Vinv)
+        return self.B.T @ sla.expm((self.T - t)[:, None, None] * self.A.T)
+
 
 def adjoint_rows(A, B, T: float, times) -> np.ndarray:
     """Matrices B^T e^{(T-t_i)A^T} stacked as an array of shape (n, K, N).

@@ -331,6 +331,20 @@ class TestDeterminismAndRoundTrip:
         main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert main(["report", str(tmp_path / "out" / "fast-osc")]) == 0
 
+    def test_report_shows_the_solve_counters(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_OSC)
+        main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        solve = json.loads((tmp_path / "out" / "fast-osc" / "report.json").read_text())["solve"]
+        assert solve["newton_steps"] > 0 and solve["line_search_halvings"] >= 0
+        assert solve["iterations"] > solve["newton_steps"]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out" / "fast-osc")]) == 0
+        line = (
+            f"solve: iterations={solve['iterations']} newton_steps={solve['newton_steps']} "
+            f"line_search_halvings={solve['line_search_halvings']}"
+        )
+        assert line in capsys.readouterr().out
+
     def test_report_missing_dir_exit_4(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing-here")]) == 4
 

@@ -36,10 +36,10 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control import lti, pwl
+from multilevel_control import extract, lti, pwl
 from multilevel_control.config import load_config
-from multilevel_control.dual import quadratic_minimizer
-from multilevel_control.experiments import run_scenario
+from multilevel_control.dual import ExactEvaluator, quadratic_minimizer
+from multilevel_control.experiments import build_problem, run_scenario
 from multilevel_control.lti import gramian
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -571,3 +571,211 @@ class TestConstantsOnFirstRead:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestOriginTest:
+    def test_squared_origin_test_forms_no_exact_integral(self, spy, monkeypatch):
+        # at p = 0, B^T p = 0, so I(0) is T times the penalizations at 0: no
+        # crossing search and no exact integral
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "osc-t05-squared.json")
+        prob = build_problem(cfg)
+        searches = spy(extract, "find_switchings")
+        integrals = spy(lti, "exp_action_integral")
+        seen = []
+
+        class OriginTested(Exception):
+            pass
+
+        def origin_test(prob, p_T, scale):
+            seen.append((len(searches), len(integrals), scale))
+            raise OriginTested
+
+        monkeypatch.setattr(extract, "complementary_slackness", origin_test)
+        with pytest.raises(OriginTested):
+            minimize(prob)
+        assert seen == [(0, 0, 0.0)]
+
+
+def regular_problems():
+    """Problems of each penalized kind with a datum off every breakpoint."""
+    A = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 1.0], [0.0, -1.0, -0.2]])
+    B = np.array([[1.0, 0.0], [0.0, 0.5], [0.5, 1.0]])
+    three_state = LtiSystem(A=A, B=B, x0=np.zeros(3), T=2.5)
+    oscillator = LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=4.0)
+    cases = []
+    for kind in ("plain", "scaled", "squared"):
+        grid = QuadratureGrid.trapezoid(4.0, 400)
+        osc = DualProblem(oscillator, [six_point_ladder()], kind=kind, beta=2.0, grid=grid)
+        cases.append(pytest.param(osc, np.array([0.9, -0.7]), id=f"oscillator-{kind}"))
+        pens = [six_point_ladder(), five_point_ladder()]
+        prob = DualProblem(three_state, pens, kind=kind, beta=2.0, grid=QuadratureGrid.trapezoid(2.5, 400))
+        cases.append(pytest.param(prob, np.array([0.8, -1.1, 0.6]), id=f"three-state-{kind}"))
+    return cases
+
+
+class TestGeneralizedHessian:
+    @pytest.mark.parametrize("prob, p", regular_problems())
+    def test_matches_central_differences_of_the_gradient(self, prob, p):
+        evaluator = ExactEvaluator(prob)
+        pieces = evaluator.pieces(p)
+        assert not any(pinned for _, _, pinned in pieces)
+        assert sum(crossings.size for crossings, _, _ in pieces) >= p.size
+        H = evaluator.hessian(p)
+        assert np.array_equal(H, evaluator.hessian(p, pieces))
+        h = 1e-5
+        columns = []
+        for e in np.eye(p.size):
+            g_plus = evaluator.value_and_grad(p + h * e)[1]
+            g_minus = evaluator.value_and_grad(p - h * e)[1]
+            columns.append((g_plus - g_minus) / (2.0 * h))
+        differences = np.array(columns).T
+        assert np.allclose(H, differences, rtol=1e-5, atol=1e-6 * np.abs(H).max())
+        assert np.allclose(H, H.T) and np.linalg.eigvalsh(H)[0] >= -1e-9 * np.abs(H).max()
+
+    def test_zero_without_crossings(self):
+        prob = oscillator_problem(six_point_ladder())
+        assert np.array_equal(ExactEvaluator(prob).hessian(np.zeros(2)), np.zeros((2, 2)))
+
+
+class TestNewtonPhase:
+    def test_cap_inside_the_newton_phase_reports_the_last_newton_iterate(self):
+        full = minimize(oscillator_problem(six_point_ladder()))
+        assert full.converged and full.newton_steps >= 2
+        handover = full.iterations - full.newton_steps - 1  # quadrature steps, the rejected one included
+        prob = oscillator_problem(six_point_ladder(), settings=OptimizerSettings(max_iterations=handover + 1))
+        rep = minimize(prob)
+        assert rep.status is SolveStatus.ITERATION_CAP and "descent stalled" in rep.message
+        assert rep.iterations == handover + 1 and rep.newton_steps == 1
+        # the report holds the Newton iterate, with its exact value and gradient
+        value, grad = ExactEvaluator(prob).value_and_grad(rep.p_T_star)
+        assert rep.value == value and rep.grad_norm == float(np.linalg.norm(grad)) > prob.settings.gtol
+        assert rep.trace[-1, 1] == float(np.linalg.norm(rep.p_T_star))
+
+    def test_counters_of_a_converged_run(self):
+        rep = minimize(oscillator_problem(six_point_ladder()))
+        assert rep.converged and rep.grad_norm <= 1e-6
+        assert 0 < rep.newton_steps < rep.iterations
+        assert rep.trace.shape == (rep.iterations, 3)
+
+    def test_gradient_steps_past_a_tangency(self):
+        # at the minimizer B^T p touches the breakpoint -0.2 near t = 2.93;
+        # the generalized Hessian has rank 2 of 4 there, no step along the
+        # Newton direction decreases the value, and steps along -g do
+        A = [
+            [-0.28597730168718416, 0.6310191542070166, 0.6996760375815712, -1.1696527722787649],
+            [-0.6310191542070166, -0.28597730168718416, 0.5897319710478302, 0.7908248371547089],
+            [-0.6996760375815712, -0.5897319710478303, -0.28597730168718416, -0.5950560870246404],
+            [1.1696527722787646, -0.7908248371547089, 0.5950560870246404, -0.28597730168718416],
+        ]
+        B = [[0.05724462428210075], [-0.6367143260963386], [-2.168475081769634], [-1.099768727215913]]
+        x0 = [3.5815203385156407, 6.989912044512685, -0.3744647374389798, 3.2624918654522945]
+        T = 3.5127743985654556
+        sys = LtiSystem(A=A, B=B, x0=x0, T=T)
+        grid = QuadratureGrid.trapezoid(T, 1000)
+        prob = DualProblem(sys, [six_point_ladder()], kind="scaled", beta=2.0, grid=grid)
+        rep = minimize(prob)
+        assert rep.converged and rep.grad_norm <= prob.settings.gtol
+        ctrl = extract_control(rep.p_T_star, prob)
+        switches = ctrl.channels[0].switch_times
+        assert simulate_forward(sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
+
+    def test_a_sliver_beside_a_crossing_is_not_pinned(self):
+        # B^T p rises above the breakpoint 0.2 and returns to it 2.6e-10
+        # before T; every probe of that last interval lies on the kink, but
+        # the datum is regular and its staircase steers x0
+        A = [
+            [-0.06982367775338795, -0.03813694809809198, -0.48094073455204894],
+            [0.038136948098091955, -0.06982367775338794, 0.9798720448591328],
+            [0.48094073455204894, -0.9798720448591328, -0.06982367775338791],
+        ]
+        B = [[1.192092896e-07], [0.0], [0.15634813631091737]]
+        x0 = [-0.0047122029259757505, 0.011242983440566099, 0.00676351811299787]
+        T = 1.9526229645513677
+        sys = LtiSystem(A=A, B=B, x0=x0, T=T)
+        prob = DualProblem(sys, [six_point_ladder()], grid=QuadratureGrid.trapezoid(T, 1000))
+        rep = minimize(prob)
+        assert rep.converged
+        [(crossings, _, pinned)] = ExactEvaluator(prob).pieces(rep.p_T_star)
+        assert T - crossings[-1] < 1e-9 and not pinned
+        ctrl = extract_control(rep.p_T_star, prob)
+        switches = ctrl.channels[0].switch_times
+        assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
+
+    def test_a_pinned_datum_that_trips_the_midpoint_guard_extracts(self):
+        # B^T p = 0.234 (p1 e^{0.126 s} + 5.59 p0 (e^{0.126 s} - 1)) on the
+        # second channel is constant where p1 = -5.59 p0; the minimizer pins
+        # it on the breakpoint -0.2 up to rounding, and those rounding-level
+        # crossings fall inside single bracket cells
+        A = [[0.0, 0.7059717053547392], [0.0, 0.12629738929405337]]
+        B = [[0.0, 0.0], [0.0, 0.23421852377764027]]
+        x0 = [-0.00016500414141885737, 0.009339221931963083]
+        sys = LtiSystem(A=A, B=B, x0=x0, T=1.0)
+        pens = [six_point_ladder(), six_point_ladder()]
+        prob = DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(1.0, 1000))
+        rep = minimize(prob)
+        assert rep.converged and "active breakpoints" in rep.message
+        with pytest.raises(ValueError, match="two crossings"):
+            ExactEvaluator(prob).pieces(rep.p_T_star, midpoint_guard=True)
+        ctrl = extract_control(rep.p_T_star, prob)
+        for ch in ctrl.channels:
+            assert verify_staircase(ctrl, ch.level_set)[0]
+        switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+        assert simulate_forward(sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-9
+
+
+TOP_REACH = 0.6
+
+
+@st.composite
+def steerable_plants(draw):
+    """Plants with 2-3 states and 1-2 channels on the six-point ladder
+    (levels 0, +-0.8, +-1.6), with x0 = -e^{-TA} x_T(u) for a staircase u
+    that walks between adjacent levels within TOP_REACH of the top level,
+    so that a staircase steers x0 to 0 at T.  A = Q S Q^T - delta I, with S
+    a rotation block of frequency in [0.5, 2], Q orthogonal and damping
+    delta in [0.05, 0.3], and B has entries in [-1, 1], as in the benchmark's
+    synthesis plants; (A, B) is controllable."""
+    N = draw(st.integers(2, 3))
+    K = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    w = draw(st.floats(0.5, 2.0))
+    S = np.zeros((N, N))
+    S[0, 1], S[1, 0] = w, -w
+    Q, _ = np.linalg.qr(np.array(draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N))
+    A = Q @ S @ Q.T - draw(st.floats(0.05, 0.3)) * np.eye(N)
+    B = np.array(draw(st.lists(entries, min_size=N * K, max_size=N * K))).reshape(N, K)
+    assume(kalman_rank(A, B) == N)
+    T = draw(st.floats(1.0, 4.0))
+    ladder = six_point_ladder().slopes
+    allowed = ladder[np.abs(ladder) <= TOP_REACH * np.abs(ladder).max()]
+    staircases = []
+    for _ in range(K):
+        times = np.unique(draw(st.lists(st.floats(0.05 * T, 0.95 * T), min_size=1, max_size=4)))
+        j = draw(st.integers(0, allowed.size - 1))
+        levels = [allowed[j]]
+        for _ in times:
+            j += draw(st.sampled_from([d for d in (-1, 1) if 0 <= j + d < allowed.size]))
+            levels.append(allowed[j])
+        staircases.append((times, np.array(levels)))
+    grid = QuadratureGrid.trapezoid(T, 1000)
+
+    def u(t):
+        return [levels[np.searchsorted(times, t)] for times, levels in staircases]
+
+    sim_grid = np.unique(np.concatenate([grid.nodes] + [times for times, _ in staircases]))
+    x_T = simulate_forward(LtiSystem(A=A, B=B, x0=np.zeros(N), T=T), u, sim_grid).terminal
+    x0 = -mat_exp(A, -T) @ x_T
+    return DualProblem(LtiSystem(A=A, B=B, x0=x0, T=T), [six_point_ladder() for _ in range(K)], grid=grid)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(prob=steerable_plants())
+def test_newton_finish_steers_feasible_plants(prob):
+    rep = minimize(prob)
+    assert rep.status is SolveStatus.CONVERGED, rep.message
+    ctrl = extract_control(rep.p_T_star, prob)
+    for ch in ctrl.channels:
+        assert verify_staircase(ctrl, ch.level_set)[0]
+    switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+    traj = simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches))
+    assert traj.terminal_norm <= 1e-6
