@@ -61,6 +61,7 @@ def test_minimize(benchmark, plant):
     rep = benchmark(dual.minimize, prob)
     benchmark.extra_info["iterations"] = rep.iterations
     benchmark.extra_info["newton_steps"] = rep.newton_steps
+    benchmark.extra_info["line_search_trials"] = rep.line_search_trials
     benchmark.extra_info["status"] = rep.status.value
     assert rep.converged
 

@@ -147,7 +147,7 @@ def cmd_report(args) -> int:
     rep = json.loads(rep_path.read_text())
     print(f"scenario {rep['name']}: status={rep['status']} passed={rep['passed']}")
     solve = rep.get("solve", {})
-    counters = ("iterations", "newton_steps", "line_search_halvings")
+    counters = ("iterations", "newton_steps", "line_search_halvings", "line_search_trials")
     print("  solve: " + " ".join(f"{key}={solve.get(key)}" for key in counters))
     for key, ok in rep.get("checks", {}).items():
         print(f"  check {key}: {'pass' if ok else 'FAIL'}")

@@ -153,9 +153,11 @@ class OptimizerSettings:
 # Descent constants.  Divergence is certified once the iterate norm passes
 # DIVERGENCE_THRESHOLD after DIVERGENCE_WINDOW accepted steps, each a strict
 # decrease.  A Newton step solves (H + mu I) d = -g with mu =
-# NEWTON_REGULARIZATION (1 + tr H) and is backtracked until it meets the
-# Armijo condition with constant ARMIJO.  A stalled iterate is snapped onto
-# the breakpoints its node observations lie within SNAP_TOL of (relative).
+# NEWTON_REGULARIZATION (1 + tr H) and takes the largest step 2^-k that meets
+# the Armijo condition with constant ARMIJO, found by bisecting k, which the
+# convexity of the functional along d allows (see line_search).  A stalled
+# iterate is snapped onto the breakpoints its node observations lie within
+# SNAP_TOL of (relative).
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_WINDOW = 100
 NEWTON_REGULARIZATION = 1e-10
@@ -475,8 +477,11 @@ class SolveStatus(enum.Enum):
 class SolveReport:
     """The outcome of :func:`minimize`.  ``iterations`` counts the steps
     that ``max_iterations`` caps, quadrature and Newton steps alike;
-    ``newton_steps`` and ``line_search_halvings`` count the Newton steps and
-    the halvings of their line searches."""
+    ``newton_steps`` counts the Newton steps.  Over their line searches
+    (:func:`line_search`), ``line_search_halvings`` sums the exponents k of
+    the steps 2^-k taken, or the exponent of the rounding floor where a
+    search found none, and ``line_search_trials`` the exact evaluations
+    spent, at most 1 + log2 of the floor's exponent per search."""
 
     status: SolveStatus
     p_T_star: Optional[np.ndarray]
@@ -487,10 +492,70 @@ class SolveReport:
     message: str = ""
     newton_steps: int = 0
     line_search_halvings: int = 0
+    line_search_trials: int = 0
 
     @property
     def converged(self) -> bool:
         return self.status == SolveStatus.CONVERGED
+
+
+def line_search(evaluator: ExactEvaluator, p, J, g, d):
+    """A step t = 2^-k along d from p, where the exact value is J and the
+    gradient g, that decreases the value strictly and to at most
+    J + ARMIJO t g^T d, with t above rounding at the scale 1 + |p|.
+
+    Returns ``(found, k, trials)``: ``found`` is (t, p + t d, its value,
+    gradient and :meth:`~ExactEvaluator.pieces`), or None when no step
+    passes; ``k`` is the exponent of t, or k_end, the first exponent at the
+    rounding floor, when none does; ``trials`` counts the exact evaluations.
+
+    For every penalized kind the exact functional is convex along any ray:
+    I integrates convex penalizations of B^T p, ``plain`` and ``scaled`` add
+    a linear term to I or beta I, and ``squared``'s I^2 / 2 plus a linear
+    term is convex wherever I >= 0.  The passing steps then form an interval
+    (0, t_max], so the passing exponents are all k >= k*.  The search tries
+    t = 1 and then bisects k on (0, k_end), and so returns 2^-k*, the step
+    that halving t from 1 reaches first, from at most 1 + log2 k_end
+    evaluations instead of k* + 1.  Convexity also gives J'(t) >= (J(t) -
+    J) / t, so a step too long to pass has J'(t) > ARMIJO g^T d; a failed
+    trial whose slope along d is below that failed on the rounding of the
+    value, and the bisection goes on among longer steps.  Where the premise
+    fails (a ``squared`` functional whose I is negative), or the decrease
+    is below rounding, the step returned still passes the test, but halving
+    may have stopped at another one.
+    """
+    slope = float(g @ d)
+    floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
+    k_end, t = 0, 1.0
+    while t > floor:
+        t *= 0.5
+        k_end += 1
+
+    def trial(k):
+        t = 0.5**k
+        cand = p + t * d
+        cand_pieces = evaluator.pieces(cand)
+        J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
+        passed = J_cand < J and J_cand <= J + ARMIJO * t * slope
+        return passed, float(g_cand @ d), (t, cand, J_cand, g_cand, cand_pieces)
+
+    if k_end == 0:
+        return None, 0, 0
+    passed, _, step = trial(0)
+    if passed:
+        return step, 0, 1
+    best, k_best, lo, hi, trials = None, k_end, 0, k_end, 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        passed, cand_slope, step = trial(mid)
+        trials += 1
+        if passed:
+            best, k_best, hi = step, mid, mid
+        elif cand_slope < ARMIJO * slope:
+            hi = mid  # too short to resolve the decrease from rounding
+        else:
+            lo = mid
+    return best, k_best, trials
 
 
 def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):
@@ -542,9 +607,12 @@ def minimize(prob: DualProblem) -> SolveReport:
     decrease it.  From that iterate, semismooth Newton steps on the exact
     piecewise evaluation remove the quadrature floor of the subgradient:
     each solves (H + mu I) d = -g with the generalized Hessian H of
-    :meth:`ExactEvaluator.hessian` and halves the step until the value
-    decreases strictly and by the Armijo fraction of the predicted
-    decrease.  The step follows -g instead when d is no descent direction
+    :meth:`ExactEvaluator.hessian` and takes the step t = 2^-k of
+    :func:`line_search`, the largest that decreases the value strictly and
+    by the Armijo fraction of the predicted decrease.  The functional is
+    convex along d (for ``squared`` where I >= 0), so the passing exponents
+    are all k >= k*, and the search bisects k instead of halving t from 1.
+    The step follows -g instead when d is no descent direction
     or no step along d decreases the value: H misses the curvature of
     crossings about to appear, so near a tangency d can overshoot.
 
@@ -557,8 +625,10 @@ def minimize(prob: DualProblem) -> SolveReport:
     certified when the iterate norm passes the threshold after a window of
     accepted steps, each a strict decrease; a run that finds no decreasing
     step otherwise, or uses up ``max_iterations``, ends at
-    ``ITERATION_CAP``.  The report counts the Newton steps and the
-    line-search halvings beside the total ``iterations``.
+    ``ITERATION_CAP``.  The report counts the Newton steps, the exponents
+    of their line-search steps (``line_search_halvings``) and the exact
+    evaluations those searches spent (``line_search_trials``) beside the
+    total ``iterations``.
     """
     st = prob.settings
     controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim
@@ -584,7 +654,7 @@ def minimize(prob: DualProblem) -> SolveReport:
     zero = np.zeros(prob.sys.dim)
     p = zero.copy()
     evaluator = ExactEvaluator(prob)
-    it = newton_steps = halvings = 0
+    it = newton_steps = halvings = trials = 0
     trace_rows = []
 
     def report(status, p_star, value, gnorm, message=""):
@@ -596,6 +666,7 @@ def minimize(prob: DualProblem) -> SolveReport:
             grad_norm=gnorm,
             newton_steps=newton_steps,
             line_search_halvings=halvings,
+            line_search_trials=trials,
             trace=np.asarray(trace_rows).reshape(-1, 3),
             message=message,
         )
@@ -627,23 +698,12 @@ def minimize(prob: DualProblem) -> SolveReport:
     def trace():
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
 
-    def line_search(d):
-        # the first of p + d, p + d/2, ... that decreases the exact value
-        # strictly and by the Armijo fraction, or None once the step falls
-        # below rounding at the scale 1 + |p|
-        nonlocal halvings
-        slope = float(g @ d)
-        floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
-        t = 1.0
-        while t > floor:
-            cand = p + t * d
-            cand_pieces = evaluator.pieces(cand)
-            J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
-            if J_cand < J and J_cand <= J + ARMIJO * t * slope:
-                return t, cand, J_cand, g_cand, cand_pieces
-            t *= 0.5
-            halvings += 1
-        return None
+    def search(d):
+        nonlocal halvings, trials
+        found, k, n = line_search(evaluator, p, J, g, d)
+        halvings += k
+        trials += n
+        return found
 
     # Gradient steps on the quadrature functional, grown on every decrease,
     # up to the first rejected one; then Newton steps on the exact
@@ -682,9 +742,9 @@ def minimize(prob: DualProblem) -> SolveReport:
             H = evaluator.hessian(p, pieces)
             mu = NEWTON_REGULARIZATION * (1.0 + float(np.trace(H)))
             d = -np.linalg.solve(H + mu * np.eye(p.size), g)
-            found = line_search(d) if float(g @ d) < 0.0 else None
+            found = search(d) if float(g @ d) < 0.0 else None
             if found is None:
-                found = line_search(-g)
+                found = search(-g)
             if found is None:
                 trace()
                 break  # no step decreases the value

@@ -129,6 +129,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
             "iterations": solve.iterations,
             "newton_steps": solve.newton_steps,
             "line_search_halvings": solve.line_search_halvings,
+            "line_search_trials": solve.line_search_trials,
             "grad_norm": solve.grad_norm,
             "message": solve.message,
         },

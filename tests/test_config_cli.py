@@ -336,12 +336,14 @@ class TestDeterminismAndRoundTrip:
         main(["run", str(cfg), "--out", str(tmp_path / "out")])
         solve = json.loads((tmp_path / "out" / "fast-osc" / "report.json").read_text())["solve"]
         assert solve["newton_steps"] > 0 and solve["line_search_halvings"] >= 0
+        assert solve["line_search_trials"] >= solve["newton_steps"]
         assert solve["iterations"] > solve["newton_steps"]
         capsys.readouterr()
         assert main(["report", str(tmp_path / "out" / "fast-osc")]) == 0
         line = (
             f"solve: iterations={solve['iterations']} newton_steps={solve['newton_steps']} "
-            f"line_search_halvings={solve['line_search_halvings']}"
+            f"line_search_halvings={solve['line_search_halvings']} "
+            f"line_search_trials={solve['line_search_trials']}"
         )
         assert line in capsys.readouterr().out
 

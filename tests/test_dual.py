@@ -36,9 +36,9 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control import extract, lti, pwl
+from multilevel_control import dual, extract, lti, pwl
 from multilevel_control.config import load_config
-from multilevel_control.dual import ExactEvaluator, quadratic_minimizer
+from multilevel_control.dual import ExactEvaluator, line_search, quadratic_minimizer
 from multilevel_control.experiments import build_problem, run_scenario
 from multilevel_control.lti import gramian
 
@@ -637,6 +637,45 @@ class TestGeneralizedHessian:
         assert np.array_equal(ExactEvaluator(prob).hessian(np.zeros(2)), np.zeros((2, 2)))
 
 
+def tangency_problem(kind="scaled"):
+    """A four-state plant whose scaled minimizer has B^T p tangent to a breakpoint."""
+    A = [
+        [-0.28597730168718416, 0.6310191542070166, 0.6996760375815712, -1.1696527722787649],
+        [-0.6310191542070166, -0.28597730168718416, 0.5897319710478302, 0.7908248371547089],
+        [-0.6996760375815712, -0.5897319710478303, -0.28597730168718416, -0.5950560870246404],
+        [1.1696527722787646, -0.7908248371547089, 0.5950560870246404, -0.28597730168718416],
+    ]
+    B = [[0.05724462428210075], [-0.6367143260963386], [-2.168475081769634], [-1.099768727215913]]
+    x0 = [3.5815203385156407, 6.989912044512685, -0.3744647374389798, 3.2624918654522945]
+    T = 3.5127743985654556
+    sys = LtiSystem(A=A, B=B, x0=x0, T=T)
+    return DualProblem(sys, [six_point_ladder()], kind=kind, beta=2.0, grid=QuadratureGrid.trapezoid(T, 1000))
+
+
+def sliver_problem(kind="plain"):
+    """A three-state plant whose plain minimizer crosses a breakpoint 2.6e-10 before T."""
+    A = [
+        [-0.06982367775338795, -0.03813694809809198, -0.48094073455204894],
+        [0.038136948098091955, -0.06982367775338794, 0.9798720448591328],
+        [0.48094073455204894, -0.9798720448591328, -0.06982367775338791],
+    ]
+    B = [[1.192092896e-07], [0.0], [0.15634813631091737]]
+    x0 = [-0.0047122029259757505, 0.011242983440566099, 0.00676351811299787]
+    T = 1.9526229645513677
+    sys = LtiSystem(A=A, B=B, x0=x0, T=T)
+    return DualProblem(sys, [six_point_ladder()], kind=kind, beta=2.0, grid=QuadratureGrid.trapezoid(T, 1000))
+
+
+def pinned_problem(kind="plain"):
+    """A two-channel plant whose plain minimizer pins one channel on a breakpoint."""
+    A = [[0.0, 0.7059717053547392], [0.0, 0.12629738929405337]]
+    B = [[0.0, 0.0], [0.0, 0.23421852377764027]]
+    x0 = [-0.00016500414141885737, 0.009339221931963083]
+    sys = LtiSystem(A=A, B=B, x0=x0, T=1.0)
+    pens = [six_point_ladder(), six_point_ladder()]
+    return DualProblem(sys, pens, kind=kind, beta=2.0, grid=QuadratureGrid.trapezoid(1.0, 1000))
+
+
 class TestNewtonPhase:
     def test_cap_inside_the_newton_phase_reports_the_last_newton_iterate(self):
         full = minimize(oscillator_problem(six_point_ladder()))
@@ -661,38 +700,19 @@ class TestNewtonPhase:
         # at the minimizer B^T p touches the breakpoint -0.2 near t = 2.93;
         # the generalized Hessian has rank 2 of 4 there, no step along the
         # Newton direction decreases the value, and steps along -g do
-        A = [
-            [-0.28597730168718416, 0.6310191542070166, 0.6996760375815712, -1.1696527722787649],
-            [-0.6310191542070166, -0.28597730168718416, 0.5897319710478302, 0.7908248371547089],
-            [-0.6996760375815712, -0.5897319710478303, -0.28597730168718416, -0.5950560870246404],
-            [1.1696527722787646, -0.7908248371547089, 0.5950560870246404, -0.28597730168718416],
-        ]
-        B = [[0.05724462428210075], [-0.6367143260963386], [-2.168475081769634], [-1.099768727215913]]
-        x0 = [3.5815203385156407, 6.989912044512685, -0.3744647374389798, 3.2624918654522945]
-        T = 3.5127743985654556
-        sys = LtiSystem(A=A, B=B, x0=x0, T=T)
-        grid = QuadratureGrid.trapezoid(T, 1000)
-        prob = DualProblem(sys, [six_point_ladder()], kind="scaled", beta=2.0, grid=grid)
+        prob = tangency_problem()
         rep = minimize(prob)
         assert rep.converged and rep.grad_norm <= prob.settings.gtol
         ctrl = extract_control(rep.p_T_star, prob)
         switches = ctrl.channels[0].switch_times
-        assert simulate_forward(sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
+        assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
 
     def test_a_sliver_beside_a_crossing_is_not_pinned(self):
         # B^T p rises above the breakpoint 0.2 and returns to it 2.6e-10
         # before T; every probe of that last interval lies on the kink, but
         # the datum is regular and its staircase steers x0
-        A = [
-            [-0.06982367775338795, -0.03813694809809198, -0.48094073455204894],
-            [0.038136948098091955, -0.06982367775338794, 0.9798720448591328],
-            [0.48094073455204894, -0.9798720448591328, -0.06982367775338791],
-        ]
-        B = [[1.192092896e-07], [0.0], [0.15634813631091737]]
-        x0 = [-0.0047122029259757505, 0.011242983440566099, 0.00676351811299787]
-        T = 1.9526229645513677
-        sys = LtiSystem(A=A, B=B, x0=x0, T=T)
-        prob = DualProblem(sys, [six_point_ladder()], grid=QuadratureGrid.trapezoid(T, 1000))
+        prob = sliver_problem()
+        T = prob.sys.T
         rep = minimize(prob)
         assert rep.converged
         [(crossings, _, pinned)] = ExactEvaluator(prob).pieces(rep.p_T_star)
@@ -706,12 +726,8 @@ class TestNewtonPhase:
         # second channel is constant where p1 = -5.59 p0; the minimizer pins
         # it on the breakpoint -0.2 up to rounding, and those rounding-level
         # crossings fall inside single bracket cells
-        A = [[0.0, 0.7059717053547392], [0.0, 0.12629738929405337]]
-        B = [[0.0, 0.0], [0.0, 0.23421852377764027]]
-        x0 = [-0.00016500414141885737, 0.009339221931963083]
-        sys = LtiSystem(A=A, B=B, x0=x0, T=1.0)
-        pens = [six_point_ladder(), six_point_ladder()]
-        prob = DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(1.0, 1000))
+        prob = pinned_problem()
+        sys = prob.sys
         rep = minimize(prob)
         assert rep.converged and "active breakpoints" in rep.message
         with pytest.raises(ValueError, match="two crossings"):
@@ -721,6 +737,128 @@ class TestNewtonPhase:
             assert verify_staircase(ctrl, ch.level_set)[0]
         switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
         assert simulate_forward(sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-9
+
+
+
+def halving_search(evaluator, p, J, g, d):
+    """The reference line search: p + d, p + d/2, ... until the first step
+    that passes the Armijo test, or None below the rounding floor.
+    Returns (found, halvings, trials) as :func:`dual.line_search` does."""
+    slope = float(g @ d)
+    floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
+    t, halvings = 1.0, 0
+    while t > floor:
+        cand = p + t * d
+        cand_pieces = evaluator.pieces(cand)
+        J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
+        if J_cand < J and J_cand <= J + dual.ARMIJO * t * slope:
+            return (t, cand, J_cand, g_cand, cand_pieces), halvings, halvings + 1
+        t *= 0.5
+        halvings += 1
+    return None, halvings, halvings
+
+
+def floor_exponent(p, d):
+    """k_end: the first k with 2^-k at or below the rounding floor."""
+    floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
+    return next(k for k in range(1100) if 0.5**k <= floor)
+
+
+def newton_plants():
+    builders = {
+        "oscillator": lambda kind: oscillator_problem(six_point_ladder(), kind=kind, beta=2.0),
+        "tangency": tangency_problem,
+        "sliver": sliver_problem,
+        "pinned": pinned_problem,
+    }
+    return [
+        pytest.param(build, kind, id=f"{name}-{kind}")
+        for name, build in builders.items()
+        for kind in ("plain", "scaled", "squared")
+    ]
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("build, kind", newton_plants())
+    def test_bisection_takes_the_halving_step(self, build, kind, monkeypatch):
+        # at every line search of a solve, the bisection on the exponent
+        # returns a step that passes the test, from at most 1 + log2 k_end
+        # evaluations; where the halving loop's step decreases the value by
+        # more than rounding, it is that step, with the same candidate bytes
+        # and halving count (below rounding, both pick a step by the noise
+        # of the value: the tangency plant's scaled solve has such searches)
+        searches = []
+
+        def checked(evaluator, p, J, g, d):
+            found, k, trials = line_search(evaluator, p, J, g, d)
+            ref, ref_k, _ = halving_search(evaluator, p, J, g, d)
+            slope = float(g @ d)
+            k_end = floor_exponent(p, d)
+            assert trials <= 1 + int(np.ceil(np.log2(k_end)))
+            if found is None:
+                assert k == k_end
+            else:
+                t, cand, value, grad, _ = found
+                assert t == 0.5**k and cand.tobytes() == (p + t * d).tobytes()
+                assert value < J and value <= J + dual.ARMIJO * t * slope
+            if ref is not None and J + dual.ARMIJO * ref[0] * slope < J:
+                assert found is not None and k == ref_k and value == ref[2]
+                assert cand.tobytes() == ref[1].tobytes() and grad.tobytes() == ref[3].tobytes()
+            searches.append((k, trials))
+            return found, k, trials
+
+        monkeypatch.setattr(dual, "line_search", checked)
+        rep = minimize(build(kind))
+        assert rep.converged and rep.newton_steps > 0
+        assert rep.line_search_halvings == sum(k for k, _ in searches)
+        assert rep.line_search_trials == sum(n for _, n in searches)
+
+    def test_an_ascent_direction_finds_no_step(self):
+        prob = oscillator_problem(six_point_ladder())
+        evaluator = ExactEvaluator(prob)
+        p = np.array([0.9, -0.7])
+        J, g = evaluator.value_and_grad(p)
+        found, k, trials = line_search(evaluator, p, J, g, g)
+        k_end = floor_exponent(p, g)
+        assert found is None and k == k_end
+        assert trials <= 1 + int(np.ceil(np.log2(k_end)))
+
+    def test_the_first_step_from_the_origin_is_cheap(self):
+        # at the origin H = 0, so the Newton step is -g / mu, about 1e10 |g|
+        # long, and the halving loop needs dozens of trials
+        prob = oscillator_problem(six_point_ladder())
+        evaluator = ExactEvaluator(prob)
+        p = np.zeros(2)
+        J, g = evaluator.value_and_grad(p)
+        assert not evaluator.hessian(p).any()
+        d = -g / dual.NEWTON_REGULARIZATION
+        found, k, trials = line_search(evaluator, p, J, g, d)
+        ref, ref_k, ref_trials = halving_search(evaluator, p, J, g, d)
+        assert found is not None and found[0] == ref[0] and k == ref_k >= 30
+        assert trials <= 2 + int(np.ceil(np.log2(floor_exponent(p, d)))) < ref_trials
+
+    def test_a_negative_squared_integral_still_gets_an_armijo_step(self):
+        # on the one-sided ladder {1, 2, 3} the chord extension 3u - 2 is
+        # negative below u = 2/3, so I < 0 here; I^2 / 2 then grows where I
+        # falls, the functional is not convex along d, and the passing
+        # exponents are 2, 4, 5, ...: halving stops at k = 2, bisection at
+        # k = 4, and that step passes the Armijo test too
+        prof = quadratic_profile()
+        relaxed = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
+        pen = build_penalization(relaxed, Partition(np.array([1.0, 2.0, 3.0])))
+        prob = oscillator_problem(pen, kind="squared", grid=QuadratureGrid.trapezoid(4.0, 400))
+        evaluator = ExactEvaluator(prob)
+        p, d = np.array([0.9, -0.47]), np.array([3.9, 10.2])
+        J, g = evaluator.value_and_grad(p)
+        assert evaluator.integral_and_grad(p)[0] < 0.0 and float(g @ d) < 0.0
+        assert halving_search(evaluator, p, J, g, d)[1] == 2
+        found, k, _ = line_search(evaluator, p, J, g, d)
+        assert found is not None and k == 4
+        t, cand, value, grad, _ = found
+        assert t == 0.5**4 and cand.tobytes() == (p + t * d).tobytes()
+        exact_value, exact_grad = evaluator.value_and_grad(cand)
+        assert value == exact_value and grad.tobytes() == exact_grad.tobytes()
+        assert value < J and value <= J + dual.ARMIJO * t * float(g @ d)
 
 
 TOP_REACH = 0.6
