@@ -11,9 +11,10 @@ breakpoints.  Every plant case runs at a fixed datum, the one ``minimize``
 returns within ``DESCENT_STEPS`` steps (both plants converge there), so its
 crossings are those of the minimizer.  One case times the crossing search
 on samples that all sit on a breakpoint, as at a zero datum, and one the
-discrete Fenchel primal LP on the data of acceptance criterion 1.  The
-last case propagates the staircase extracted at the datum with
-``simulate_forward``.
+discrete Fenchel primal LP on the data of acceptance criterion 1.  Two
+cases time the adjoint rows: the recurrence on the quadrature nodes, and
+the bracket rows formed from those rows.  The last case propagates the
+staircase extracted at the datum with ``simulate_forward``.
 The ``minimize`` case times the whole solve and records its step counts
 in ``extra_info``, so that the cost per step is its time over
 ``iterations`` in ``--benchmark-json``.
@@ -128,10 +129,21 @@ def test_extract_control(benchmark, plant):
 
 
 def test_adjoint_rows(benchmark, plant):
+    """The quadrature rows by the one-step recurrence, the only nodes it runs on."""
     prob, _ = plant
-    tb, _ = prob.bracket_grid()
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
-    benchmark(lti.adjoint_rows, A, B, T, tb)
+    benchmark(lti.adjoint_rows, A, B, T, prob.grid.nodes)
+
+
+def test_bracket_rows(benchmark, plant):
+    """The 32,001 bracket rows formed from the cached quadrature rows."""
+    prob, _ = plant
+
+    def form():
+        prob._bracket = None
+        return prob.bracket_grid()
+
+    benchmark(form)
 
 
 def test_simulate_forward(benchmark, plant):

@@ -174,8 +174,10 @@ class DualProblem:
     first read, so only by the kinds and outcomes that read them: the node
     rows B^T e^{(T-t_i)A^T} (:attr:`rows`), the Gramian W (:attr:`gram`),
     Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`) and
-    the adjoint :attr:`propagator`.  Functional values and subgradients are
-    then matrix products.  No constant refers back to the problem.
+    the adjoint :attr:`propagator`.  The rows on the denser bracketing grid
+    (:meth:`bracket_grid`) are read off the node rows, not formed again.
+    Functional values and subgradients are then matrix products.  No
+    constant refers back to the problem.
     """
 
     def __init__(
@@ -270,12 +272,28 @@ class DualProblem:
         return self.kind.outer(integral() if self.kind.squared else 0.0, self.beta)[1]
 
     def bracket_grid(self):
-        """Denser uniform grid used to bracket level crossings."""
+        """The denser uniform grid used to bracket level crossings, mult =
+        ``bracket_multiplier`` nodes per quadrature cell, and its adjoint
+        rows, (nb, K, N).
+
+        Bracket node i mult + r lies r bracket steps h past quadrature node
+        t_i, so by e^{(s+r)A} = e^{sA} e^{rA} its row is ``rows[i]`` times
+        e^{-r h A^T}: the mult - 1 sub-step exponentials come from one
+        stacked exponential and the rows from one stacked product, and the
+        rows at the quadrature nodes are :attr:`rows` bit for bit.
+        """
         if self._bracket is None:
             mult = self.settings.bracket_multiplier
-            nb = (self.grid.n - 1) * mult + 1
-            tb = np.linspace(0.0, self.sys.T, nb)
-            self._bracket = (tb, adjoint_rows(self.sys.A, self.sys.B, self.sys.T, tb))
+            rows = self.rows
+            n, K, N = rows.shape
+            tb = np.linspace(0.0, self.sys.T, (n - 1) * mult + 1)
+            rows_b = np.empty((tb.size, K, N))
+            cells = rows_b[:-1].reshape(n - 1, mult, K, N)
+            cells[:, 0] = rows[:-1]
+            steps = mat_exp(self.sys.A.T, -(tb[1] - tb[0]) * np.arange(1, mult))
+            np.matmul(rows[:-1, None], steps, out=cells[:, 1:])
+            rows_b[-1] = rows[-1]
+            self._bracket = (tb, rows_b)
         return self._bracket
 
     def primal_nodes(self, scale: float = 1.0) -> np.ndarray:

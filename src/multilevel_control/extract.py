@@ -471,9 +471,10 @@ def quadratic_control(p_T_star, prob: "DualProblem"):
         raise ValueError("quadratic_control applies to the quadratic kinds")
     p_T_star = np.asarray(p_T_star, dtype=float).reshape(-1)
     factor = 2.0 * prob.outer_slope(lambda: prob.integral_term(p_T_star))
+    q = prob.propagator.at(p_T_star)
 
     def u(t):
-        vals = factor * prob.propagator(t, p_T_star)
+        vals = factor * q(t)
         return vals[0] if np.isscalar(t) or np.ndim(t) == 0 else vals
 
     return u

@@ -123,14 +123,15 @@ class DynamicsClass(enum.Enum):
     GENERAL = "general"
 
 
-def mat_exp(A, t: float) -> np.ndarray:
-    """e^{tA} by scaling-and-squaring (scipy's Pade implementation)."""
+def mat_exp(A, t) -> np.ndarray:
+    """e^{tA} by scaling-and-squaring (scipy's Pade implementation), or a
+    (len(t), N, N) stack of them from one call for an array of ``t``."""
     A = _as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix exponential needs a square matrix, got {A.shape}")
-    if not np.isfinite(t):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    return sla.expm(t * A)
+    return sla.expm(np.asarray(t, dtype=float)[..., None, None] * A)
 
 
 def zoh_exp(A, B, tau) -> np.ndarray:

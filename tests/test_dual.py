@@ -414,6 +414,17 @@ def test_quadratic_kinds_solve_in_closed_form(prob):
     assert traj.terminal_norm <= 1e-3 * (1.0 + np.linalg.norm(prob.drift))
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_squared"])
+def test_quadratic_control_is_the_scaled_adjoint(kind):
+    prob = oscillator_problem(kind=kind)
+    p = minimize(prob).p_T_star
+    factor = 2.0 * prob.outer_slope(lambda: prob.integral_term(p))
+    u = quadratic_control(p, prob)
+    t = np.linspace(0.0, prob.sys.T, 37)
+    assert np.array_equal(u(t), factor * prob.propagator(t, p))
+    assert np.array_equal(u(1.3), (factor * prob.propagator(1.3, p))[0])
+
+
 FOUR_LEVELS = [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
@@ -571,6 +582,54 @@ class TestConstantsOnFirstRead:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def bracket_plants():
+    """The oscillator, a six-state plant drawn as the ``synthesis`` benchmark
+    draws them (rotations in [0.5, 2] turned by a random orthogonal Q, minus
+    damping in [0.05, 0.3]), and the double integrator, whose A is singular."""
+    rng = np.random.default_rng(6)
+    S = np.zeros((6, 6))
+    for i in range(0, 5, 2):
+        S[i, i + 1] = rng.uniform(0.5, 2.0)
+        S[i + 1, i] = -S[i, i + 1]
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    six_state = LtiSystem(A=Q @ S @ Q.T - rng.uniform(0.05, 0.3) * np.eye(6), B=rng.standard_normal((6, 1)),
+                          x0=np.zeros(6), T=3.3)
+    integrator = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=B_OSC, x0=X0, T=3.0)
+    return [
+        pytest.param(oscillator_problem(six_point_ladder()), id="oscillator"),
+        pytest.param(DualProblem(six_state, [six_point_ladder()]), id="six-state"),
+        pytest.param(DualProblem(integrator, [six_point_ladder()]), id="double-integrator"),
+    ]
+
+
+class TestBracketRows:
+    @pytest.mark.parametrize("prob", bracket_plants())
+    def test_quadrature_nodes_carry_the_quadrature_rows(self, prob):
+        mult = prob.settings.bracket_multiplier
+        tb, rows_b = prob.bracket_grid()
+        assert tb.size == rows_b.shape[0] == (prob.grid.n - 1) * mult + 1
+        assert np.array_equal(rows_b[::mult], prob.rows)
+        single = DualProblem(prob.sys, prob.penalizations, settings=OptimizerSettings(bracket_multiplier=1))
+        assert np.array_equal(single.bracket_grid()[1], single.rows)
+
+    @pytest.mark.parametrize("prob", bracket_plants())
+    def test_rows_match_one_exponential_per_node(self, prob):
+        tb, rows_b = prob.bracket_grid()
+        sys = prob.sys
+        for j in np.random.default_rng(1).choice(tb.size, 50, replace=False):
+            expected = sys.B.T @ sla.expm((sys.T - tb[j]) * sys.A.T)
+            assert np.all(np.abs(rows_b[j] - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+    def test_solve_and_extraction_form_the_rows_once(self, spy):
+        rows = spy(lti, "adjoint_rows")
+        prob = oscillator_problem(six_point_ladder())
+        rep = minimize(prob)
+        assert rep.converged
+        extract_control(rep.p_T_star, prob)
+        assert len(rows) == 1
+        assert np.array_equal(rows[0][3], prob.grid.nodes)
 
 
 class TestOriginTest:

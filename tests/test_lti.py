@@ -49,6 +49,18 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.ones((2, 3)), 1.0)
 
+    def test_stacked_times_equal_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 4))
+        ts = np.array([-0.75, 0.0, 1e-3, 2.5])
+        stacked = mat_exp(A, ts)
+        assert stacked.shape == (ts.size, 4, 4)
+        for t, got in zip(ts, stacked):
+            assert np.array_equal(got, mat_exp(A, t))
+            assert np.array_equal(got, sla.expm(t * A))
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp(A, np.array([1.0, np.nan]))
+
     def test_series_oracle_random(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
