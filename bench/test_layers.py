@@ -13,8 +13,10 @@ crossings are those of the minimizer.  One case times the crossing search
 on samples that all sit on a breakpoint, as at a zero datum, and one the
 discrete Fenchel primal LP on the data of acceptance criterion 1.  Two
 cases time the adjoint rows: the recurrence on the quadrature nodes, and
-the bracket rows formed from those rows.  The last case propagates the
-staircase extracted at the datum with ``simulate_forward``.
+the bracket rows formed from those rows.  Two cases propagate with
+``simulate_forward``: the staircase extracted at the datum, and the
+quadratic control of syn-07 (six states, two channels); both record their
+cell count and distinct cell widths in ``extra_info``.
 The ``minimize`` case times the whole solve and records its step counts
 in ``extra_info``, so that the cost per step is its time over
 ``iterations`` in ``--benchmark-json``.
@@ -146,10 +148,32 @@ def test_bracket_rows(benchmark, plant):
     benchmark(form)
 
 
+def _simulate(benchmark, sys_, u, grid):
+    """simulate_forward timed, with the cell count and the number of
+    distinct cell widths (one exponential pair each) in ``extra_info``."""
+    benchmark.extra_info["cells"] = grid.size - 1
+    benchmark.extra_info["distinct_widths"] = int(np.unique(np.diff(grid)).size)
+    benchmark(lti.simulate_forward, sys_, u, grid)
+
+
 def test_simulate_forward(benchmark, plant):
     """The staircase at the fixed datum propagated through the quadrature
     nodes joined with its switch times, as the synthesis op checks it."""
     prob, p = plant
     ctrl = extract.extract_control(p, prob)
     switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
-    benchmark(lti.simulate_forward, prob.sys, ctrl, np.union1d(prob.grid.nodes, switches))
+    _simulate(benchmark, prob.sys, ctrl, np.union1d(prob.grid.nodes, switches))
+
+
+def test_simulate_forward_quadratic(benchmark):
+    """The quadratic control of syn-07 (six states, two channels) at its
+    closed-form minimizer, propagated through the quadrature nodes as the
+    synthesis op checks it."""
+    inst = workloads.synthesis_panel()[7]
+    assert inst.op_id.startswith("syn-07") and inst.kind == "quadratic"
+    sys_ = lti.LtiSystem(A=inst.A, B=inst.B, x0=inst.x0, T=inst.T)
+    prob = dual.DualProblem(
+        sys_, [], kind=inst.kind, grid=dual.QuadratureGrid.trapezoid(inst.T, workloads.GRID_NODES)
+    )
+    u = extract.quadratic_control(dual.minimize(prob).p_T_star, prob)
+    _simulate(benchmark, sys_, u, prob.grid.nodes)

@@ -267,7 +267,7 @@ def _emit(cfg, rep, out_dir, trajectory=None, control=None, prob=None) -> None:
             write_csv(
                 out / "control.csv",
                 ["t"] + [f"u{i+1}" for i in range(control.num_channels)],
-                ([t] + [ch(t) for ch in control.channels] for t in trajectory.grid),
+                ([t] + list(u) for t, u in zip(trajectory.grid, control(trajectory.grid))),
             )
 
 

@@ -104,8 +104,8 @@ class MultilevelControl:
     horizon: float
 
     def __call__(self, t):
-        """Control vector at time t (length K)."""
-        return np.array([ch(t) for ch in self.channels])
+        """Control vector at time t (length K), (len(t), K) for an array t."""
+        return np.stack([ch(t) for ch in self.channels], axis=-1)
 
     @property
     def num_channels(self) -> int:
@@ -465,7 +465,7 @@ def quadratic_control(p_T_star, prob: "DualProblem"):
 
     For the quadratic functional the null control is u(t) = 2 B^T p(t);
     the squared variant carries the integral of |B^T p|^2 as an extra
-    intensity factor.  Returns a callable t -> (K,) array.
+    intensity factor.  Returns a callable t -> (len(t), K) array, (K,) for a scalar t.
     """
     if prob.kind.penalized:
         raise ValueError("quadratic_control applies to the quadratic kinds")

@@ -3,7 +3,8 @@
 Everything here assumes desk scale (N up to ~16), so dense arithmetic is used
 throughout.  Controls are piecewise constant in all intended uses, which makes
 the per-interval propagation in :func:`simulate_forward` exact up to matrix
-exponential accuracy (zero-order-hold discretization).
+exponential accuracy (zero-order-hold discretization); it samples the control
+once on all cell midpoints and forms the exponentials of all widths in one stack.
 """
 
 from __future__ import annotations
@@ -224,8 +225,10 @@ def simulate_forward(sys: LtiSystem, u, grid) -> Trajectory:
     at its value at the cell midpoint (exact for controls that are constant
     per cell).
 
-    ``u`` is a callable t -> scalar (single channel) or length-K vector.
-    The grid must start at 0, end at T and be strictly increasing.
+    ``u`` is called once, on the array of the m cell midpoints, and returns
+    an (m, K) array, an (m,) array when K = 1, or a 0-d constant; any other
+    shape raises ``ValueError``.  The grid must start at 0, end at T and be
+    strictly increasing.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -235,25 +238,21 @@ def simulate_forward(sys: LtiSystem, u, grid) -> Trajectory:
     if abs(grid[0]) > 1e-12 or abs(grid[-1] - sys.T) > 1e-12 * max(1.0, sys.T):
         raise ValueError("grid must cover [0, T]")
 
-    n, k = sys.dim, sys.channels
-    steps = {}
+    m, k = grid.size - 1, sys.channels
+    U = np.asarray(u(0.5 * (grid[:-1] + grid[1:])), dtype=float)
+    if U.ndim == 0 or k == 1 and U.shape == (m,):
+        U = np.full((m, k), U.reshape(-1, 1))
+    if U.shape != (m, k):
+        raise ValueError(f"control returned shape {U.shape} at {m} midpoints, expected ({m}, {k})")
+    widths, cls = np.unique(np.diff(grid), return_inverse=True)
+    Ad = mat_exp(sys.A, widths)
+    # each cell's Bd @ u as the same (N, K) @ (K, 1) product; an einsum moves last bits
+    F = np.matmul(exp_action_integral(sys.A, sys.B, widths)[cls], U[:, :, None])[:, :, 0]
 
-    def step_ops(h):
-        key = float(h)
-        if key not in steps:
-            steps[key] = (mat_exp(sys.A, h), exp_action_integral(sys.A, sys.B, h))
-        return steps[key]
-
-    states = np.empty((grid.size, n))
-    states[0] = sys.x0
-    x = sys.x0.copy()
-    for i in range(grid.size - 1):
-        h = grid[i + 1] - grid[i]
-        Ad, Bd = step_ops(h)
-        ui = np.atleast_1d(np.asarray(u(0.5 * (grid[i] + grid[i + 1])), dtype=float))
-        if ui.shape[0] != k:
-            raise ValueError(f"control returned {ui.shape[0]} values, expected {k}")
-        x = Ad @ x + Bd @ ui
+    states = np.empty((grid.size, sys.dim))
+    states[0] = x = sys.x0
+    for i in range(m):
+        x = Ad[cls[i]] @ x + F[i]
         states[i + 1] = x
     return Trajectory(grid=grid, states=states)
 

@@ -957,7 +957,7 @@ def steerable_plants(draw):
     grid = QuadratureGrid.trapezoid(T, 1000)
 
     def u(t):
-        return [levels[np.searchsorted(times, t)] for times, levels in staircases]
+        return np.column_stack([levels[np.searchsorted(times, t)] for times, levels in staircases])
 
     sim_grid = np.unique(np.concatenate([grid.nodes] + [times for times, _ in staircases]))
     x_T = simulate_forward(LtiSystem(A=A, B=B, x0=np.zeros(N), T=T), u, sim_grid).terminal

@@ -425,7 +425,7 @@ class TestQuadraticControl:
         rep = minimize(prob)
         assert rep.status is SolveStatus.CONVERGED
         u2 = quadratic_control(rep.p_T_star, prob)
-        traj = simulate_forward(sys, lambda t: u2(t)[0], np.linspace(0, 4, 4001))
+        traj = simulate_forward(sys, u2, np.linspace(0, 4, 4001))
         assert traj.terminal_norm <= 1e-4
 
     def test_rejects_penalized_kind(self):

@@ -4,14 +4,17 @@ import pytest
 import scipy.linalg as sla
 
 from multilevel_control import (
+    ChannelControl,
     DynamicsClass,
     LtiSystem,
+    MultilevelControl,
     adjoint_state,
     classify_dynamics,
     kalman_rank,
     mat_exp,
     simulate_forward,
 )
+from multilevel_control import lti
 from multilevel_control.lti import AdjointPropagator, adjoint_rows, exp_action_integral, gramian
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -189,7 +192,7 @@ class TestSimulateForward:
         levels = np.array([0.7, -0.4, 1.2])
 
         def u(t):
-            return levels[min(int(3 * t), 2)]
+            return levels[np.minimum((3 * t).astype(int), 2)]
 
         grid = np.linspace(0, 1, 31)
         grid = np.union1d(grid, [1 / 3, 2 / 3])
@@ -203,6 +206,101 @@ class TestSimulateForward:
             integral += np.trapezoid(vals, tt, axis=0)
         expected = mat_exp(A, 1.0) @ sys.x0 + integral
         assert np.allclose(traj.terminal, expected, atol=5e-8)
+
+    @pytest.mark.parametrize("N, K", [(4, 1), (6, 2)])
+    def test_staircase_states_match_per_cell_loop(self, N, K):
+        sys, ctrl, grid = _synthesis_staircase(N, K, seed=N + K)
+        widths = np.unique(np.diff(grid))
+        # split cells beside the switch times, and widths a few ulps apart
+        assert widths.size > 2 and np.min(np.diff(widths)) <= 8 * np.spacing(widths.max())
+        assert np.array_equal(simulate_forward(sys, ctrl, grid).states, _simulate_reference(sys, ctrl, grid))
+
+    def test_control_shape_contract(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        one = LtiSystem(A=A_OSC, B=B_OSC, x0=np.array([1.0, 0.0]), T=1.0)
+        states = simulate_forward(one, lambda t: 0.5, grid).states
+        assert np.array_equal(simulate_forward(one, lambda t: np.full(t.shape, 0.5), grid).states, states)
+        assert np.array_equal(simulate_forward(one, lambda t: np.full((t.size, 1), 0.5), grid).states, states)
+        two = LtiSystem(A=A_OSC, B=np.eye(2), x0=np.array([1.0, 0.0]), T=1.0)
+        simulate_forward(two, lambda t: np.zeros((t.size, 2)), grid)
+        for bad in (
+            lambda t: np.array([0.1, 0.2]),  # a (K,) vector, m != K
+            lambda t: np.zeros((2, t.size)),  # transposed
+            lambda t: np.zeros((t.size, 3)),  # wrong K
+            lambda t: np.zeros(t.size),  # one value per midpoint for two channels
+        ):
+            with pytest.raises(ValueError, match="control returned shape"):
+                simulate_forward(two, bad, grid)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_multilevel_control_on_an_array(self, K):
+        _, ctrl, grid = _synthesis_staircase(3, K, seed=K)
+        t = np.concatenate([grid, ctrl.channels[0].switch_times])
+        values = ctrl(t)
+        assert values.shape == (t.size, K)
+        assert np.array_equal(values, np.stack([ctrl(s) for s in t]))
+
+    def test_one_stacked_call_per_exponential(self, monkeypatch):
+        sys, ctrl, grid = _synthesis_staircase(6, 2, seed=3)
+        calls = {"mat_exp": 0, "exp_action_integral": 0, "control": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("mat_exp", "exp_action_integral"):
+            monkeypatch.setattr(lti, name, counted(name, getattr(lti, name)))
+        simulate_forward(sys, counted("control", ctrl), grid)
+        assert np.unique(np.diff(grid)).size > 2
+        assert calls == {"mat_exp": 1, "exp_action_integral": 1, "control": 1}
+
+
+def _synthesis_staircase(N, K, seed, nodes=4000):
+    """A plant, staircase and grid built like the benchmark's synthesis
+    plants: A = Q S Q^T - delta I (rotation frequencies in [0.5, 2], damping
+    in [0.05, 0.3]), Gaussian B, T in [2, 4], per channel a walk of at most
+    6 switches between adjacent levels of the five-segment chord ladder, and
+    the quadrature nodes joined with the switch times."""
+    rng = np.random.default_rng(seed)
+    S = np.zeros((N, N))
+    for i in range(0, N - 1, 2):
+        w = rng.uniform(0.5, 2.0)
+        S[i, i + 1], S[i + 1, i] = w, -w
+    Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    A = Q @ S @ Q.T - rng.uniform(0.05, 0.3) * np.eye(N)
+    T = float(rng.uniform(2.0, 4.0))
+    sys = LtiSystem(A=A, B=rng.standard_normal((N, K)), x0=rng.standard_normal(N), T=T)
+    ladder = np.linspace(-1.0, 1.0, 6)[:-1] + np.linspace(-1.0, 1.0, 6)[1:]
+    channels = []
+    for _ in range(K):
+        n_switch = int(rng.integers(2, 7))
+        idx = np.cumsum(np.concatenate([[2], rng.choice([-1, 1], n_switch)]))
+        idx = np.clip(idx, 0, ladder.size - 1)
+        idx = idx[np.concatenate([[True], np.diff(idx) != 0])]
+        times = np.sort(rng.uniform(0.05 * T, 0.95 * T, idx.size - 1))
+        channels.append(ChannelControl(switch_times=times, levels=ladder[idx], level_set=ladder))
+    ctrl = MultilevelControl(channels=tuple(channels), scale=1.0, horizon=T)
+    switches = np.concatenate([ch.switch_times for ch in channels])
+    return sys, ctrl, np.union1d(np.linspace(0.0, T, nodes), switches)
+
+
+def _simulate_reference(sys, u, grid):
+    """simulate_forward as a per-cell loop: the control read at each cell
+    midpoint, the exponentials from scalar calls once per distinct width."""
+    steps = {}
+    x = sys.x0
+    states = [x]
+    for a, b in zip(grid[:-1], grid[1:]):
+        h = b - a
+        if h not in steps:
+            steps[h] = (mat_exp(sys.A, h), exp_action_integral(sys.A, sys.B, h))
+        Ad, Bd = steps[h]
+        x = Ad @ x + Bd @ np.atleast_1d(u(0.5 * (a + b)))
+        states.append(x)
+    return np.array(states)
 
 
 class TestGramian:
