@@ -4,16 +4,17 @@
     python -m pytest -q bench --benchmark-disable         # run each case once
 
 The plants come from ``perfbench/workloads.synthesis_panel()`` and are built
-as the ``synthesis`` workload builds them (4000 quadrature nodes, 8x
-bracketing, so the bracket grid has 32,001 nodes): syn-01 has two channels
-and 8 breakpoints each, syn-11 has six states, one channel and 16
-breakpoints.  Every plant case runs at a fixed datum, the one ``minimize``
-returns within ``DESCENT_STEPS`` steps (both plants converge there), so its
-crossings are those of the minimizer.  One case times the crossing search
-on samples that all sit on a breakpoint, as at a zero datum, and one the
-discrete Fenchel primal LP on the data of acceptance criterion 1.  Two
-cases time the adjoint rows: the recurrence on the quadrature nodes, and
-the bracket rows formed from those rows.  Two cases propagate with
+as the ``synthesis`` workload builds them (4000 quadrature nodes, 8
+sub-cells in each quadrature cell the crossing search leaves uncertified):
+syn-01 has two channels and 8 breakpoints each, syn-11 has six states, one
+channel and 16 breakpoints.  Every plant case runs at a fixed datum, the
+one ``minimize`` returns within ``DESCENT_STEPS`` steps (both plants
+converge there), so its crossings are those of the minimizer.  The
+crossing-search cases record, per channel, the quadrature cells subdivided,
+the refinement steps and the propagator calls in ``extra_info``.  One case
+times the discrete Fenchel primal LP on the data of acceptance criterion 1,
+and one the adjoint rows by the recurrence on the quadrature nodes.  Two
+cases propagate with
 ``simulate_forward``: the staircase extracted at the datum, and the
 quadratic control of syn-07 (six states, two channels); both record their
 cell count and distinct cell widths in ``extra_info``.
@@ -80,36 +81,50 @@ def test_quadrature_value_and_grad(benchmark, plant):
     benchmark(pair)
 
 
+def _count_search(monkeypatch, prob, p, guard):
+    """One crossing search at p, counted per channel: the quadrature cells
+    it subdivides (the points of its grid off the quadrature nodes, over
+    mult - 1 per cell), its refinement steps (the propagator calls inside
+    find_switchings, less the guard's) and all propagator calls of the
+    search, the segment probes included."""
+    cells, steps, calls = [], [], []
+    mult, h = prob.settings.bracket_multiplier, prob.grid.nodes[1] - prob.grid.nodes[0]
+    at = prob.propagator.at
+
+    def counted_at(p_T):
+        q = at(p_T)
+
+        def counted(t):
+            calls.append(1)
+            return q(t)
+
+        return counted
+
+    def search(q, breakpoints, grid, **kwargs):
+        before = len(calls)
+        out = find_switchings(q, breakpoints, grid, **kwargs)
+        frac = np.mod(np.asarray(grid) / h, 1.0)
+        cells.append(int(np.count_nonzero(np.minimum(frac, 1.0 - frac) > 0.5 / mult)) // (mult - 1))
+        steps.append(len(calls) - before - bool(kwargs.get("midpoint_guard")))
+        return out
+
+    find_switchings = extract.find_switchings
+    monkeypatch.setattr(prob.propagator, "at", counted_at)
+    monkeypatch.setattr(extract, "find_switchings", search)
+    dual.ExactEvaluator(prob).pieces(p, midpoint_guard=guard)
+    monkeypatch.undo()
+    return {"uncertified_cells": cells, "refinement_steps": steps, "propagator_calls": len(calls)}
+
+
 @pytest.mark.parametrize("guard", [False, True], ids=["pieces", "extract"])
-def test_find_switchings(benchmark, plant, guard):
-    """Channel 0 on the bracket grid, without the midpoint guard as the
-    exact evaluation calls it and with it as extraction does."""
+def test_crossing_search(benchmark, plant, guard, monkeypatch):
+    """The crossing search at the fixed datum, through
+    ``ExactEvaluator.pieces``: without the midpoint guard as the exact
+    evaluation calls it and with it as extraction does.  ``extra_info``
+    holds one call's counts (see ``_count_search``)."""
     prob, p = plant
-    tb, rows_b = prob.bracket_grid()
-    samples = (rows_b @ p)[:, 0]
-    pen = prob.penalizations[0]
-    benchmark(
-        extract.find_switchings,
-        lambda t: prob.propagator(t, p)[:, 0],
-        pen.breakpoints,
-        tb,
-        samples=samples,
-        midpoint_guard=guard,
-    )
-
-
-def test_find_switchings_all_hits(benchmark):
-    """q = 0 on a 32,001-node grid against the breakpoint 0, as at a zero
-    datum whose ladder has no zero level: every sample is an exact hit."""
-    grid = np.linspace(0.0, 4.0, (workloads.GRID_NODES - 1) * workloads.BRACKET_MULTIPLIER + 1)
-    benchmark(
-        extract.find_switchings,
-        lambda t: np.zeros(np.size(t)),
-        np.array([0.0]),
-        grid,
-        samples=np.zeros(grid.size),
-        midpoint_guard=False,
-    )
+    benchmark.extra_info.update(_count_search(monkeypatch, prob, p, guard))
+    benchmark(dual.ExactEvaluator(prob).pieces, p, midpoint_guard=guard)
 
 
 def test_solve_discrete_primal(benchmark):
@@ -135,17 +150,6 @@ def test_adjoint_rows(benchmark, plant):
     prob, _ = plant
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
     benchmark(lti.adjoint_rows, A, B, T, prob.grid.nodes)
-
-
-def test_bracket_rows(benchmark, plant):
-    """The 32,001 bracket rows formed from the cached quadrature rows."""
-    prob, _ = plant
-
-    def form():
-        prob._bracket = None
-        return prob.bracket_grid()
-
-    benchmark(form)
 
 
 def _simulate(benchmark, sys_, u, grid):

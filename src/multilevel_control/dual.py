@@ -12,13 +12,12 @@ square (``squared``, ``quadratic_squared``).  The control levels are the
 slope phi'(I) times the penalizations' chord slopes.
 
 The quadratic kinds are solved in closed form from the exact Gramian W.
-The penalized kinds have piecewise-linear integrands, so their functional
-is piecewise smooth and its quadrature subgradient has a resolution floor
-at the optimizer's scale.  A short descent on the quadrature functional is
-therefore finished by semismooth Newton steps on the exact piecewise
-evaluation, whose switching times are refined by bisection and whose
-generalized Hessian is read off the same crossings; this drives the true
-stationarity residual to the requested tolerance.
+The penalized kinds' piecewise-linear integrands give the quadrature
+subgradient a resolution floor at the optimizer's scale, so a short
+quadrature descent is finished by semismooth Newton steps on the exact
+piecewise evaluation (:class:`ExactEvaluator`: crossings certified on the
+quadrature grid by a curvature bound and refined by the Illinois method),
+which drive the true stationarity residual to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -130,11 +129,10 @@ class QuadratureGrid:
 class OptimizerSettings:
     """Descent configuration.
 
-    ``max_iterations`` caps the steps over both phases, quadrature and
-    Newton steps, ``gtol`` is the stationarity tolerance on the gradient
-    norm, and ``bracket_multiplier`` sets how much denser than the
-    quadrature grid the grid is on which the exact evaluation brackets
-    level crossings.
+    ``max_iterations`` caps the quadrature and Newton steps together,
+    ``gtol`` is the stationarity tolerance on the gradient norm, and
+    ``bracket_multiplier`` is the number of sub-cells of each quadrature
+    cell that the crossing search leaves uncertified (:meth:`ExactEvaluator.pieces`).
     """
 
     max_iterations: int = 50_000
@@ -173,11 +171,11 @@ class DualProblem:
     e^{TA} x0, which every kind reads.  The other constants are formed on
     first read, so only by the kinds and outcomes that read them: the node
     rows B^T e^{(T-t_i)A^T} (:attr:`rows`), the Gramian W (:attr:`gram`),
-    Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`) and
-    the adjoint :attr:`propagator`.  The rows on the denser bracketing grid
-    (:meth:`bracket_grid`) are read off the node rows, not formed again.
-    Functional values and subgradients are then matrix products.  No
-    constant refers back to the problem.
+    Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`), the
+    adjoint :attr:`propagator` and the crossing search's bounds and
+    sub-steps (:attr:`row_bounds`, :meth:`bracket_grid`).  Functional values
+    and subgradients are then matrix products.  No constant refers back to
+    the problem.
     """
 
     def __init__(
@@ -230,6 +228,15 @@ class DualProblem:
         return exp_action_integral(self.sys.A, self.sys.B, self.sys.T)
 
     @cached_property
+    def row_bounds(self) -> np.ndarray:
+        """|b_c| and |A^2 b_c| times e^{T max(0, mu)} per channel c, (2, K),
+        with mu = max eig (A + A^T) / 2 >= the growth rate of |e^{sA}|: so
+        |q_c| <= |p| row_bounds[0, c] and |q_c''| <= |p| row_bounds[1, c]."""
+        A, B, T = self.sys.A, self.sys.B, self.sys.T
+        growth = np.exp(T * max(0.0, np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
+        return growth * np.linalg.norm(np.stack([B, A @ A @ B]), axis=1)
+
+    @cached_property
     def conjugates(self) -> tuple:
         """The convex conjugate of each channel's penalization."""
         return tuple(conjugate(pen) for pen in self.penalizations)
@@ -248,7 +255,8 @@ class DualProblem:
     def adjoint_observations(self, p_T) -> np.ndarray:
         """B^T p(t_i) at the quadrature nodes, shape (n, K)."""
         p_T = self._check_p(p_T)
-        return self.rows @ p_T
+        n, K, N = self.rows.shape
+        return (self.rows.reshape(-1, N) @ p_T).reshape(n, K)
 
     def _check_p(self, p_T) -> np.ndarray:
         p_T = np.asarray(p_T, dtype=float).reshape(-1)
@@ -272,28 +280,14 @@ class DualProblem:
         return self.kind.outer(integral() if self.kind.squared else 0.0, self.beta)[1]
 
     def bracket_grid(self):
-        """The denser uniform grid used to bracket level crossings, mult =
-        ``bracket_multiplier`` nodes per quadrature cell, and its adjoint
-        rows, (nb, K, N).
-
-        Bracket node i mult + r lies r bracket steps h past quadrature node
-        t_i, so by e^{(s+r)A} = e^{sA} e^{rA} its row is ``rows[i]`` times
-        e^{-r h A^T}: the mult - 1 sub-step exponentials come from one
-        stacked exponential and the rows from one stacked product, and the
-        rows at the quadrature nodes are :attr:`rows` bit for bit.
-        """
+        """The crossing search's sub-steps, formed once: h = (quadrature
+        step) / ``bracket_multiplier`` and e^{-r h A^T}, r = 1 ... mult - 1,
+        stacked (mult - 1, N, N); B^T p at t_i + r h is ``rows[i] @
+        (e^{-r h A^T} p)``, as e^{(s+r)A} = e^{sA} e^{rA}."""
         if self._bracket is None:
             mult = self.settings.bracket_multiplier
-            rows = self.rows
-            n, K, N = rows.shape
-            tb = np.linspace(0.0, self.sys.T, (n - 1) * mult + 1)
-            rows_b = np.empty((tb.size, K, N))
-            cells = rows_b[:-1].reshape(n - 1, mult, K, N)
-            cells[:, 0] = rows[:-1]
-            steps = mat_exp(self.sys.A.T, -(tb[1] - tb[0]) * np.arange(1, mult))
-            np.matmul(rows[:-1, None], steps, out=cells[:, 1:])
-            rows_b[-1] = rows[-1]
-            self._bracket = (tb, rows_b)
+            h = (self.grid.nodes[1] - self.grid.nodes[0]) / mult
+            self._bracket = (h, mat_exp(self.sys.A.T, -h * np.arange(1, mult)))
         return self._bracket
 
     def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
@@ -362,21 +356,21 @@ def subgradient_box(prob: DualProblem, p_T):
 
 # -- exact piecewise evaluation ----------------------------------------------
 
-# fractions of a switching interval at which its segment is read, in order
+# fractions of a switching interval at which its segment is read, in order;
+# the crossing search's rounding allowance (eps of its products) and run length
 PROBES = np.array([0.5, 0.35, 0.65, 0.2, 0.8])
+ROUNDING = 8
+BLOCK = 64
 
 
 class ExactEvaluator:
     """Evaluate the penalized kinds' integral term and its gradient exactly
     by locating all level crossings of B^T p(t) and integrating the affine
-    integrand per switching interval in closed form; the functional is the
-    kind's map of that integral plus the drift term.
-
-    With Psi(s) the integral of e^{rA} B over [0, s], an interval [a, b]
-    contributes Psi(T - a) - Psi(T - b).  Psi(T) is the problem's
-    :attr:`~DualProblem.psi_T`, and Psi(T - b) for all of a channel's
-    interval ends is one stacked exponential.  :meth:`pieces` is the one
-    reading of a datum's switching intervals; extraction uses it too.
+    integrand per switching interval in closed form: with Psi(s) the
+    integral of e^{rA} B over [0, s], [a, b] contributes Psi(T - a) -
+    Psi(T - b), and Psi(T - b) for all of a channel's interval ends is one
+    stacked exponential.  :meth:`pieces` is the one reading of a datum's
+    switching intervals; extraction uses it too.
     """
 
     def __init__(self, prob: DualProblem):
@@ -388,22 +382,34 @@ class ExactEvaluator:
         """Per channel: (crossing times, segment index per switching
         interval, pinned).
 
+        The crossings are searched on the quadrature grid, from the node
+        samples q = ``rows @ p`` and slopes q' = -``rows @ (A^T p)``.  With
+        M >= |q''| (:attr:`DualProblem.row_bounds`), a cell of width h needs
+        no subdivision when min |q'| at its ends exceeds M h (q is monotone)
+        or no level lies within M h^2 / 8, the chord's error, of its end
+        values, both up to ``ROUNDING`` eps of the products.
+        :func:`find_switchings` scans the nodes of the cells that hold a
+        crossing or may, joined across the others, which hold none, with the
+        mult - 1 samples of :meth:`DualProblem.bracket_grid` inside each
+        cell that is not monotone.
+
         An interval's segment is read at the first probe of ``PROBES`` off a
         kink, or at the midpoint when every probe is on one; ``pinned`` says
-        that this happens on some interval at least one bracket cell long,
-        i.e. B^T p sits on a breakpoint there.  B^T p is analytic, so it sits
-        on a breakpoint over an interval only if it does over the whole
-        horizon; a shorter interval is a sliver beside a crossing, every
-        probe of which lies on the kink only because it is short.  The crossings are bracketed on one
-        product of the bracket rows and refined on one propagator map;
-        ``midpoint_guard`` is passed to :func:`find_switchings`.
+        that this happens on some interval at least h_b long.  B^T p is
+        analytic, so it sits on a breakpoint over an interval only if it
+        does over the whole horizon; a shorter one is a sliver beside a
+        crossing.
         """
         from .extract import find_switchings
 
         prob = self.prob
-        tb, rows_b = prob.bracket_grid()
-        nb, K, N = rows_b.shape
-        qb = (rows_b.reshape(-1, N) @ p_T).reshape(nb, K)
+        h_b, steps = prob.bracket_grid()
+        nodes, rows, h = prob.grid.nodes, prob.rows, h_b * (steps.shape[0] + 1)
+        qn, Ap = prob.adjoint_observations(p_T), prob.sys.A.T @ p_T
+        bound0, bound2 = prob.row_bounds * float(np.linalg.norm(p_T))
+        tol = ROUNDING * np.finfo(float).eps * bound0
+        reach, steep = bound2 * h * h / 8.0 + tol, bound2 * h + tol * float(np.linalg.norm(prob.sys.A))
+        sub_p, sub_t = steps @ p_T, h_b * np.arange(1, steps.shape[0] + 1)
         q_at = prob.propagator.at(p_T)
         out = []
         for ch, pen in enumerate(prob.penalizations):
@@ -411,17 +417,35 @@ class ExactEvaluator:
             def qfun(t, ch=ch):
                 return q_at(t)[:, ch]
 
+            # the cells not certified free of crossings (runs of BLOCK cells
+            # first), whose ends and the horizon's are scanned
+            q, bk = qn[:, ch], np.sort(pen.breakpoints)
+            lo, hi = np.minimum(q[:-1], q[1:]) - reach[ch], np.maximum(q[:-1], q[1:]) + reach[ch]
+            starts = np.arange(0, lo.size, BLOCK)
+            runs = np.searchsorted(bk, np.maximum.reduceat(hi, starts), "right") > np.searchsorted(bk, np.minimum.reduceat(lo, starts))
+            ends = np.flatnonzero(np.repeat(runs, BLOCK)[: lo.size])
+            ends = ends[np.searchsorted(bk, hi[ends], "right") > np.searchsorted(bk, lo[ends])]
+            keep = np.zeros(nodes.size, dtype=bool)
+            keep[[0, -1]] = keep[ends] = keep[ends + 1] = True
+            slope = np.abs(rows[ends, ch] @ Ap), np.abs(rows[ends + 1, ch] @ Ap)
+            cells = ends[np.minimum(*slope) <= steep[ch]]
+            grid, samples = nodes[keep], q[keep]
+            if cells.size:
+                grid = np.concatenate([grid, (nodes[cells, None] + sub_t).reshape(-1)])
+                samples = np.concatenate([samples, (rows[cells, ch] @ sub_p.T).reshape(-1)])
+                order = np.argsort(grid, kind="stable")
+                grid, samples = grid[order], samples[order]
             crossings, _ = find_switchings(
-                qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=midpoint_guard
+                qfun, pen.breakpoints, grid, samples=samples, midpoint_guard=midpoint_guard
             )
             ts = np.concatenate([[0.0], crossings, [prob.sys.T]])
             probes = ts[:-1, None] + PROBES * np.diff(ts)[:, None]
             qp = qfun(probes.reshape(-1)).reshape(probes.shape)
-            lo, hi = pen.slope_bounds(qp)
-            off = lo == hi
+            lo_s, hi_s = pen.slope_bounds(qp)
+            off = lo_s == hi_s
             first = np.argmax(off, axis=1)
             ks = pen.segment_index(qp[np.arange(first.size), first])
-            on_kink = ~off.any(axis=1) & (np.diff(ts) >= tb[1] - tb[0])
+            on_kink = ~off.any(axis=1) & (np.diff(ts) >= h_b)
             out.append((crossings, ks, bool(on_kink.any())))
         return out
 
@@ -527,20 +551,17 @@ def line_search(evaluator: ExactEvaluator, p, J, g, d):
     passes; ``k`` is the exponent of t, or k_end, the first exponent at the
     rounding floor, when none does; ``trials`` counts the exact evaluations.
 
-    For every penalized kind the exact functional is convex along any ray:
-    I integrates convex penalizations of B^T p, ``plain`` and ``scaled`` add
-    a linear term to I or beta I, and ``squared``'s I^2 / 2 plus a linear
-    term is convex wherever I >= 0.  The passing steps then form an interval
-    (0, t_max], so the passing exponents are all k >= k*.  The search tries
-    t = 1 and then bisects k on (0, k_end), and so returns 2^-k*, the step
-    that halving t from 1 reaches first, from at most 1 + log2 k_end
-    evaluations instead of k* + 1.  Convexity also gives J'(t) >= (J(t) -
-    J) / t, so a step too long to pass has J'(t) > ARMIJO g^T d; a failed
-    trial whose slope along d is below that failed on the rounding of the
+    Every penalized kind's exact functional is convex along any ray (I
+    integrates convex penalizations of B^T p; ``squared``'s I^2 / 2 where I
+    >= 0), so the passing exponents are all k >= k*: the search tries t = 1,
+    then bisects k on (0, k_end) and returns 2^-k*, the step that halving t
+    from 1 reaches first, from at most 1 + log2 k_end evaluations.
+    Convexity also gives J'(t) >= (J(t) - J) / t, so a failed trial whose
+    slope along d is below ARMIJO g^T d failed on the rounding of the
     value, and the bisection goes on among longer steps.  Where the premise
-    fails (a ``squared`` functional whose I is negative), or the decrease
-    is below rounding, the step returned still passes the test, but halving
-    may have stopped at another one.
+    fails (``squared`` with I < 0) or the decrease is below rounding, the
+    step returned still passes the test, but halving may have stopped at
+    another one.
     """
     slope = float(g @ d)
     floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
@@ -613,40 +634,32 @@ def minimize(prob: DualProblem) -> SolveReport:
     """Minimize the dual functional over p_T.
 
     The quadratic kinds are solved in closed form by
-    :func:`quadratic_minimizer`, with no iterations: the run converges when
-    the gradient there is within ``gtol``.  On an uncontrollable plant a
-    larger gradient is the least-squares residual of the normal equations,
-    which W annihilates, so the functional is unbounded below along it and
-    the run diverges; on a controllable one it is rounding error amplified
-    by an ill-conditioned W, and the run ends at ``ITERATION_CAP``.
+    :func:`quadratic_minimizer` with no iterations, and converge when the
+    gradient there is within ``gtol``.  A larger gradient is, on an
+    uncontrollable plant, the least-squares residual that W annihilates (the
+    functional is unbounded below along it: the run diverges) and, on a
+    controllable one, rounding amplified by an ill-conditioned W
+    (``ITERATION_CAP``).
 
-    The penalized kinds first take gradient steps on the quadrature
-    functional, grown on every decrease, up to the first step that does not
-    decrease it.  From that iterate, semismooth Newton steps on the exact
-    piecewise evaluation remove the quadrature floor of the subgradient:
-    each solves (H + mu I) d = -g with the generalized Hessian H of
-    :meth:`ExactEvaluator.hessian` and takes the step t = 2^-k of
-    :func:`line_search`, the largest that decreases the value strictly and
-    by the Armijo fraction of the predicted decrease.  The functional is
-    convex along d (for ``squared`` where I >= 0), so the passing exponents
-    are all k >= k*, and the search bisects k instead of halving t from 1.
-    The step follows -g instead when d is no descent direction
-    or no step along d decreases the value: H misses the curvature of
-    crossings about to appear, so near a tangency d can overshoot.
+    The penalized kinds take gradient steps on the quadrature functional,
+    grown on every decrease, up to the first that does not decrease it.
+    Semismooth Newton steps on the exact evaluation then remove the
+    quadrature floor of the subgradient: each solves (H + mu I) d = -g with
+    H of :meth:`ExactEvaluator.hessian` and takes the step of
+    :func:`line_search`.  It follows -g instead when d is no descent
+    direction or no step along d decreases the value: H misses the
+    curvature of crossings about to appear, so near a tangency d can
+    overshoot.
 
     The run converges when the gradient norm is within ``gtol``, or when
     extraction's complementary-slackness test
     (:func:`~.extract.complementary_slackness`) certifies a kinked point:
     the origin, tested first if a penalization is kinked at 0, or the
     active breakpoints near the iterate, tested after a backtracked Newton
-    step onto a pinned datum and when the run stops.  Divergence is
-    certified when the iterate norm passes the threshold after a window of
-    accepted steps, each a strict decrease; a run that finds no decreasing
-    step otherwise, or uses up ``max_iterations``, ends at
-    ``ITERATION_CAP``.  The report counts the Newton steps, the exponents
-    of their line-search steps (``line_search_halvings``) and the exact
-    evaluations those searches spent (``line_search_trials``) beside the
-    total ``iterations``.
+    step onto a pinned datum and when the run stops.  It diverges when the
+    iterate norm passes the threshold after a window of accepted steps,
+    each a strict decrease; a run that finds no decreasing step otherwise,
+    or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     st = prob.settings
     controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim

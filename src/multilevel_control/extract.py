@@ -1,11 +1,12 @@
 """From an optimal adjoint datum to an explicit staircase control.
 
 The adjoint observation q(t) = B^T p(t) is analytic, so it crosses any
-penalization breakpoint finitely often; each crossing is bracketed on a
-dense grid and refined by bisection.  Between crossings the control level is
-the slope of the penalization segment containing q.  Both come from
-:meth:`ExactEvaluator.pieces`, the same reading of the datum that the exact
-dual evaluation integrates.
+penalization breakpoint finitely often; each crossing is bracketed on the
+quadrature grid, whose uncertified cells alone are subdivided, and refined
+by the Illinois method.  Between crossings the control level is the slope
+of the penalization segment containing q.  Both come from
+:meth:`ExactEvaluator.pieces`, the reading that the exact dual evaluation
+integrates.
 
 Where the datum is degenerate, with q pinned on a breakpoint over an
 interval (the zero datum whenever 0 is a breakpoint), the optimal controls
@@ -52,17 +53,13 @@ POLISH_TOL = 1e-9
 
 
 class DegenerateAdjointError(RuntimeError):
-    """The degenerate adjoint datum handed to :func:`extract_control` is not
-    a dual minimizer.
-
-    A datum is degenerate when its adjoint observation sits on a
-    penalization breakpoint over an interval.  The staircase is then
-    selected from the discrete Fenchel primal, and this error says that the
-    primal is infeasible or that its node values leave the subdifferential
-    along the datum (complementary slackness fails), or that the level
-    scale there is not positive.  As a safeguard it is also raised when the
-    primal skips a level between neighbouring nodes, or when the selected
-    staircase cannot be polished to steer x0 exactly.
+    """The degenerate adjoint datum handed to :func:`extract_control`, whose
+    observation sits on a breakpoint over an interval, is not a dual
+    minimizer: the discrete Fenchel primal is infeasible, its node values
+    leave the subdifferential along the datum, or the level scale there is
+    not positive.  As a safeguard it is also raised when the primal skips
+    a level between neighbouring nodes, or when the selected staircase
+    cannot be polished to steer x0 exactly.
     """
 
 
@@ -142,19 +139,21 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     """Interior times where ``q`` crosses any breakpoint value.
 
     ``q`` maps an array of times to values, ``grid`` brackets the crossings.
-    Each sign change is refined by bisection to 1e-12 absolute.  Grid points
-    where q equals a breakpoint without a sign change across the neighbours
-    are tangential touches and are returned separately, not as switches.
+    Returns (sorted crossing times, sorted touch times): grid points where q
+    equals a breakpoint without a sign change across the neighbours are
+    touches.  With ``midpoint_guard`` the cell midpoints are also sampled; a
+    sign flip hidden inside a cell (two crossings) raises.
 
-    Returns (sorted crossing times, sorted touch times).  With
-    ``midpoint_guard`` the cell midpoints are also sampled, once for all
-    breakpoints; a sign flip hidden inside a single cell (two crossings)
-    raises with a request for a finer grid.
-
-    The samples enter only through comparisons with the breakpoints.  The
-    brackets are refined together in breakpoint-major order, one ``q``
-    evaluation per bisection step; that batch decides the last bits of
-    the propagator's values, so its order is part of the result.
+    Each sign change is refined by the Illinois method (modified regula
+    falsi; Dowell & Jarratt, BIT 11, 1971): the secant point, kept at least
+    ``BISECTION_TOL`` / 2 inside the bracket as in Dekker's method, or the
+    midpoint where it is not finite, becomes the newest end; where it lies
+    on the side of the one before, the older end stays with its value
+    halved.  A bracket stops at width ``BISECTION_TOL`` or an exact zero,
+    within ``BISECTION_MAX_ITER`` steps, and the crossing is its midpoint.
+    All brackets are refined together in breakpoint-major order, one ``q``
+    evaluation per step on those still open; that batch decides the last
+    bits of the propagator's values, so its order is part of the result.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -163,63 +162,54 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     if qq.size != grid.size:
         raise ValueError("sample count does not match the grid")
     breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+
+    # one row per breakpoint; a cell with an end on the level brackets
+    # nothing: the exact hit is a crossing or a tangential touch by the
+    # nearest nonzero signs on both sides
+    bk_col = breakpoints[:, None]
+    above, hit = qq > bk_col, qq == bk_col
+    clear = ~(hit[:, :-1] | hit[:, 1:])
+    change = (above[:, :-1] != above[:, 1:]) & clear
     if midpoint_guard and breakpoints.size:
         qm = np.asarray(q(0.5 * (grid[:-1] + grid[1:])), dtype=float).reshape(-1)
-
-    cells: list[np.ndarray] = []
-    bk_list: list[np.ndarray] = []
-    crossings: list[float] = []
-    touches: list[float] = []
-    for bk in breakpoints:
-        above = qq > bk
-        change = above[:-1] != above[1:]
-        same = ~change
-        hit = qq == bk
-        if hit.any():
-            # a cell with an end on the level brackets nothing: the exact
-            # hit is a crossing or a tangential touch by the nearest
-            # nonzero signs on both sides
-            clear = ~(hit[:-1] | hit[1:])
-            change &= clear
-            same &= clear
-            sgn = np.sign(qq - bk)
-            signed = np.flatnonzero(sgn)
-            i = np.flatnonzero(hit)
-            j = np.searchsorted(signed, i)  # first signed sample after each hit
-            inner = (j > 0) & (j < signed.size)
-            i, j = i[inner], j[inner]
-            flip = sgn[signed[j - 1]] * sgn[signed[j]] < 0
-            crossings.extend(grid[i[flip]].tolist())
-            touches.extend(grid[i[~flip]].tolist())
-        idx = np.nonzero(change)[0]
-        cells.append(idx)
-        bk_list.append(np.full(idx.size, bk))
-        if midpoint_guard:
-            hidden = same & np.where(above[:-1], qm < bk, qm > bk)
-            if np.any(hidden):
-                cell = int(np.nonzero(hidden)[0][0])
-                raise ValueError(
-                    "two crossings of level "
-                    f"{bk} inside the grid cell [{grid[cell]}, {grid[cell+1]}]; "
-                    "use a finer bracketing grid"
-                )
-    idx = np.concatenate(cells) if cells else np.empty(0, dtype=int)
-    if idx.size:
-        # refine all brackets together, one vectorized evaluation per step
-        lo = grid[idx]
-        hi = grid[idx + 1]
-        bks = np.concatenate(bk_list)
-        f_lo = qq[idx] - bks
-        for _ in range(BISECTION_MAX_ITER):
-            if np.all(hi - lo <= BISECTION_TOL):
-                break
-            mid = 0.5 * (lo + hi)
-            f_mid = np.asarray(q(mid), dtype=float).reshape(-1) - bks
-            right = f_lo * f_mid > 0
-            hi = np.where(right, hi, mid)
-            lo = np.where(right, mid, lo)
-            f_lo = np.where(right, f_mid, f_lo)
-        crossings.extend((0.5 * (lo + hi)).tolist())
+        hidden = ~change & clear & np.where(above[:, :-1], qm < bk_col, qm > bk_col)
+        if hidden.any():
+            level, cell = np.argwhere(hidden)[0]
+            raise ValueError(f"two crossings of level {breakpoints[level]} inside the grid cell "
+                             f"[{grid[cell]}, {grid[cell + 1]}]; use a finer bracketing grid")
+    crossings, touches = [], []
+    for bk in breakpoints[hit.any(axis=1)]:
+        sgn = np.sign(qq - bk)
+        signed = np.flatnonzero(sgn)
+        i = np.flatnonzero(qq == bk)
+        j = np.searchsorted(signed, i)  # first signed sample after each hit
+        inner = (j > 0) & (j < signed.size)
+        i, j = i[inner], j[inner]
+        flip = sgn[signed[j - 1]] * sgn[signed[j]] < 0
+        crossings.extend(grid[i[flip]].tolist())
+        touches.extend(grid[i[~flip]].tolist())
+    level, idx = np.nonzero(change)  # breakpoint-major
+    bks = breakpoints[level]
+    # Illinois steps on all open brackets together, one vectorized
+    # evaluation per step: b is the newest end and a the older one, whose
+    # value is halved whenever a step keeps it
+    a, b = grid[idx], grid[idx + 1]
+    fa, fb = qq[idx] - bks, qq[idx + 1] - bks
+    live = np.arange(idx.size)
+    for _ in range(BISECTION_MAX_ITER):
+        live = live[np.abs(b[live] - a[live]) > BISECTION_TOL]
+        if not live.size:
+            break
+        a0, b0, fa0, fb0 = a[live], b[live], fa[live], fb[live]
+        lo, hi = np.minimum(a0, b0), np.maximum(a0, b0)
+        x = np.minimum(np.maximum(b0 - fb0 * (b0 - a0) / (fb0 - fa0), lo + 0.5 * BISECTION_TOL), hi - 0.5 * BISECTION_TOL)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        fx = np.asarray(q(x), dtype=float).reshape(-1) - bks[live]
+        flip = (fx > 0) != (fb0 > 0)  # x and b straddle the level: b is kept
+        a[live] = np.where(fx == 0, x, np.where(flip, b0, a0))  # an exact zero closes the bracket
+        fa[live] = np.where(flip, fb0, 0.5 * fa0)
+        b[live], fb[live] = x, fx
+    crossings.extend((0.5 * (a + b)).tolist())
     eps = 10 * BISECTION_TOL
     a, b = grid[0], grid[-1]
     crossings = [t for t in crossings if a + eps < t < b - eps]
@@ -229,23 +219,20 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
 def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     """Staircase control associated with a converged adjoint datum.
 
-    Levels are scale * (segment slope), where scale is the slope of the
-    kind's map at the exact integral term along the optimal adjoint: 1 for
-    the plain kind, beta for the scaled kind and the integral itself for the
-    squared kind.
-
-    A regular datum gives the levels of the segments that B^T p visits and
-    switches at its breakpoint crossings, both read off
+    Levels are scale * (segment slope), with scale the slope of the kind's
+    map at the exact integral term: 1 (plain), beta (scaled) or the
+    integral itself (squared).  A regular datum gives the levels of the
+    segments that B^T p visits and switches at its crossings, both read off
     :meth:`ExactEvaluator.pieces` with the midpoint guard on (a pinned
-    datum that trips the guard is read without it).  A degenerate
-    datum, with B^T p pinned on a breakpoint over an interval, leaves a
-    choice between the two adjacent levels there, and one rule selects it:
+    datum that trips the guard is read without it).  A degenerate datum,
+    with B^T p pinned on a breakpoint over an interval, leaves a choice
+    between the two adjacent levels there, and one rule selects it:
 
     1. solve the discrete Fenchel primal of scale * penalization;
     2. check complementary slackness, every node value in scale times the
        slopes supporting the penalization at B^T p there, else raise
-       :class:`DegenerateAdjointError` (the datum is not a minimizer);
-       :func:`~.dual.minimize` certifies kinked points with the same two steps;
+       :class:`DegenerateAdjointError`; :func:`~.dual.minimize` certifies
+       kinked points with the same two steps;
     3. hold each node value over its quadrature cell: a ladder value stays,
        a value between two adjacent levels becomes one switch inside the
        cell that splits it in the matching shares;

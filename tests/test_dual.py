@@ -606,21 +606,25 @@ def bracket_plants():
 
 class TestBracketRows:
     @pytest.mark.parametrize("prob", bracket_plants())
-    def test_quadrature_nodes_carry_the_quadrature_rows(self, prob):
+    def test_sub_steps_are_formed_once_per_problem(self, prob):
         mult = prob.settings.bracket_multiplier
-        tb, rows_b = prob.bracket_grid()
-        assert tb.size == rows_b.shape[0] == (prob.grid.n - 1) * mult + 1
-        assert np.array_equal(rows_b[::mult], prob.rows)
+        h_b, steps = prob.bracket_grid()
+        assert h_b == (prob.grid.nodes[1] - prob.grid.nodes[0]) / mult
+        assert steps.shape == (mult - 1, prob.sys.dim, prob.sys.dim)
+        assert prob.bracket_grid()[1] is steps
         single = DualProblem(prob.sys, prob.penalizations, settings=OptimizerSettings(bracket_multiplier=1))
-        assert np.array_equal(single.bracket_grid()[1], single.rows)
+        assert single.bracket_grid()[1].shape == (0, prob.sys.dim, prob.sys.dim)
 
     @pytest.mark.parametrize("prob", bracket_plants())
-    def test_rows_match_one_exponential_per_node(self, prob):
-        tb, rows_b = prob.bracket_grid()
+    def test_sub_node_rows_match_one_exponential_per_node(self, prob):
+        # the row at t_i + r h_b, as the crossing search forms its samples
+        h_b, steps = prob.bracket_grid()
         sys = prob.sys
-        for j in np.random.default_rng(1).choice(tb.size, 50, replace=False):
-            expected = sys.B.T @ sla.expm((sys.T - tb[j]) * sys.A.T)
-            assert np.all(np.abs(rows_b[j] - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+        rng = np.random.default_rng(1)
+        for i, r in zip(rng.choice(prob.grid.n - 1, 50, replace=False), rng.integers(1, steps.shape[0] + 1, 50)):
+            expected = sys.B.T @ sla.expm((sys.T - prob.grid.nodes[i] - r * h_b) * sys.A.T)
+            got = prob.rows[i] @ steps[r - 1]
+            assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
     def test_solve_and_extraction_form_the_rows_once(self, spy):
         rows = spy(lti, "adjoint_rows")

@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from multilevel_control import (
     ChannelControl,
@@ -10,6 +14,7 @@ from multilevel_control import (
     DualProblem,
     LtiSystem,
     MultilevelControl,
+    OptimizerSettings,
     Partition,
     QuadratureGrid,
     SolveStatus,
@@ -92,21 +97,42 @@ class TestFindSwitchings:
         assert abs(crossings[0] - root) < 1e-11
 
 
+def _illinois(q, a, b, fa, fb, bk):
+    """One bracket refined by the Illinois rule in scalar steps: b is the
+    newest end and a the older one; the secant point, kept at least
+    BISECTION_TOL / 2 inside the bracket, or the midpoint where it is not
+    strictly inside, becomes b, and a step that keeps a halves its value;
+    stop at width BISECTION_TOL or an exact zero."""
+    for _ in range(BISECTION_MAX_ITER):
+        if not abs(b - a) > BISECTION_TOL:
+            break
+        lo, hi = min(a, b), max(a, b)
+        x = min(max(b - fb * (b - a) / (fb - fa), lo + 0.5 * BISECTION_TOL), hi - 0.5 * BISECTION_TOL)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = float(q(np.array([x]))[0]) - bk
+        if fx == 0:
+            a = b = x
+        elif (fx > 0) != (fb > 0):
+            a, fa, b, fb = b, fb, x, fx
+        else:
+            fa, b, fb = 0.5 * fa, x, fx
+    return 0.5 * (a + b)
+
+
 def _find_switchings_reference(q, breakpoints, grid, samples=None, midpoint_guard=True):
     """find_switchings as a per-breakpoint np.sign scan with Python lists,
-    sampling the midpoints once per breakpoint."""
+    sampling the midpoints once per breakpoint, and each bracket refined on
+    its own by :func:`_illinois`."""
     grid = np.asarray(grid, dtype=float)
     qq = np.asarray(q(grid), dtype=float).reshape(-1) if samples is None else np.asarray(samples, dtype=float).reshape(-1)
     breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-    lo_list, hi_list, bk_list, flo_list, crossings, touches = [], [], [], [], [], []
+    brackets, crossings, touches = [], [], []
     for bk in breakpoints:
         f = qq - bk
         sgn = np.sign(f)
         for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-            lo_list.append(grid[i])
-            hi_list.append(grid[i + 1])
-            bk_list.append(bk)
-            flo_list.append(f[i])
+            brackets.append((grid[i], grid[i + 1], f[i], f[i + 1], bk))
         for i in np.nonzero(sgn == 0)[0]:
             before = sgn[:i][sgn[:i] != 0]
             after = sgn[i + 1 :][sgn[i + 1 :] != 0]
@@ -128,18 +154,7 @@ def _find_switchings_reference(q, breakpoints, grid, samples=None, midpoint_guar
                     f"{bk} inside the grid cell [{grid[cell]}, {grid[cell+1]}]; "
                     "use a finer bracketing grid"
                 )
-    if lo_list:
-        lo, hi, bks, f_lo = map(np.array, (lo_list, hi_list, bk_list, flo_list))
-        for _ in range(BISECTION_MAX_ITER):
-            if np.all(hi - lo <= BISECTION_TOL):
-                break
-            mid = 0.5 * (lo + hi)
-            f_mid = np.asarray(q(mid), dtype=float).reshape(-1) - bks
-            right = f_lo * f_mid > 0
-            hi = np.where(right, hi, mid)
-            lo = np.where(right, mid, lo)
-            f_lo = np.where(right, f_mid, f_lo)
-        crossings.extend((0.5 * (lo + hi)).tolist())
+    crossings.extend(_illinois(q, *bracket) for bracket in brackets)
     eps = 10 * BISECTION_TOL
     crossings = [t for t in crossings if grid[0] + eps < t < grid[-1] - eps]
     return np.sort(np.array(crossings)), np.sort(np.array(touches))
@@ -196,7 +211,7 @@ def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, b
 
 @pytest.mark.parametrize("signed_ends", [False, True], ids=["all-hits", "signed-ends"])
 def test_find_switchings_on_a_breakpoint_everywhere(signed_ends):
-    """All 32,001 samples of a bracket grid on the breakpoint 0, as at the
+    """All 32,001 samples of a dense grid on the breakpoint 0, as at the
     zero datum; with signed samples at the ends and in between, every hit
     is a crossing or a touch by its nearest signed neighbours."""
     grid = np.linspace(0.0, 4.0, 32_001)
@@ -221,17 +236,20 @@ def test_find_switchings_on_a_breakpoint_everywhere(signed_ends):
 
 
 def _integral_and_grad_reference(prob, p_T):
-    """The exact integral term and its gradient from the stacked bracket
-    product, the reference crossing scan and one exp_action_integral per
-    switching interval."""
+    """The exact integral term and its gradient from the reference crossing
+    scan on the whole uniform grid of ``bracket_multiplier`` sub-cells per
+    quadrature cell, sampled by the propagator, and one exp_action_integral
+    per switching interval; also the crossings per channel."""
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
-    tb, rows_b = prob.bracket_grid()
-    qb = rows_b @ p_T
+    tb = np.linspace(0.0, T, (prob.grid.n - 1) * prob.settings.bracket_multiplier + 1)
+    qb = prob.propagator(tb, p_T)
     base = np.zeros_like(p_T)
     integral = 0.0
+    found = []
     for ch, pen in enumerate(prob.penalizations):
         qfun = lambda t, ch=ch: prob.propagator(t, p_T)[:, ch]
         crossings, _ = _find_switchings_reference(qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=False)
+        found.append(crossings)
         ts = np.concatenate([[0.0], crossings, [T]])
         ks = pen.segment_index(qfun(0.5 * (ts[:-1] + ts[1:])))
         psi_hi = exp_action_integral(A, B, T)[:, ch]
@@ -241,7 +259,7 @@ def _integral_and_grad_reference(prob, p_T):
             base += pen.slopes[k] * F
             integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)
             psi_hi = psi_lo
-    return integral, base
+    return integral, base, found
 
 
 @pytest.mark.parametrize(
@@ -257,14 +275,127 @@ def _integral_and_grad_reference(prob, p_T):
     ids=["k1", "k2"],
 )
 def test_exact_evaluation_matches_per_interval_reference(A, B, p_T):
+    """The certified search on the quadrature grid finds the crossings that
+    the reference scan finds on the whole sub-cell grid.  Both refine by the
+    same rule from other brackets and samples, so the times agree to the
+    1e-12 bracket width, not bit for bit, and so do the integral and its
+    gradient, which move by about |q'| times that per crossing."""
     sys = LtiSystem(A=A, B=B, x0=np.ones(A.shape[0]), T=4.0)
     pens = [six_point_ladder() for _ in range(B.shape[1])]
     prob = DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(4.0, 500))
-    integral, base = ExactEvaluator(prob).integral_and_grad(p_T)
-    ref_integral, ref_base = _integral_and_grad_reference(prob, p_T)
-    assert sum(ks.size for _, ks, _ in ExactEvaluator(prob).pieces(p_T)) > 2 * B.shape[1]
-    assert integral == ref_integral
-    assert np.array_equal(base, ref_base)
+    pieces = ExactEvaluator(prob).pieces(p_T)
+    integral, base = ExactEvaluator(prob).integral_and_grad(p_T, pieces)
+    ref_integral, ref_base, ref_crossings = _integral_and_grad_reference(prob, p_T)
+    assert sum(ks.size for _, ks, _ in pieces) > 2 * B.shape[1]
+    for (crossings, _, _), expected in zip(pieces, ref_crossings):
+        assert crossings.size == expected.size
+        assert np.max(np.abs(crossings - expected)) <= 2e-12
+    assert integral == pytest.approx(ref_integral, rel=1e-11, abs=1e-11)
+    assert np.allclose(base, ref_base, rtol=1e-11, atol=1e-11)
+
+
+def _ladder(points):
+    prof = quadratic_profile()
+    relaxed = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
+    return build_penalization(relaxed, Partition(np.asarray(points, dtype=float)))
+
+
+def _scan_crossings(q, levels, T, samples=1_000_000):
+    """The crossings of ``levels`` that a sign scan of ``q`` on ``samples``
+    uniform points finds, each solved to rounding by brentq."""
+    t = np.linspace(0.0, T, samples)
+    qs = np.concatenate([q(chunk) for chunk in np.array_split(t, 10)])
+    found = []
+    for lv in levels:
+        f = qs - lv
+        for i in np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0):
+            found.append(brentq(lambda s: float(q(np.array([s]))[0]) - lv, t[i], t[i + 1], xtol=1e-14))
+    return np.sort(np.array(found))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.floats(0.5, 4.0),
+    points=st.lists(st.integers(-19, 19), min_size=2, max_size=8, unique=True),
+)
+def test_certified_search_finds_what_a_fine_scan_finds(N, seed, T, points):
+    """Every crossing that a 10^6-point sign scan of the same exponential sum
+    finds, and at which |q'| exceeds M h_b (M bounds |q''|, h_b is the
+    sub-cell width) and 1e-5, is found within 1e-9.  No other crossing of
+    its level lies within h_b of such a one, so it is alone in its
+    sub-cell, where the certified search must bracket it, and the rounding
+    of q moves it by far less than 1e-9.  Flatter crossings belong to
+    near-tangent pairs, which a sub-cell can hide from both searches alike."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-2.0, 2.0, (N, N))
+    b = rng.uniform(-1.0, 1.0, (N, 1))
+    sys = LtiSystem(A=A, B=b, x0=np.zeros(N), T=T)
+    prob = DualProblem(sys, [_ladder([-1.0] + sorted(0.05 * np.array(points)) + [1.0])], grid=QuadratureGrid.trapezoid(T, 100))
+    assume(prob.propagator._spectral is not None)
+    p = rng.uniform(-2.0, 2.0, N)
+    p /= np.max(np.abs(prob.adjoint_observations(p)))  # B^T p spans about [-1, 1]
+    q = lambda t: prob.propagator(t, p)[:, 0]
+    [(crossings, _, _)] = ExactEvaluator(prob).pieces(p)
+    expected = _scan_crossings(q, prob.penalizations[0].breakpoints, T)
+    h_b, _ = prob.bracket_grid()
+    M = float(np.linalg.norm(p)) * prob.row_bounds[1, 0]
+    slope = np.abs(prob.propagator.rows(expected)[:, 0, :] @ (A.T @ p)) if expected.size else np.empty(0)
+    firm = expected[slope > max(M * h_b, 1e-5)]
+    assert crossings.size >= firm.size
+    for t_c in firm:
+        assert np.min(np.abs(crossings - t_c)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(peak=st.floats(0.1, 0.9), half=st.floats(0.05, 0.45))
+def test_a_pair_of_crossings_inside_one_quadrature_cell_is_found(peak, half):
+    """q(t) = cos(t - t*) on the oscillator peaks inside a quadrature cell,
+    at t* = t_20 + peak h, and crosses the level cos(half h) at t* -+ half h,
+    both inside the cell, whose ends lie below the level: the nodes alone
+    show no crossing, the curvature bound leaves the cell uncertified, and
+    its sub-cells bracket both crossings unless one sub-cell holds both."""
+    T, n, mult = 4.0, 51, 8
+    h = T / (n - 1)
+    t_star = 20 * h + peak * h
+    assume(half < min(peak, 1.0 - peak) - 1e-3)
+    assume(np.floor((peak - half) * mult) != np.floor((peak + half) * mult))
+    level = np.cos(half * h)
+    sys = LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=T)
+    prob = DualProblem(sys, [_ladder([-2.0, 0.5, level, 2.0])], grid=QuadratureGrid.trapezoid(T, n))
+    phi = T - t_star
+    p = np.array([np.sin(phi), np.cos(phi)])
+    nodes_q = prob.adjoint_observations(p)[:, 0]
+    assert nodes_q[20] < level and nodes_q[21] < level
+    [(crossings, _, _)] = ExactEvaluator(prob).pieces(p)
+    pair = crossings[np.abs(crossings - t_star) < h]
+    assert pair.size == 2
+    assert np.max(np.abs(pair - (t_star + np.array([-half, half]) * h))) <= 1e-9
+
+
+MINIMIZERS = json.loads((Path(__file__).parent / "data" / "synthesis_minimizers.json").read_text())
+
+
+@pytest.mark.parametrize("datum", MINIMIZERS, ids=[d["op_id"][:6] for d in MINIMIZERS])
+def test_crossings_at_the_synthesis_minimizers(datum):
+    """At the minimizer of each penalized synthesis plant, recorded with the
+    crossings that a scan of the whole 8x sub-cell grid and bisection found
+    there, the certified search finds as many crossings, each within 1e-10
+    of the recorded one."""
+    sys = LtiSystem(A=datum["A"], B=datum["B"], x0=datum["x0"], T=datum["T"])
+    prob = DualProblem(
+        sys,
+        [_ladder(datum["partition"]) for _ in range(sys.channels)],
+        kind=datum["kind"],
+        beta=datum["beta"],
+        grid=QuadratureGrid.trapezoid(datum["T"], datum["nodes"]),
+        settings=OptimizerSettings(bracket_multiplier=datum["bracket_multiplier"]),
+    )
+    pieces = ExactEvaluator(prob).pieces(np.array(datum["p_T"]))
+    for (crossings, _, _), expected in zip(pieces, datum["crossings"]):
+        assert crossings.size == len(expected)
+        assert np.all(np.abs(crossings - np.array(expected)) <= 1e-10)
 
 
 class TestExtractControl:
@@ -303,12 +434,10 @@ class TestExtractControl:
         prob, rep = solved_oscillator()
         ctrl = extract_control(rep.p_T_star, prob)
         pen = prob.penalizations[0]
-        tb, rows_b = prob.bracket_grid()
+        # a dense scan, 8 samples per quadrature cell, with the midpoint guard
+        tb = np.linspace(0.0, prob.sys.T, (prob.grid.n - 1) * 8 + 1)
         crossings, _ = find_switchings(
-            lambda t: prob.propagator(t, rep.p_T_star)[:, 0],
-            pen.breakpoints,
-            tb,
-            samples=(rows_b @ rep.p_T_star)[:, 0],
+            lambda t: prob.propagator(t, rep.p_T_star)[:, 0], pen.breakpoints, tb
         )
         assert ctrl.channels[0].switch_times.size == crossings.size
 
