@@ -13,8 +13,9 @@ converge there), so its crossings are those of the minimizer.  The
 crossing-search cases record, per channel, the quadrature cells subdivided,
 the refinement steps and the propagator calls in ``extra_info``.  One case
 times the discrete Fenchel primal LP on the data of acceptance criterion 1,
-and one the adjoint rows by the recurrence on the quadrature nodes.  Two
-cases propagate with
+and one the adjoint rows on the quadrature nodes.  The exact-evaluation
+case times the closed-form integral at fixed pieces and records which path
+the Psi ends took.  Two cases propagate with
 ``simulate_forward``: the staircase extracted at the datum, and the
 quadratic control of syn-07 (six states, two channels); both record their
 cell count and distinct cell widths in ``extra_info``.
@@ -56,6 +57,20 @@ def test_exact_value_and_grad(benchmark, plant):
     prob, p = plant
     evaluator = dual.ExactEvaluator(prob)
     benchmark(evaluator.value_and_grad, p)
+
+
+def test_exact_eval(benchmark, plant):
+    """The exact integral term and gradient at the fixed datum from its
+    pieces, found once outside the timed region: the Psi ends of all
+    channels from one call of the augmented propagator, whose path
+    (spectral or the stacked-exponential fallback) and crossing count
+    ``extra_info`` records."""
+    prob, p = plant
+    evaluator = dual.ExactEvaluator(prob)
+    pieces = evaluator.pieces(p)
+    benchmark.extra_info["psi_path"] = "spectral" if prob.psi_propagator._spectral is not None else "fallback"
+    benchmark.extra_info["crossings"] = int(sum(crossings.size for crossings, _, _ in pieces))
+    benchmark(evaluator.integral_and_grad, p, pieces)
 
 
 def test_minimize(benchmark, plant):
@@ -146,7 +161,7 @@ def test_extract_control(benchmark, plant):
 
 
 def test_adjoint_rows(benchmark, plant):
-    """The quadrature rows by the one-step recurrence, the only nodes it runs on."""
+    """The quadrature rows in sqrt(n) blocks, the only nodes they are formed on."""
     prob, _ = plant
     A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
     benchmark(lti.adjoint_rows, A, B, T, prob.grid.nodes)

@@ -172,10 +172,10 @@ class DualProblem:
     first read, so only by the kinds and outcomes that read them: the node
     rows B^T e^{(T-t_i)A^T} (:attr:`rows`), the Gramian W (:attr:`gram`),
     Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`), the
-    adjoint :attr:`propagator` and the crossing search's bounds and
-    sub-steps (:attr:`row_bounds`, :meth:`bracket_grid`).  Functional values
-    and subgradients are then matrix products.  No constant refers back to
-    the problem.
+    adjoint :attr:`propagator` and :attr:`psi_propagator`, and the crossing
+    search's bounds and sub-steps (:attr:`row_bounds`, :meth:`bracket_grid`).
+    Functional values and subgradients are then matrix products.  No
+    constant refers back to the problem.
     """
 
     def __init__(
@@ -245,6 +245,16 @@ class DualProblem:
     def propagator(self) -> AdjointPropagator:
         """The map (t, p) -> B^T e^{(T-t)A^T} p at arbitrary times."""
         return AdjointPropagator(self.sys.A, self.sys.B, self.sys.T)
+
+    @cached_property
+    def psi_propagator(self) -> AdjointPropagator:
+        """Psi(T - t)^T, the first N columns of the adjoint rows [Psi(T -
+        t)^T, I] of M = [[A, B], [0, 0]] and [0; I] (Van Loan, 1978).  A small
+        eigenvalue of A raises cond(V) of M; below ``lti.SPECTRAL_COND`` the
+        ends lie within 1e-12 (1 + |Psi|) of ``exp_action_integral``."""
+        n, k = self.sys.B.shape
+        M = np.vstack([np.hstack([self.sys.A, self.sys.B]), np.zeros((k, n + k))])
+        return AdjointPropagator(M, np.eye(n + k)[:, n:], self.sys.T)
 
     # -- basic maps ---------------------------------------------------------
 
@@ -368,9 +378,10 @@ class ExactEvaluator:
     by locating all level crossings of B^T p(t) and integrating the affine
     integrand per switching interval in closed form: with Psi(s) the
     integral of e^{rA} B over [0, s], [a, b] contributes Psi(T - a) -
-    Psi(T - b), and Psi(T - b) for all of a channel's interval ends is one
-    stacked exponential.  :meth:`pieces` is the one reading of a datum's
-    switching intervals; extraction uses it too.
+    Psi(T - b).  The ends Psi(T - t) of all channels' intervals, t = 0 and
+    T included, are one call of :attr:`DualProblem.psi_propagator`, so each
+    channel's pieces telescope to Psi(T) - Psi(0).  :meth:`pieces` is the
+    one reading of a datum's switching intervals; extraction uses it too.
     """
 
     def __init__(self, prob: DualProblem):
@@ -454,19 +465,17 @@ class ExactEvaluator:
         :meth:`pieces` of p_T when the caller already has them."""
         prob = self.prob
         p_T = prob._check_p(p_T)
-        A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
+        pieces = self.pieces(p_T) if pieces is None else pieces
+        ts = [np.concatenate([[0.0], crossings, [prob.sys.T]]) for crossings, _, _ in pieces]
+        rows = prob.psi_propagator.rows(np.concatenate(ts))[:, :, : p_T.size]
+        ends = np.split(rows, np.cumsum([t.size for t in ts[:-1]]))
         base = np.zeros_like(p_T)
         integral = 0.0
-        for ch, (crossings, ks, _) in enumerate(self.pieces(p_T) if pieces is None else pieces):
-            pen = prob.penalizations[ch]
-            ts = np.concatenate([[0.0], crossings, [T]])
-            psi_hi = prob.psi_T[:, ch]
-            psi_ends = exp_action_integral(A, B, T - ts[1:])[:, :, ch]
-            for a, b, k, psi_lo in zip(ts[:-1], ts[1:], ks, psi_ends):
-                F = psi_hi - psi_lo  # integral of e^{(T-t)A} B_ch over [a, b]
-                base += pen.slopes[k] * F
-                integral += pen.slopes[k] * float(F @ p_T) + pen.intercepts[k] * (b - a)
-                psi_hi = psi_lo
+        for ch, pen in enumerate(prob.penalizations):
+            ks, psi = pieces[ch][1], ends[ch][:, ch]
+            F = psi[:-1] - psi[1:]  # the integral of e^{(T-t)A} B_ch over each interval
+            base += pen.slopes[ks] @ F
+            integral += float(pen.slopes[ks] @ (F @ p_T) + pen.intercepts[ks] @ np.diff(ts[ch]))
         return integral, base
 
     def value_and_grad(self, p_T, pieces=None):

@@ -5,6 +5,8 @@ throughout.  Controls are piecewise constant in all intended uses, which makes
 the per-interval propagation in :func:`simulate_forward` exact up to matrix
 exponential accuracy (zero-order-hold discretization); it samples the control
 once on all cell midpoints and forms the exponentials of all widths in one stack.
+No loop runs once per node or per cell: :func:`adjoint_rows` and :func:`simulate_forward`
+work in sqrt(n) blocks (Blelloch, *Prefix sums and their applications*, 1990).
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 # threshold on eigenvalue real parts for the dissipative class
 DISSIPATIVE_TOL = 1e-10
+# AdjointPropagator's limit on cond(V), as its modal sum loses eps cond(V)
+SPECTRAL_COND = 1e3
 
 
 def _as_matrix(A, name="A"):
@@ -225,6 +229,11 @@ def simulate_forward(sys: LtiSystem, u, grid) -> Trajectory:
     at its value at the cell midpoint (exact for controls that are constant
     per cell).
 
+    The cells are scanned in blocks of b = floor(sqrt(m)): b steps over all
+    blocks at once form each block's map x -> Phi x + y, a loop over the
+    blocks carries the state across them, and b more steps fill in every
+    state.  This reorders the products of stepping cell by cell.
+
     ``u`` is called once, on the array of the m cell midpoints, and returns
     an (m, K) array, an (m,) array when K = 1, or a 0-d constant; any other
     shape raises ``ValueError``.  The grid must start at 0, end at T and be
@@ -245,23 +254,37 @@ def simulate_forward(sys: LtiSystem, u, grid) -> Trajectory:
     if U.shape != (m, k):
         raise ValueError(f"control returned shape {U.shape} at {m} midpoints, expected ({m}, {k})")
     widths, cls = np.unique(np.diff(grid), return_inverse=True)
-    Ad = mat_exp(sys.A, widths)
-    # each cell's Bd @ u as the same (N, K) @ (K, 1) product; an einsum moves last bits
-    F = np.matmul(exp_action_integral(sys.A, sys.B, widths)[cls], U[:, :, None])[:, :, 0]
+    n, b = sys.dim, max(1, int(np.sqrt(m)))
+    L = -(-m // b)
+    # an identity step (index widths.size) pads the cells to L blocks of b
+    Ad = np.concatenate([mat_exp(sys.A, widths), np.eye(n)[None]])
+    cls = np.concatenate([cls, np.full(L * b - m, widths.size)])
+    F = np.zeros((L * b, n, 1))
+    np.matmul(exp_action_integral(sys.A, sys.B, widths)[cls[:m]], U[:, :, None], out=F[:m])
+    F, cls = F.reshape(L, b, n, 1), cls.reshape(L, b)
 
-    states = np.empty((grid.size, sys.dim))
-    states[0] = x = sys.x0
-    for i in range(m):
-        x = Ad[cls[i]] @ x + F[i]
-        states[i + 1] = x
-    return Trajectory(grid=grid, states=states)
+    # each block's map x -> Phi x + y, then the block starts, then every state
+    Phi, y = np.eye(n), np.zeros((L, n, 1))
+    for r in range(b):
+        step = Ad[cls[:, r]]
+        Phi, y = step @ Phi, step @ y + F[:, r]
+    x = np.broadcast_to(sys.x0[:, None], (L, n, 1)).copy()
+    for l in range(L - 1):
+        x[l + 1] = Phi[l] @ x[l] + y[l]
+    states = np.empty((L * b + 1, n))
+    states[0] = sys.x0
+    for r in range(b):
+        x = Ad[cls[:, r]] @ x + F[:, r]
+        states[1 + r :: b] = x[:, :, 0]
+    return Trajectory(grid=grid, states=states[: m + 1])
 
 
 class AdjointPropagator:
     """Fast evaluation of q(t) = B^T e^{(T-t)A^T} p at arbitrary times.
 
-    Uses the spectral decomposition of A^T when it is well conditioned and
-    falls back to one stacked matrix exponential over all times otherwise.
+    Uses the spectral decomposition of A^T when its eigenvector matrix has a
+    condition number below ``SPECTRAL_COND`` and falls back to one stacked
+    matrix exponential over all times otherwise.
     """
 
     def __init__(self, A, B, T: float):
@@ -274,7 +297,7 @@ class AdjointPropagator:
             lam, V = np.linalg.eig(self.A.T)
             # subnormal entries can make LAPACK return wrong eigenvectors
             residual = np.linalg.norm(self.A.T @ V - V * lam)
-            if np.linalg.cond(V) < 1e8 and residual <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
+            if np.linalg.cond(V) < SPECTRAL_COND and residual <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
                 self._spectral = (lam, V, np.linalg.inv(V))
         except np.linalg.LinAlgError:
             pass
@@ -321,22 +344,20 @@ class AdjointPropagator:
 def adjoint_rows(A, B, T: float, times) -> np.ndarray:
     """Matrices B^T e^{(T-t_i)A^T} stacked as an array of shape (n, K, N).
 
-    ``times`` must be uniformly spaced; the propagators e^{(T-t_i)A^T} are
-    built by a one-step recurrence, so that only two exponentials are ever
-    formed, and then multiplied by B^T in one stacked product.
+    ``times`` must be uniformly spaced.  With b = floor(sqrt(n)), node
+    i = l b + r gets B^T e^{(T-t_{lb})A^T} e^{-r h A^T}, from one stacked
+    exponential at the block starts, one at the b sub-steps and one product.
     """
     A = _as_matrix(A)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
+    B = B.reshape(-1, 1) if B.ndim == 1 else B
     times = np.asarray(times, dtype=float)
     h = uniform_step(times)
-    step = sla.expm(-h * A.T)
-    Ms = np.empty((times.size,) + A.shape)
-    Ms[0] = sla.expm((T - times[0]) * A.T)
-    for i in range(times.size - 1):
-        np.matmul(step, Ms[i], out=Ms[i + 1])
-    return B.T @ Ms
+    b = max(1, int(np.sqrt(times.size)))
+    heads = B.T @ mat_exp(A.T, T - times[::b])
+    subs = mat_exp(A.T, -h * np.arange(b))
+    rows = heads[:, None] @ subs
+    return rows.reshape(-1, *heads.shape[1:])[: times.size]
 
 
 def uniform_step(times) -> float:

@@ -560,13 +560,18 @@ class TestConstantsOnFirstRead:
         assert grams == []
 
     def test_scenario_forms_psi_and_conjugates_once(self, spy, tmp_path):
-        # osc-t4 runs the descent, the extraction and the Fenchel check
+        # osc-t4 runs the descent, the extraction and the Fenchel check; its
+        # exact evaluations read Psi from the one augmented propagator of
+        # [[A, B], [0, 0]], and no Pade Psi(T) is formed beside it
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "osc-t4.json")
         psi = spy(lti, "exp_action_integral")
+        propagators = spy(lti, "AdjointPropagator")
         conjugates = spy(pwl, "conjugate")
         rep = run_scenario(cfg, tmp_path)
         assert rep.passed and "fenchel_gap" in rep.checks
-        assert sum(np.ndim(tau) == 0 and tau == cfg.system.T for _, _, tau in psi) == 1
+        augmented = sum(np.shape(args[0]) == (cfg.system.dim + cfg.system.channels,) * 2 for args in propagators)
+        assert augmented == 1
+        assert sum(np.ndim(tau) == 0 and tau == cfg.system.T for _, _, tau in psi) == 0
         assert len(conjugates) == cfg.system.channels
 
     def test_problem_is_freed_without_the_cycle_collector(self):
