@@ -14,8 +14,8 @@ crossing-search cases record, per channel, the quadrature cells subdivided,
 the refinement steps and the propagator calls in ``extra_info``.  One case
 times the discrete Fenchel primal LP on the data of acceptance criterion 1,
 and one the adjoint rows on the quadrature nodes.  The exact-evaluation
-case times the closed-form integral at fixed pieces and records which path
-the Psi ends took.  Two cases propagate with
+case times the closed-form integral at fixed pieces and records the Taylor
+degree of both propagators.  Two cases propagate with
 ``simulate_forward``: the staircase extracted at the datum, and the
 quadratic control of syn-07 (six states, two channels); both record their
 cell count and distinct cell widths in ``extra_info``.
@@ -62,13 +62,14 @@ def test_exact_value_and_grad(benchmark, plant):
 def test_exact_eval(benchmark, plant):
     """The exact integral term and gradient at the fixed datum from its
     pieces, found once outside the timed region: the Psi ends of all
-    channels from one call of the augmented propagator, whose path
-    (spectral or the stacked-exponential fallback) and crossing count
-    ``extra_info`` records."""
+    channels from one call of the augmented propagator.  ``extra_info``
+    records the crossing count and the Taylor degree of the plant's and the
+    augmented propagator."""
     prob, p = plant
     evaluator = dual.ExactEvaluator(prob)
     pieces = evaluator.pieces(p)
-    benchmark.extra_info["psi_path"] = "spectral" if prob.psi_propagator._spectral is not None else "fallback"
+    benchmark.extra_info["taylor_degree"] = prob.propagator.degree
+    benchmark.extra_info["psi_taylor_degree"] = prob.psi_propagator.degree
     benchmark.extra_info["crossings"] = int(sum(crossings.size for crossings, _, _ in pieces))
     benchmark(evaluator.integral_and_grad, p, pieces)
 

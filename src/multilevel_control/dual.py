@@ -33,8 +33,6 @@ import numpy as np
 from .lti import (
     AdjointPropagator,
     LtiSystem,
-    adjoint_rows,
-    exp_action_integral,
     gramian,
     kalman_rank,
     mat_exp,
@@ -169,13 +167,13 @@ class DualProblem:
 
     The construction validates the inputs and forms the terminal drift
     e^{TA} x0, which every kind reads.  The other constants are formed on
-    first read, so only by the kinds and outcomes that read them: the node
-    rows B^T e^{(T-t_i)A^T} (:attr:`rows`), the Gramian W (:attr:`gram`),
-    Psi(T) (:attr:`psi_T`), the channel conjugates (:attr:`conjugates`), the
-    adjoint :attr:`propagator` and :attr:`psi_propagator`, and the crossing
-    search's bounds and sub-steps (:attr:`row_bounds`, :meth:`bracket_grid`).
-    Functional values and subgradients are then matrix products.  No
-    constant refers back to the problem.
+    first read, so only by the kinds and outcomes that read them: the
+    adjoint :attr:`propagator`, whose node rows B^T e^{(T-t_i)A^T} are
+    :attr:`rows`, its augmented twin :attr:`psi_propagator`, the Gramian W
+    (:attr:`gram`), the channel conjugates (:attr:`conjugates`) and the
+    crossing search's bounds (:attr:`row_bounds`).  Functional values and
+    subgradients are then matrix products.  No constant refers back to the
+    problem.
     """
 
     def __init__(
@@ -207,25 +205,19 @@ class DualProblem:
         uniform_step(self.grid.nodes)  # the rows need a uniform grid
         self.settings = settings if settings is not None else OptimizerSettings()
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
-        self._bracket = None
         self._primal = {}
 
     # -- constants, formed on first read -------------------------------------
 
-    @cached_property
+    @property
     def rows(self) -> np.ndarray:
         """The adjoint rows B^T e^{(T-t_i)A^T} at the quadrature nodes, (n, K, N)."""
-        return adjoint_rows(self.sys.A, self.sys.B, self.sys.T, self.grid.nodes)
+        return self.propagator.node_rows
 
     @cached_property
     def gram(self) -> np.ndarray:
         """The Gramian W, the integral of e^{sA} B B^T e^{sA^T} over [0, T]."""
         return gramian(self.sys.A, self.sys.B, self.sys.T)
-
-    @cached_property
-    def psi_T(self) -> np.ndarray:
-        """Psi(T), the integral of e^{sA} B over [0, T], N x K."""
-        return exp_action_integral(self.sys.A, self.sys.B, self.sys.T)
 
     @cached_property
     def row_bounds(self) -> np.ndarray:
@@ -243,18 +235,18 @@ class DualProblem:
 
     @cached_property
     def propagator(self) -> AdjointPropagator:
-        """The map (t, p) -> B^T e^{(T-t)A^T} p at arbitrary times."""
-        return AdjointPropagator(self.sys.A, self.sys.B, self.sys.T)
+        """The map (t, p) -> B^T e^{(T-t)A^T} p, from the rows at the nodes."""
+        return AdjointPropagator(self.sys.A, self.sys.B, self.sys.T, self.grid.nodes)
 
     @cached_property
     def psi_propagator(self) -> AdjointPropagator:
         """Psi(T - t)^T, the first N columns of the adjoint rows [Psi(T -
-        t)^T, I] of M = [[A, B], [0, 0]] and [0; I] (Van Loan, 1978).  A small
-        eigenvalue of A raises cond(V) of M; below ``lti.SPECTRAL_COND`` the
-        ends lie within 1e-12 (1 + |Psi|) of ``exp_action_integral``."""
-        n, k = self.sys.B.shape
+        t)^T, I] of M = [[A, B], [0, 0]] and [0; I] (Van Loan, 1978), on the
+        fewest uniform cells with |M|_2 h <= 1."""
+        (n, k), T = self.sys.B.shape, self.sys.T
         M = np.vstack([np.hstack([self.sys.A, self.sys.B]), np.zeros((k, n + k))])
-        return AdjointPropagator(M, np.eye(n + k)[:, n:], self.sys.T)
+        cells = max(1, int(np.ceil(np.linalg.norm(M, 2) * T)))
+        return AdjointPropagator(M, np.eye(n + k)[:, n:], T, np.linspace(0.0, T, cells + 1))
 
     # -- basic maps ---------------------------------------------------------
 
@@ -289,16 +281,11 @@ class DualProblem:
         only for the squared kinds, whose slope is the integral itself."""
         return self.kind.outer(integral() if self.kind.squared else 0.0, self.beta)[1]
 
-    def bracket_grid(self):
-        """The crossing search's sub-steps, formed once: h = (quadrature
-        step) / ``bracket_multiplier`` and e^{-r h A^T}, r = 1 ... mult - 1,
-        stacked (mult - 1, N, N); B^T p at t_i + r h is ``rows[i] @
-        (e^{-r h A^T} p)``, as e^{(s+r)A} = e^{sA} e^{rA}."""
-        if self._bracket is None:
-            mult = self.settings.bracket_multiplier
-            h = (self.grid.nodes[1] - self.grid.nodes[0]) / mult
-            self._bracket = (h, mat_exp(self.sys.A.T, -h * np.arange(1, mult)))
-        return self._bracket
+    def bracket_grid(self) -> float:
+        """The crossing search's sub-cell width h_b = (quadrature step) /
+        ``bracket_multiplier``; B^T p at t_i + r h_b is ``rows[i] @
+        propagator.shift(p, r h_b)``, as e^{(s+r)A} = e^{sA} e^{rA}."""
+        return (self.grid.nodes[1] - self.grid.nodes[0]) / self.settings.bracket_multiplier
 
     def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
         """Node values (n, K) of the discrete Fenchel primal of ``scale``
@@ -379,9 +366,9 @@ class ExactEvaluator:
     integrand per switching interval in closed form: with Psi(s) the
     integral of e^{rA} B over [0, s], [a, b] contributes Psi(T - a) -
     Psi(T - b).  The ends Psi(T - t) of all channels' intervals, t = 0 and
-    T included, are one call of :attr:`DualProblem.psi_propagator`, so each
-    channel's pieces telescope to Psi(T) - Psi(0).  :meth:`pieces` is the
-    one reading of a datum's switching intervals; extraction uses it too.
+    T included, are one ``rows`` call of :attr:`DualProblem.psi_propagator`,
+    so each channel's pieces telescope to Psi(T) - Psi(0).  :meth:`pieces`
+    is the one reading of a datum's switching intervals; extraction uses it.
     """
 
     def __init__(self, prob: DualProblem):
@@ -401,8 +388,9 @@ class ExactEvaluator:
         values, both up to ``ROUNDING`` eps of the products.
         :func:`find_switchings` scans the nodes of the cells that hold a
         crossing or may, joined across the others, which hold none, with the
-        mult - 1 samples of :meth:`DualProblem.bracket_grid` inside each
-        cell that is not monotone.
+        mult - 1 sub-node samples ``rows[i] @ propagator.shift(p, r h_b)``
+        (h_b of :meth:`DualProblem.bracket_grid`) inside each cell that is
+        not monotone, and refines the brackets with the same propagator.
 
         An interval's segment is read at the first probe of ``PROBES`` off a
         kink, or at the midpoint when every probe is on one; ``pinned`` says
@@ -414,13 +402,14 @@ class ExactEvaluator:
         from .extract import find_switchings
 
         prob = self.prob
-        h_b, steps = prob.bracket_grid()
-        nodes, rows, h = prob.grid.nodes, prob.rows, h_b * (steps.shape[0] + 1)
+        h_b, mult = prob.bracket_grid(), prob.settings.bracket_multiplier
+        nodes, rows, h = prob.grid.nodes, prob.rows, h_b * mult
         qn, Ap = prob.adjoint_observations(p_T), prob.sys.A.T @ p_T
         bound0, bound2 = prob.row_bounds * float(np.linalg.norm(p_T))
         tol = ROUNDING * np.finfo(float).eps * bound0
         reach, steep = bound2 * h * h / 8.0 + tol, bound2 * h + tol * float(np.linalg.norm(prob.sys.A))
-        sub_p, sub_t = steps @ p_T, h_b * np.arange(1, steps.shape[0] + 1)
+        sub_t = h_b * np.arange(1, mult)
+        sub_p = prob.propagator.shift(p_T, sub_t)
         q_at = prob.propagator.at(p_T)
         out = []
         for ch, pen in enumerate(prob.penalizations):

@@ -25,7 +25,6 @@ import numpy as np
 
 from .dual import ExactEvaluator
 from .fenchel import InfeasiblePrimalError
-from .lti import zoh_exp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dual import DualProblem
@@ -152,8 +151,7 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     halved.  A bracket stops at width ``BISECTION_TOL`` or an exact zero,
     within ``BISECTION_MAX_ITER`` steps, and the crossing is its midpoint.
     All brackets are refined together in breakpoint-major order, one ``q``
-    evaluation per step on those still open; that batch decides the last
-    bits of the propagator's values, so its order is part of the result.
+    evaluation per step on those still open.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -372,19 +370,17 @@ def _terminal_map(prob: "DualProblem", times, levels):
     With Psi(s) the integral of e^{rA} B over [0, s], the terminal state is
     e^{TA} x0 + sum over channels of Psi(T) u_0 + sum_k (u_k - u_{k-1})
     Psi(T - tau_k), and its derivative in tau_k is e^{(T - tau_k)A} B
-    (u_{k-1} - u_k) on the channel's column.  Psi(T) is the problem's
-    :attr:`~.dual.DualProblem.psi_T`.
+    (u_{k-1} - u_k) on the channel's column.  Psi(T - tau), tau = 0
+    included, are the rows of :attr:`~.dual.DualProblem.psi_propagator` and
+    e^{(T - tau)A} B those of :attr:`~.dual.DualProblem.propagator`.
     """
-    A, B, T = prob.sys.A, prob.sys.B, prob.sys.T
-    N = B.shape[0]
-    x = prob.drift + prob.psi_T @ np.array([lv[0] for lv in levels])
-    cols = []
-    for ch, (tau, lv) in enumerate(zip(times, levels)):
-        E = zoh_exp(A, B, T - tau)
-        jumps = np.diff(lv)
-        x = x + jumps @ E[:, :N, N + ch]
-        cols.append(-(E[:, :N, :N] @ B[:, ch]) * jumps[:, None])
-    return x, np.vstack(cols).T
+    N, K = prob.sys.dim, prob.sys.channels
+    tau = np.concatenate([[0.0], *times])
+    switch, ch = np.arange(tau.size - 1), np.repeat(np.arange(K), [t.size for t in times])
+    jumps = np.concatenate([np.diff(lv) for lv in levels])
+    psi = prob.psi_propagator.rows(tau)[:, :, :N]
+    x = prob.drift + psi[0].T @ np.array([lv[0] for lv in levels]) + jumps @ psi[1 + switch, ch]
+    return x, -(prob.propagator.rows(tau[1:])[switch, ch] * jumps[:, None]).T
 
 
 def _polish(prob: "DualProblem", plans, ladders):

@@ -7,11 +7,14 @@ exponential accuracy (zero-order-hold discretization); it samples the control
 once on all cell midpoints and forms the exponentials of all widths in one stack.
 No loop runs once per node or per cell: :func:`adjoint_rows` and :func:`simulate_forward`
 work in sqrt(n) blocks (Blelloch, *Prefix sums and their applications*, 1990).
+The adjoint observation at any other time is one node row times a short
+Taylor polynomial (:class:`AdjointPropagator`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +27,6 @@ __all__ = [
     "mat_exp",
     "exp_action_integral",
     "gramian",
-    "zoh_exp",
     "kalman_rank",
     "classify_dynamics",
     "adjoint_state",
@@ -39,8 +41,6 @@ RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 # threshold on eigenvalue real parts for the dissipative class
 DISSIPATIVE_TOL = 1e-10
-# AdjointPropagator's limit on cond(V), as its modal sum loses eps cond(V)
-SPECTRAL_COND = 1e3
 
 
 def _as_matrix(A, name="A"):
@@ -139,34 +139,20 @@ def mat_exp(A, t) -> np.ndarray:
     return sla.expm(np.asarray(t, dtype=float)[..., None, None] * A)
 
 
-def zoh_exp(A, B, tau) -> np.ndarray:
-    """The exponential of tau [[A, B], [0, 0]]: its blocks are e^{tau A}
-    (top left) and the integral of e^{sA} B over s in [0, tau] (top right).
-
-    ``tau`` may be an array: the result then stacks one (N+K) x (N+K)
-    exponential per entry, from a single ``scipy.linalg.expm`` call whose
-    slices equal the scalar calls bit for bit.
-    """
-    A = _as_matrix(A)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n, k = B.shape
-    M = np.zeros((n + k, n + k))
-    M[:n, :n] = A
-    M[:n, n:] = B
-    return sla.expm(np.asarray(tau, dtype=float)[..., None, None] * M)
-
-
 def exp_action_integral(A, B, tau) -> np.ndarray:
     """Integral of e^{sA} B over s in [0, tau], as an N x K matrix, or as a
     (len(tau), N, K) stack for an array of ``tau``.
 
-    Read off one exponential of the block matrix [[A, B], [0, 0]]
-    (:func:`zoh_exp`), which also stays correct for singular A.
+    Read off the top right block of one exponential of tau [[A, B], [0, 0]]
+    (one ``scipy.linalg.expm`` call for a whole stack, whose slices equal
+    the scalar calls bit for bit), which also stays correct for singular A.
     """
-    n = np.shape(A)[0]
-    return zoh_exp(A, B, tau)[..., :n, n:]
+    A = _as_matrix(A)
+    B = np.asarray(B, dtype=float)
+    B = B.reshape(-1, 1) if B.ndim == 1 else B
+    n, k = B.shape
+    M = np.block([[A, B], [np.zeros((k, n + k))]])
+    return sla.expm(np.asarray(tau, dtype=float)[..., None, None] * M)[..., :n, n:]
 
 
 def gramian(A, B, T: float) -> np.ndarray:
@@ -280,50 +266,59 @@ def simulate_forward(sys: LtiSystem, u, grid) -> Trajectory:
 
 
 class AdjointPropagator:
-    """Fast evaluation of q(t) = B^T e^{(T-t)A^T} p at arbitrary times.
+    """q(t) = B^T e^{(T-t)A^T} p at any t in [0, T], from the node rows on
+    the uniform grid ``times``.
 
-    Uses the spectral decomposition of A^T when its eigenvector matrix has a
-    condition number below ``SPECTRAL_COND`` and falls back to one stacked
-    matrix exponential over all times otherwise.
+    The rows R_i = B^T e^{(T-t_i)A^T} (:attr:`node_rows`) are formed once by
+    :func:`adjoint_rows`.  A time t reads the node t_i at or below it, so
+    that delta = t - t_i lies in [0, h], and R_i e^{-delta A^T} is the
+    Taylor polynomial R_i sum_k (-delta)^k (A^T)^k / k!.  Its degree m is the
+    smallest with (|A|_2 h)^{m+1} / (m+1)! e^{|A|_2 h} <= eps, which bounds
+    the remainder relative to |R_i| (Moler & Van Loan, SIAM Review 45,
+    2003); the rounding of the sum grows like e^{|A|_2 h}.
     """
 
-    def __init__(self, A, B, T: float):
-        self.A = _as_matrix(A)
-        B = np.asarray(B, dtype=float)
-        self.B = B.reshape(-1, 1) if B.ndim == 1 else B
-        self.T = float(T)
-        self._spectral = None
-        try:
-            lam, V = np.linalg.eig(self.A.T)
-            # subnormal entries can make LAPACK return wrong eigenvectors
-            residual = np.linalg.norm(self.A.T @ V - V * lam)
-            if np.linalg.cond(V) < SPECTRAL_COND and residual <= 1e-10 * (1.0 + np.linalg.norm(self.A)):
-                self._spectral = (lam, V, np.linalg.inv(V))
-        except np.linalg.LinAlgError:
-            pass
+    def __init__(self, A, B, T: float, times):
+        A = _as_matrix(A)
+        self.times = np.asarray(times, dtype=float)
+        self.h = uniform_step(self.times)
+        self.node_rows = adjoint_rows(A, B, T, self.times)
+        a, m = float(np.linalg.norm(A, 2)) * self.h, 0
+        while a > 0.0 and (m + 1) * np.log(a) - math.lgamma(m + 2) + a > np.log(np.finfo(float).eps):
+            m += 1
+        terms = [np.eye(A.shape[0])]
+        for k in range(1, m + 1):
+            terms.append(terms[-1] @ A.T / k)
+        # (A^T)^k / k! side by side: terms[:, k] is the k-th, k = 0 ... m
+        self.degree, self.terms = m, np.stack(terms, axis=1)
+
+    def _powers(self, delta):
+        """(-delta)^k, k = 0 ... m, for a 1-d array delta, (len(delta), m + 1)."""
+        out = np.empty((delta.size, self.degree + 1))
+        out[:, 0] = 1.0
+        np.negative(delta[:, None], out=out[:, 1:])
+        return np.multiply.accumulate(out, axis=1, out=out)
+
+    def _locate(self, t):
+        """The node index at or below each time and the powers of the offset."""
+        t = np.asarray(t, dtype=float).reshape(-1)
+        i = np.minimum(np.maximum(((t - self.times[0]) / self.h).astype(np.intp), 0), self.times.size - 1)
+        return i, self._powers(t - self.times[i])
+
+    def shift(self, p, delta) -> np.ndarray:
+        """e^{-delta A^T} p for offsets 0 <= delta <= h, shape (len(delta), N)."""
+        return self._powers(np.asarray(delta, dtype=float).reshape(-1)) @ (self.terms @ p).T
 
     def at(self, p):
-        """The map t -> B^T e^{(T-t)A^T} p, values of shape (len(t), K).
-
-        The modal coordinates V^{-1} p are formed once here, so repeated
-        evaluations at one datum (bisection steps, segment probes) skip
-        them.
-        """
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if self._spectral is not None:
-            lam, V, Vinv = self._spectral
-            z = Vinv @ p.astype(complex)
-
-            def q(t):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                E = np.exp(np.multiply.outer(self.T - t, lam))
-                return np.real(((E * z) @ V.T) @ self.B)
-
-            return q
+        """The map t -> B^T e^{(T-t)A^T} p, values of shape (len(t), K).  The
+        node values R_i (A^T)^k p / k! are formed here in one product, so each
+        evaluation is a gather and a polynomial in delta led by R_i p."""
+        n, k, N = self.node_rows.shape
+        S = (self.node_rows.reshape(-1, N) @ (self.terms @ np.asarray(p, dtype=float).reshape(-1))).reshape(n, k, -1)
 
         def q(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return self.B.T @ sla.expm((self.T - t)[:, None, None] * self.A.T) @ p
+            i, powers = self._locate(t)
+            return (S[i] @ powers[:, :, None])[:, :, 0]
 
         return q
 
@@ -332,13 +327,12 @@ class AdjointPropagator:
         return self.at(p)(t)
 
     def rows(self, t) -> np.ndarray:
-        """The matrices B^T e^{(T-t)A^T} at the times ``t``, shape (len(t), K, N)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._spectral is not None:
-            lam, V, Vinv = self._spectral
-            E = np.exp(np.multiply.outer(self.T - t, lam))
-            return np.real(((self.B.T @ V) * E[:, None, :]) @ Vinv)
-        return self.B.T @ sla.expm((self.T - t)[:, None, None] * self.A.T)
+        """The matrices B^T e^{(T-t)A^T} at the times ``t``, shape (len(t),
+        K, N), from one product of the node rows with all terms side by side."""
+        i, powers = self._locate(t)
+        k, N = self.node_rows.shape[1:]
+        products = self.node_rows[i].reshape(-1, N) @ self.terms.reshape(N, -1)
+        return (powers[:, None, None] @ products.reshape(-1, k, self.degree + 1, N))[:, :, 0]
 
 
 def adjoint_rows(A, B, T: float, times) -> np.ndarray:

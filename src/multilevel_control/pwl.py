@@ -170,15 +170,6 @@ class PwlConvex:
             out = np.where((u < lo - COINCIDENCE_TOL) | (u > hi + COINCIDENCE_TOL), np.inf, out)
         return out if out.ndim else float(out)
 
-    def value_max(self, u):
-        """Evaluate via the max-of-affines form (cross-check path)."""
-        u = np.asarray(u, dtype=float)
-        vals = np.max(np.multiply.outer(u, self.slopes) + self.intercepts, axis=-1)
-        lo, hi = self.domain
-        if np.isfinite(lo) or np.isfinite(hi):
-            vals = np.where((u < lo - COINCIDENCE_TOL) | (u > hi + COINCIDENCE_TOL), np.inf, vals)
-        return vals if vals.ndim else float(vals)
-
     def slope_bounds(self, u, tol: float = COINCIDENCE_TOL):
         """Elementwise interval (lo, hi) of the slopes supporting f at ``u``.
 

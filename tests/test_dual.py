@@ -611,34 +611,36 @@ def bracket_plants():
 
 class TestBracketRows:
     @pytest.mark.parametrize("prob", bracket_plants())
-    def test_sub_steps_are_formed_once_per_problem(self, prob):
-        mult = prob.settings.bracket_multiplier
-        h_b, steps = prob.bracket_grid()
-        assert h_b == (prob.grid.nodes[1] - prob.grid.nodes[0]) / mult
-        assert steps.shape == (mult - 1, prob.sys.dim, prob.sys.dim)
-        assert prob.bracket_grid()[1] is steps
+    def test_bracket_grid_is_the_sub_cell_width(self, prob):
+        h = prob.grid.nodes[1] - prob.grid.nodes[0]
+        assert prob.bracket_grid() == h / prob.settings.bracket_multiplier
         single = DualProblem(prob.sys, prob.penalizations, settings=OptimizerSettings(bracket_multiplier=1))
-        assert single.bracket_grid()[1].shape == (0, prob.sys.dim, prob.sys.dim)
+        assert single.bracket_grid() == h
 
     @pytest.mark.parametrize("prob", bracket_plants())
     def test_sub_node_rows_match_one_exponential_per_node(self, prob):
-        # the row at t_i + r h_b, as the crossing search forms its samples
-        h_b, steps = prob.bracket_grid()
-        sys = prob.sys
+        # the sample at t_i + r h_b, as the crossing search forms it: the node
+        # row times the propagator's shift of p
+        h_b, mult, sys = prob.bracket_grid(), prob.settings.bracket_multiplier, prob.sys
+        p = np.linspace(-1.0, 1.3, sys.dim)
+        shifted = prob.propagator.shift(p, h_b * np.arange(1, mult))
         rng = np.random.default_rng(1)
-        for i, r in zip(rng.choice(prob.grid.n - 1, 50, replace=False), rng.integers(1, steps.shape[0] + 1, 50)):
-            expected = sys.B.T @ sla.expm((sys.T - prob.grid.nodes[i] - r * h_b) * sys.A.T)
-            got = prob.rows[i] @ steps[r - 1]
-            assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+        for i, r in zip(rng.choice(prob.grid.n - 1, 50, replace=False), rng.integers(1, mult, 50)):
+            row = sys.B.T @ sla.expm((sys.T - prob.grid.nodes[i] - r * h_b) * sys.A.T)
+            got = prob.rows[i] @ shifted[r - 1]
+            assert np.all(np.abs(got - row @ p) <= 1e-12 * (1.0 + np.linalg.norm(row)) * np.linalg.norm(p))
 
     def test_solve_and_extraction_form_the_rows_once(self, spy):
+        # the plant's rows once, on the quadrature nodes, and the augmented
+        # rows of the exact evaluation at most once
         rows = spy(lti, "adjoint_rows")
         prob = oscillator_problem(six_point_ladder())
         rep = minimize(prob)
         assert rep.converged
         extract_control(rep.p_T_star, prob)
-        assert len(rows) == 1
-        assert np.array_equal(rows[0][3], prob.grid.nodes)
+        plant = [args for args in rows if np.shape(args[0]) == (prob.sys.dim,) * 2]
+        assert len(plant) == 1 and np.array_equal(plant[0][3], prob.grid.nodes)
+        assert len(rows) - len(plant) <= 1
 
 
 class TestOriginTest:
@@ -792,14 +794,14 @@ class TestNewtonPhase:
     def test_a_pinned_datum_that_trips_the_midpoint_guard_extracts(self):
         # B^T p = 0.234 (p1 e^{0.126 s} + 5.59 p0 (e^{0.126 s} - 1)) on the
         # second channel is constant where p1 = -5.59 p0; the minimizer pins
-        # it on the breakpoint -0.2 up to rounding, and those rounding-level
-        # crossings fall inside single bracket cells
+        # it on the breakpoint -0.2 up to rounding.  Rounding-level crossings
+        # inside single bracket cells used to trip the midpoint guard; the
+        # midpoints now come from the same node rows as the samples, and the
+        # datum takes the primal path either way
         prob = pinned_problem()
         sys = prob.sys
         rep = minimize(prob)
         assert rep.converged and "active breakpoints" in rep.message
-        with pytest.raises(ValueError, match="two crossings"):
-            ExactEvaluator(prob).pieces(rep.p_T_star, midpoint_guard=True)
         ctrl = extract_control(rep.p_T_star, prob)
         for ch in ctrl.channels:
             assert verify_staircase(ctrl, ch.level_set)[0]

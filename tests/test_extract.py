@@ -333,13 +333,12 @@ def test_certified_search_finds_what_a_fine_scan_finds(N, seed, T, points):
     b = rng.uniform(-1.0, 1.0, (N, 1))
     sys = LtiSystem(A=A, B=b, x0=np.zeros(N), T=T)
     prob = DualProblem(sys, [_ladder([-1.0] + sorted(0.05 * np.array(points)) + [1.0])], grid=QuadratureGrid.trapezoid(T, 100))
-    assume(prob.propagator._spectral is not None)
     p = rng.uniform(-2.0, 2.0, N)
     p /= np.max(np.abs(prob.adjoint_observations(p)))  # B^T p spans about [-1, 1]
     q = lambda t: prob.propagator(t, p)[:, 0]
     [(crossings, _, _)] = ExactEvaluator(prob).pieces(p)
     expected = _scan_crossings(q, prob.penalizations[0].breakpoints, T)
-    h_b, _ = prob.bracket_grid()
+    h_b = prob.bracket_grid()
     M = float(np.linalg.norm(p)) * prob.row_bounds[1, 0]
     slope = np.abs(prob.propagator.rows(expected)[:, 0, :] @ (A.T @ p)) if expected.size else np.empty(0)
     firm = expected[slope > max(M * h_b, 1e-5)]

@@ -341,24 +341,12 @@ class TestGramian:
         assert np.array_equal(gramian(A_OSC, B_OSC[:, 0], 1.3), gramian(A_OSC, B_OSC, 1.3))
 
 
-# Plants for the bit-identity checks: a random one per size, the oscillator,
-# and the double integrator, whose defective A^T sends the propagator to its
-# stacked exponential path.
+# Plants for the propagator checks: a random one per size, the oscillator,
+# and the double integrator, whose A^T is defective.
 def _plants():
     rng = np.random.default_rng(11)
     plants = [(rng.standard_normal((N, N)), rng.standard_normal((N, K))) for N, K in ((3, 1), (4, 2), (6, 2))]
     return plants + [(A_OSC, B_OSC), (np.array([[0.0, 1.0], [0.0, 0.0]]), B_OSC)]
-
-
-def _propagator_reference(prop, t, p):
-    """B^T e^{(T-t)A^T} p from the modal coordinates formed per call, or
-    one exponential per point."""
-    if prop._spectral is not None:
-        lam, V, Vinv = prop._spectral
-        z = Vinv @ p.astype(complex)
-        E = np.exp(np.multiply.outer(prop.T - t, lam))
-        return np.real(((E * z) @ V.T) @ prop.B)
-    return np.stack([prop.B.T @ mat_exp(prop.A.T, prop.T - ti) @ p for ti in t])
 
 
 def _exp_action_integral_reference(A, B, tau):
@@ -384,12 +372,16 @@ def test_adjoint_rows_match_one_exponential_per_node(A, B):
 @pytest.mark.parametrize("A, B", _plants())
 class TestBitIdentity:
     def test_propagator_map_equals_call(self, A, B):
-        prop = AdjointPropagator(A, B, 3.0)
+        """at(p)(t) and the call are one computation, bit for bit, and both lie
+        within 1e-12 (1 + |row|) |p| of one Pade exponential per point."""
+        prop = AdjointPropagator(A, B, 3.0, np.linspace(0.0, 3.0, 601))
         p = np.linspace(-1.0, 1.2, A.shape[0])
         t = np.linspace(0.0, 3.0, 57)
-        expected = _propagator_reference(prop, t, p)
-        assert np.array_equal(prop.at(p)(t), expected)
-        assert np.array_equal(prop(t, p), expected)
+        rows = B.T @ mat_exp(A.T, 3.0 - t)
+        got = prop.at(p)(t)
+        assert np.array_equal(prop(t, p), got)
+        scale = (1.0 + np.linalg.norm(rows, axis=2)) * np.linalg.norm(p)
+        assert np.all(np.abs(got - rows @ p) <= 1e-12 * scale)
 
     def test_stacked_exp_action_integral_equals_scalar_calls(self, A, B):
         taus = np.array([3.0, 2.2, 0.7, 1e-3, 0.0])
@@ -403,47 +395,49 @@ class TestBitIdentity:
 DOUBLE_INTEGRATOR = np.array([[0.0, 1.0], [0.0, 0.0]])
 # a defective 3-state chain with two channels
 CHAIN = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+# LAPACK returns the identity as eigenvectors of this A^T, which is wrong
+SUBNORMAL = np.array([[0.0, 1.0], [5e-324, 1.0]])
+
+
+def _assert_values_per_point(A, B, T, n, t, p):
+    """Values on an n-node grid within 1e-12 (1 + |row|) |p| of one Pade
+    exponential per point."""
+    prop = AdjointPropagator(A, B, T, np.linspace(0.0, T, n))
+    rows = B.T @ mat_exp(A.T, T - t)
+    scale = (1.0 + np.linalg.norm(rows, axis=2)) * np.linalg.norm(p)
+    assert np.all(np.abs(prop(t, p) - rows @ p) <= 1e-12 * scale)
 
 
 def test_double_integrator_propagator_is_per_point():
-    assert AdjointPropagator(DOUBLE_INTEGRATOR, B_OSC, 3.0)._spectral is None
+    # defective A^T: no eigenbasis, the node rows and polynomial still apply
+    _assert_values_per_point(DOUBLE_INTEGRATOR, B_OSC, 3.0, 4000, np.linspace(0.0, 3.0, 4001), np.array([0.3, -1.1]))
 
 
-def test_stacked_fallback_equals_per_point_exponentials():
-    # the chain: one stacked expm over all times, bit for bit the per-point
-    # exponentials
+def test_chain_on_the_benchmark_grid_is_per_point():
+    # the defective chain on a 4,000-node grid read at 4,001 times, most of
+    # them off the nodes
     A, B = CHAIN
-    prop = AdjointPropagator(A, B, 3.0)
-    assert prop._spectral is None
-    p = np.linspace(-0.7, 0.4, A.shape[0])
-    t = np.linspace(0.0, 3.0, 4001)
-    expected = np.stack([B.T @ mat_exp(A.T, 3.0 - ti) @ p for ti in t])
-    assert np.array_equal(prop(t, p), expected)
+    _assert_values_per_point(A, B, 3.0, 4000, np.linspace(0.0, 3.0, 4001), np.linspace(-0.7, 0.4, A.shape[0]))
 
 
-def test_subnormal_entry_falls_back_to_exponentials():
-    # LAPACK returns the identity as eigenvectors of this A^T, which is wrong
-    A = np.array([[0.0, 1.0], [5e-324, 1.0]])
-    prop = AdjointPropagator(A, B_OSC, 1.0)
-    assert prop._spectral is None
-    p = np.array([1.0, -2.0])
-    t = np.linspace(0.0, 1.0, 5)
-    expected = np.stack([B_OSC.T @ mat_exp(A.T, 1.0 - ti) @ p for ti in t])
-    assert np.allclose(prop(t, p), expected, rtol=1e-12, atol=0)
+def test_subnormal_entry_is_per_point():
+    _assert_values_per_point(SUBNORMAL, B_OSC, 1.0, 5, np.linspace(0.0, 1.0, 9), np.array([1.0, -2.0]))
 
 
 @st.composite
-def psi_plants(draw):
-    """(A, B, T, defective): a random plant with N <= 6, K <= 2 and entries
-    in [-1, 1]; one whose A = Q S Q^T has the eigenvalue 10^-k, k in [1, 10],
-    on the diagonal of its Schur form S; the double integrator; or the
-    defective 3-state chain with two channels."""
-    family = draw(st.sampled_from(["random", "small eigenvalue", "double integrator", "chain"]))
+def plants(draw):
+    """(A, B, T): a random plant with N <= 6, K <= 2 and entries in [-1, 1];
+    one whose A = Q S Q^T has the eigenvalue 10^-k, k in [1, 10], on the
+    diagonal of its Schur form S; the double integrator; the defective
+    3-state chain with two channels; or the plant with a subnormal entry."""
+    family = draw(st.sampled_from(["random", "small eigenvalue", "double integrator", "chain", "subnormal"]))
     T = draw(st.floats(0.5, 4.0))
     if family == "double integrator":
-        return DOUBLE_INTEGRATOR, B_OSC, T, True
+        return DOUBLE_INTEGRATOR, B_OSC, T
     if family == "chain":
-        return *CHAIN, T, True
+        return *CHAIN, T
+    if family == "subnormal":
+        return SUBNORMAL, B_OSC, T
     N, K = draw(st.integers(1, 6)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.uniform(-1.0, 1.0, (N, N))
@@ -451,17 +445,38 @@ def psi_plants(draw):
         Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
         eigs = np.concatenate([[10.0 ** -draw(st.floats(1.0, 10.0))], rng.uniform(-1.0, 1.0, N - 1)])
         A = Q @ (np.triu(A, 1) + np.diag(eigs)) @ Q.T
-    return A, rng.uniform(-1.0, 1.0, (N, K)), T, False
+    return A, rng.uniform(-1.0, 1.0, (N, K)), T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(plant=plants(), n=st.integers(20, 200), mult=st.integers(2, 8))
+def test_propagator_matches_per_point_exponentials(plant, n, mult):
+    """The propagator's rows and values at t = 0, T, the n nodes and the
+    mult - 1 sub-nodes of every cell, and the sub-node samples node row times
+    ``shift``, lie within 1e-12 (1 + |row|) (times |p| for values) of one
+    Pade exponential per point: node row times a Taylor polynomial of the
+    degree its remainder bound needs, on every plant, defective or not."""
+    A, B, T = plant
+    times = np.linspace(0.0, T, n)
+    prop = AdjointPropagator(A, B, T, times)
+    offsets = (times[1] - times[0]) * np.arange(1, mult) / mult
+    t = np.concatenate([[0.0, T], times, (times[:-1, None] + offsets).reshape(-1)])
+    expected = B.T @ mat_exp(A.T, T - t)
+    p = np.linspace(-1.0, 1.2, A.shape[0])
+    scale = 1.0 + np.linalg.norm(expected, axis=2)
+    assert np.all(np.linalg.norm(prop.rows(t) - expected, axis=2) <= 1e-12 * scale)
+    assert np.all(np.abs(prop(t, p) - expected @ p) <= 1e-12 * scale * np.linalg.norm(p))
+    subs = np.einsum("ikn,rn->irk", prop.node_rows[:-1], prop.shift(p, offsets)).reshape(-1, B.shape[1])
+    assert np.all(np.abs(subs - expected[n + 2 :] @ p) <= 1e-12 * scale[n + 2 :] * np.linalg.norm(p))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(plant=psi_plants(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@given(plant=plants(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_exact_evaluation_psi_ends_match_exp_action_integral(plant, fractions):
     """The ends Psi(T - t) that the exact evaluation reads from the augmented
     propagator, at t = 0, T and interior times, agree with the Pade
-    exponential of [[A, B], [0, 0]] within 1e-12 (1 + |Psi|); the defective
-    plants take the stacked-exponential fallback."""
-    A, B, T, defective = plant
+    exponential of [[A, B], [0, 0]] within 1e-12 (1 + |Psi|)."""
+    A, B, T = plant
     N, K = B.shape
     ladder = pwl.build_penalization(pwl.quadratic_profile(), pwl.Partition(np.array([-1.0, 0.0, 1.0])))
     prob = DualProblem(LtiSystem(A=A, B=B, x0=np.zeros(N), T=T), [ladder] * K)
@@ -470,5 +485,3 @@ def test_exact_evaluation_psi_ends_match_exp_action_integral(plant, fractions):
     expected = np.swapaxes(exp_action_integral(A, B, T - t), 1, 2)
     scale = 1.0 + np.linalg.norm(expected, axis=(1, 2))
     assert np.all(np.linalg.norm(ends - expected, axis=(1, 2)) <= 1e-12 * scale)
-    if defective:
-        assert prob.psi_propagator._spectral is None

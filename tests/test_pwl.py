@@ -213,9 +213,13 @@ class TestConjugate:
                 assert back.contains(float(u), slack=1e-10)
 
     def test_max_of_affines_agreement(self, ladder):
+        # the segment lookup of value against the max-of-affines form (the
+        # ladder's domain is all of R)
         rng = np.random.default_rng(12)
         uu = rng.uniform(-4, 4, size=1000)
-        assert np.allclose(ladder.value(uu), ladder.value_max(uu), atol=1e-12)
+        reference = np.max(np.multiply.outer(uu, ladder.slopes) + ladder.intercepts, axis=-1)
+        assert ladder.domain == (-np.inf, np.inf)
+        assert np.allclose(ladder.value(uu), reference, atol=1e-12)
 
     def test_redundant_piece_dropped(self):
         # middle piece never attains the max of the envelope
