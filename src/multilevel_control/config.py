@@ -34,7 +34,6 @@ class ChecksConfig:
     staircase: bool = True
     fenchel: bool = False
     fenchel_gap_rtol: float = 1e-3
-    fenchel_agreement_tol: Optional[float] = 0.05
     solvable: bool = False
     expect_divergence: bool = False
 
@@ -44,8 +43,6 @@ class ExperimentConfig:
     name: str
     system: LtiSystem
     partitions: tuple
-    profile: str
-    table_values: Optional[tuple]
     allow_offgrid_minimum: bool
     kind: FunctionalKind
     beta: float
@@ -57,30 +54,11 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def penalizations(self) -> list[PwlConvex]:
-        pens = []
-        for ch, pts in enumerate(self.partitions):
-            part = Partition(np.asarray(pts, dtype=float))
-            if self.profile == "quadratic":
-                prof = quadratic_profile()
-                if self.allow_offgrid_minimum:
-                    prof = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
-                pens.append(build_penalization(prof, part))
-            else:  # custom-table: chord interpolation of tabulated values
-                vals = np.asarray(self.table_values[ch], dtype=float)
-                if vals.size != part.points.size:
-                    raise ConfigError(
-                        f"penalization.values[{ch}]: need one value per partition point"
-                    )
-                seg = np.diff(vals) / np.diff(part.points)
-                if np.any(np.diff(seg) <= 0):
-                    raise ConfigError(
-                        f"penalization.values[{ch}]: chord slopes must be strictly increasing"
-                    )
-                icpts = vals[:-1] - seg * part.points[:-1]
-                pens.append(
-                    PwlConvex(seg, icpts, interval=(part.points[0], part.points[-1]))
-                )
-        return pens
+        """The chords of the quadratic profile on each channel's partition."""
+        prof = quadratic_profile()
+        if self.allow_offgrid_minimum:
+            prof = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
+        return [build_penalization(prof, Partition(np.asarray(pts, dtype=float))) for pts in self.partitions]
 
     def quadrature(self) -> QuadratureGrid:
         return QuadratureGrid.trapezoid(self.system.T, self.grid_nodes)
@@ -169,12 +147,10 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if kind == FunctionalKind.SCALED and not beta > 1.0:
         raise ConfigError(f"beta: the scaled kind needs beta > 1, got {beta}")
 
-    pen_raw = _section(raw, "penalization", ("profile", "partitions", "values", "allow_offgrid_minimum"))
+    pen_raw = _section(raw, "penalization", ("profile", "partitions", "allow_offgrid_minimum"))
     profile = pen_raw.get("profile", "quadratic")
-    if profile not in ("quadratic", "custom-table"):
+    if profile != "quadratic":
         raise ConfigError(f"penalization.profile: unknown profile {profile!r}")
-    partitions = None
-    table_values = None
     if kind.penalized:
         partitions = _require(pen_raw, "partitions", "penalization.")
         if not isinstance(partitions, list) or not partitions:
@@ -193,19 +169,6 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
                 )
             parsed.append(tuple(arr.tolist()))
         partitions = tuple(parsed)
-        if profile == "custom-table":
-            vals = _require(pen_raw, "values", "penalization.")
-            if not isinstance(vals, list) or len(vals) != len(partitions):
-                raise ConfigError("penalization.values: need one value list per channel")
-            parsed_vals = []
-            for ch, v in enumerate(vals):
-                arr = _numeric_array(v, f"penalization.values[{ch}]", 1)
-                if np.any(arr < 0):
-                    raise ConfigError(
-                        f"penalization.values[{ch}]: penalization values must be non-negative"
-                    )
-                parsed_vals.append(tuple(arr.tolist()))
-            table_values = tuple(parsed_vals)
     else:
         partitions = tuple()
 
@@ -217,24 +180,19 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if multiplier < 1:
         raise ConfigError("grid.bracket_multiplier: must be >= 1")
 
-    opt_raw = _section(raw, "optimizer", ("max_iterations", "gtol"))
+    opt_raw = _section(raw, "optimizer", ("max_iterations",))
     max_iterations = _typed(opt_raw.get("max_iterations", 50_000), "optimizer.max_iterations", (int,))
-    gtol = _number(opt_raw.get("gtol", 1e-6), "optimizer.gtol")
     try:
-        optimizer = OptimizerSettings(max_iterations, gtol, multiplier)
+        optimizer = OptimizerSettings(max_iterations, multiplier)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from None
 
     chk_raw = _section(raw, "checks", [f.name for f in fields(ChecksConfig)])
-    agreement = chk_raw.get("fenchel_agreement_tol", 0.05)
-    if agreement is not None:
-        agreement = _positive(agreement, "checks.fenchel_agreement_tol")
     checks = ChecksConfig(
         terminal_tol=_positive(chk_raw.get("terminal_tol", 1e-2), "checks.terminal_tol"),
         staircase=_flag(chk_raw, "staircase", True, "checks."),
         fenchel=_flag(chk_raw, "fenchel", False, "checks."),
         fenchel_gap_rtol=_positive(chk_raw.get("fenchel_gap_rtol", 1e-3), "checks.fenchel_gap_rtol"),
-        fenchel_agreement_tol=agreement,
         solvable=_flag(chk_raw, "solvable", False, "checks."),
         expect_divergence=_flag(chk_raw, "expect_divergence", False, "checks."),
     )
@@ -246,8 +204,6 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
         name=name,
         system=system,
         partitions=partitions,
-        profile=profile,
-        table_values=table_values,
         allow_offgrid_minimum=_flag(pen_raw, "allow_offgrid_minimum", False, "penalization."),
         kind=kind,
         beta=beta,
@@ -261,8 +217,6 @@ def parse_config(raw: dict, name_hint: str = "scenario") -> ExperimentConfig:
     if kind.penalized:
         try:
             cfg.penalizations()
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"penalization: {exc}") from None
     return cfg

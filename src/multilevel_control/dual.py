@@ -36,7 +36,6 @@ from .lti import (
     gramian,
     kalman_rank,
     mat_exp,
-    uniform_step,
 )
 from .pwl import PwlConvex, conjugate
 
@@ -84,69 +83,51 @@ class FunctionalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Composite-trapezoid nodes and weights on [0, T]."""
+    """The uniform composite-trapezoid rule on [0, T]: ``n`` equally spaced
+    ``nodes`` and their ``weights`` (h, halved at both ends)."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    T: float
+    n: int = 4000
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.size != weights.size or nodes.size < 2:
-            raise ValueError("grid needs matching nodes and weights (>= 2)")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("grid nodes and weights must be finite")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        T = nodes[-1] - nodes[0]
-        if abs(weights.sum() - T) > 1e-10 * max(1.0, T):
-            raise ValueError("quadrature weights must sum to the horizon length")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def trapezoid(cls, T: float, n: int = 4000) -> "QuadratureGrid":
-        if n < 2:
+        if self.n < 2:
             raise ValueError("need at least 2 quadrature nodes")
-        if not np.isfinite(T):
-            raise ValueError(f"the horizon must be finite, got {T}")
-        nodes = np.linspace(0.0, T, n)
-        w = np.full(n, T / (n - 1))
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"the horizon must be finite and > 0, got {self.T}")
+        w = np.full(self.n, self.T / (self.n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        return cls(nodes, w)
+        object.__setattr__(self, "nodes", np.linspace(0.0, self.T, self.n))
+        object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
+    @classmethod
+    def trapezoid(cls, T: float, n: int | None = None) -> "QuadratureGrid":
+        return cls(T) if n is None else cls(T, n)
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Descent configuration.
 
-    ``max_iterations`` caps the quadrature and Newton steps together,
-    ``gtol`` is the stationarity tolerance on the gradient norm, and
+    ``max_iterations`` caps the quadrature and Newton steps together, and
     ``bracket_multiplier`` is the number of sub-cells of each quadrature
     cell that the crossing search leaves uncertified (:meth:`ExactEvaluator.pieces`).
+    The stationarity tolerance on the gradient norm is the constant
+    :data:`GTOL`.
     """
 
     max_iterations: int = 50_000
-    gtol: float = 1e-6
     bracket_multiplier: int = 8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.gtol > 0:
-            raise ValueError(f"gtol must be > 0, got {self.gtol}")
         if self.bracket_multiplier < 1:
             raise ValueError(f"bracket_multiplier must be >= 1, got {self.bracket_multiplier}")
 
 
-# Descent constants.  Divergence is certified once the iterate norm passes
+# Descent constants.  A run converges once the gradient norm is within GTOL.
+# Divergence is certified once the iterate norm passes
 # DIVERGENCE_THRESHOLD after DIVERGENCE_WINDOW accepted steps, each a strict
 # decrease.  A Newton step solves (H + mu I) d = -g with mu =
 # NEWTON_REGULARIZATION (1 + tr H) and takes the largest step 2^-k that meets
@@ -154,6 +135,7 @@ class OptimizerSettings:
 # convexity of the functional along d allows (see line_search).  A stalled
 # iterate is snapped onto the breakpoints its node observations lie within
 # SNAP_TOL of (relative).
+GTOL = 1e-6
 DIVERGENCE_THRESHOLD = 1e6
 DIVERGENCE_WINDOW = 100
 NEWTON_REGULARIZATION = 1e-10
@@ -200,9 +182,8 @@ class DualProblem:
                 f"for {sys.channels} channels"
             )
         self.grid = grid if grid is not None else QuadratureGrid.trapezoid(sys.T)
-        if abs(self.grid.nodes[0]) > 1e-12 or abs(self.grid.nodes[-1] - sys.T) > 1e-9:
+        if abs(self.grid.T - sys.T) > 1e-9:
             raise ValueError("quadrature grid must cover [0, T]")
-        uniform_step(self.grid.nodes)  # the rows need a uniform grid
         self.settings = settings if settings is not None else OptimizerSettings()
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
         self._primal = {}
@@ -633,7 +614,7 @@ def minimize(prob: DualProblem) -> SolveReport:
 
     The quadratic kinds are solved in closed form by
     :func:`quadratic_minimizer` with no iterations, and converge when the
-    gradient there is within ``gtol``.  A larger gradient is, on an
+    gradient there is within :data:`GTOL`.  A larger gradient is, on an
     uncontrollable plant, the least-squares residual that W annihilates (the
     functional is unbounded below along it: the run diverges) and, on a
     controllable one, rounding amplified by an ill-conditioned W
@@ -649,7 +630,7 @@ def minimize(prob: DualProblem) -> SolveReport:
     curvature of crossings about to appear, so near a tangency d can
     overshoot.
 
-    The run converges when the gradient norm is within ``gtol``, or when
+    The run converges when the gradient norm is within :data:`GTOL`, or when
     extraction's complementary-slackness test
     (:func:`~.extract.complementary_slackness`) certifies a kinked point:
     the origin, tested first if a penalization is kinked at 0, or the
@@ -659,7 +640,6 @@ def minimize(prob: DualProblem) -> SolveReport:
     each a strict decrease; a run that finds no decreasing step otherwise,
     or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
-    st = prob.settings
     controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim
     if not controllable:
         logging.getLogger("multilevel_control").warning(
@@ -672,7 +652,7 @@ def minimize(prob: DualProblem) -> SolveReport:
             raise FloatingPointError("the closed-form minimizer overflows (Gramian too small)")
         value = eval_functional(prob, p)
         gn = float(np.linalg.norm(eval_subgradient(prob, p)))
-        if gn <= st.gtol:
+        if gn <= GTOL:
             return SolveReport(SolveStatus.CONVERGED, p, value, 0, gn, message="closed-form solution")
         if not controllable:
             message = "the drift leaves the range of the Gram matrix (functional unbounded below)"
@@ -745,10 +725,10 @@ def minimize(prob: DualProblem) -> SolveReport:
     accepted = 0
     newton = False
     trace()
-    while it < st.max_iterations:
+    while it < prob.settings.max_iterations:
         it += 1
         gn = float(np.linalg.norm(g))
-        if gn <= st.gtol:
+        if gn <= GTOL:
             return report(SolveStatus.CONVERGED, p, J, gn)
         if not newton:
             cand = p - step * g
@@ -795,7 +775,7 @@ def minimize(prob: DualProblem) -> SolveReport:
                 return done
 
     gn = float(np.linalg.norm(g))
-    if gn <= st.gtol:
+    if gn <= GTOL:
         return report(SolveStatus.CONVERGED, p, J, gn)
     done = pinned_certificate()
     if done is not None:

@@ -107,12 +107,6 @@ class SubdiffInterval:
     def contains(self, v: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= v <= self.upper + slack
 
-    @property
-    def midpoint(self) -> float:
-        if np.isinf(self.lower) or np.isinf(self.upper):
-            raise ValueError("midpoint undefined for a half-infinite interval")
-        return 0.5 * (self.lower + self.upper)
-
 
 class PwlConvex:
     """Convex piecewise-linear function in segment + max-of-affines form.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from multilevel_control import (
     run_scenario,
 )
 from multilevel_control.cli import main
-from multilevel_control.config import parse_config
+from multilevel_control.config import ChecksConfig, parse_config
 
 FAST_OSC = {
     "name": "fast-osc",
@@ -83,16 +84,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"partitions\[0\]"):
             parse_config(raw)
 
-    def test_custom_table(self):
+    def test_quadratic_chords_of_a_partition(self):
+        # the quadratic's values on [-1, 0, 1] are 1, 0, 1: chord slopes -1 and 1
         raw = json.loads(json.dumps(FAST_OSC))
-        raw["penalization"] = {
-            "profile": "custom-table",
-            "partitions": [[-1.0, 0.0, 1.0]],
-            "values": [[1.0, 0.0, 1.0]],
-        }
-        cfg = parse_config(raw)
-        pen = cfg.penalizations()[0]
+        raw["penalization"] = {"profile": "quadratic", "partitions": [[-1.0, 0.0, 1.0]]}
+        pen = parse_config(raw).penalizations()[0]
         assert np.allclose(pen.slopes, [-1.0, 1.0], atol=0)
+
+    def test_checks_fields(self):
+        assert [f.name for f in dataclasses.fields(ChecksConfig)] == [
+            "terminal_tol",
+            "staircase",
+            "fenchel",
+            "fenchel_gap_rtol",
+            "solvable",
+            "expect_divergence",
+        ]
 
     def test_unknown_optimizer_field_named(self):
         raw = json.loads(json.dumps(FAST_OSC))
@@ -102,8 +109,8 @@ class TestConfigParsing:
 
     def test_invalid_optimizer_value_named(self):
         raw = json.loads(json.dumps(FAST_OSC))
-        raw["optimizer"] = {"gtol": -1.0}
-        with pytest.raises(ConfigError, match="optimizer: gtol"):
+        raw["optimizer"] = {"max_iterations": 0}
+        with pytest.raises(ConfigError, match="optimizer: max_iterations"):
             parse_config(raw)
 
     def test_bracket_multiplier_error_names_grid_field(self):
@@ -121,9 +128,7 @@ class TestConfigParsing:
             (None, "seed", {"value": 1}),
             ("checks", "terminal_tol", "tight"),
             ("checks", "fenchel_gap_rtol", "1e-3x"),
-            ("checks", "fenchel_agreement_tol", [0.05]),
             ("optimizer", "max_iterations", "lots"),
-            ("optimizer", "gtol", None),
             ("system", "T", "four"),
             ("system", "B", [["zero"], [1]]),
         ],
@@ -135,7 +140,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^{path}: "):
             parse_config(raw)
 
-    @pytest.mark.parametrize("key", ["terminal_tol", "fenchel_gap_rtol", "fenchel_agreement_tol"])
+    @pytest.mark.parametrize("key", ["terminal_tol", "fenchel_gap_rtol"])
     @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
     def test_check_tolerance_must_be_finite_and_positive(self, key, value):
         raw = json.loads(json.dumps(FAST_OSC))
@@ -159,6 +164,26 @@ class TestCliExitCodes:
         assert (out / "summary.json").exists()
         assert (out / "control.csv").exists()
         assert (out / "trajectory.csv").exists()
+
+    def test_quadratic_kind_writes_no_control_csv(self, tmp_path):
+        # the quadratic-cost control is no staircase, so only the trajectory is tabulated
+        raw = json.loads(json.dumps(OSC_T4))
+        raw["kind"] = "quadratic"
+        raw["checks"] = {"terminal_tol": 0.01}
+        assert main(["run", str(write_cfg(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / "osc-t4"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json", "trajectory.csv"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "converged" and report["terminal_norm"] <= 0.01
+
+    def test_iteration_cap_exit_2(self, tmp_path):
+        raw = json.loads(json.dumps(OSC_T4))
+        raw["optimizer"] = {"max_iterations": 1}
+        assert main(["run", str(write_cfg(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out" / "osc-t4"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "iteration_cap_reached" and report["checks"] == {"converged": False}
 
     def test_expected_divergence_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, DIVERGENT)
@@ -244,7 +269,6 @@ class TestCliExitCodes:
             ("grid.nodes", 4000.0, "grid.nodes: expected an integer"),
             ("grid.bracket_multiplier", 2.5, "grid.bracket_multiplier: expected an integer"),
             ("optimizer.max_iterations", True, "optimizer.max_iterations: expected an integer"),
-            ("optimizer.gtol", False, "optimizer.gtol: expected a number"),
             ("system.T", True, "system.T: expected a number, got True"),
             ("beta", "2", "beta: expected a number"),
             ("system.A", [[0, 1], [-1, False]], "system.A: expected a number, got False"),
@@ -257,11 +281,12 @@ class TestCliExitCodes:
                 [[-1.0, -0.6, "-0.2", 0.2, 0.6, 1.0]],
                 "penalization.partitions[0]: expected a number",
             ),
-            (
-                "penalization",
-                {"profile": "custom-table", "partitions": [[-1.0, 0.0, 1.0]], "values": [[1.0, "0", 1.0]]},
-                "penalization.values[0]: expected a number",
-            ),
+            # the stationarity and agreement tolerances are constants, and the
+            # quadratic profile is the only one
+            ("optimizer.gtol", 1e-6, "optimizer.gtol: unknown field"),
+            ("checks.fenchel_agreement_tol", 0.05, "checks.fenchel_agreement_tol: unknown field"),
+            ("penalization.values", [[1.0, 0.0, 1.0]], "penalization.values: unknown field"),
+            ("penalization.profile", "custom-table", "penalization.profile: unknown profile 'custom-table'"),
             ("name", 5, "name: expected a string"),
             ("output_dir", ["a"], "output_dir: expected a string, got ['a']"),
         ],
@@ -276,10 +301,17 @@ class TestCliExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_null_agreement_tolerance_is_accepted(self):
-        raw = json.loads(json.dumps(OSC_T4))
-        raw["checks"]["fenchel_agreement_tol"] = None
-        assert parse_config(raw).checks.fenchel_agreement_tol is None
+    def test_agreement_check_reads_the_constant(self, tmp_path, monkeypatch):
+        # osc-t4's primal and dual controls agree to about 1.2e-2
+        cfg = parse_config(json.loads(json.dumps(OSC_T4)))
+        rep = run_scenario(cfg, tmp_path / "a")
+        agreement = rep.gap["control_agreement"]
+        assert rep.passed and rep.checks["fenchel_agreement"]
+        assert 0.0 < agreement <= experiments.FENCHEL_AGREEMENT_TOL
+        monkeypatch.setattr(experiments, "FENCHEL_AGREEMENT_TOL", 0.5 * agreement)
+        rep = run_scenario(cfg, tmp_path / "b")
+        assert rep.gap["control_agreement"] == agreement
+        assert not rep.passed and rep.checks["fenchel_agreement"] is False
 
     def test_negative_seed_exit_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_OSC)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import sys as _sys
@@ -102,16 +103,18 @@ class TestQuadratureGrid:
         assert g.weights.sum() == pytest.approx(4.0, abs=1e-10)
         assert np.all(g.weights > 0)
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            QuadratureGrid(np.array([0.0, 1.0]), np.array([0.4, 0.4]))
+    def test_nodes_and_weights_are_the_trapezoid_rule(self):
+        g = QuadratureGrid(2.0, 5)
+        assert [f.name for f in dataclasses.fields(g)] == ["T", "n"]
+        assert np.array_equal(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert np.array_equal(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
+
+    def test_rejects_fewer_than_two_nodes(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            QuadratureGrid.trapezoid(1.0, 1)
 
     def test_rejects_non_finite_input(self):
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureGrid([0.0, np.nan, 1.0], [0.25, 0.5, 0.25])
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureGrid([0.0, 0.5, 1.0], [0.25, np.nan, 0.25])
-        for T in (np.nan, np.inf):
+        for T in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="finite"):
                 QuadratureGrid.trapezoid(T)
 
@@ -279,7 +282,7 @@ class TestMinimize:
         rep = minimize(prob)
         assert rep.status is SolveStatus.CONVERGED
         assert np.linalg.norm(rep.p_T_star) > 1e-3
-        assert rep.grad_norm <= prob.settings.gtol
+        assert rep.grad_norm <= dual.GTOL
         assert rep.value < 0.0
 
     def test_expansive_scalar_large_state_diverges(self):
@@ -369,7 +372,7 @@ class TestQuadraticClosedForm:
 
     def test_ill_conditioned_controllable_plant_is_not_diverged(self):
         # a six-state integrator chain over T = 0.5: the Gram matrix has
-        # condition number ~1e13, so rounding keeps the gradient above gtol
+        # condition number ~1e13, so rounding keeps the gradient above GTOL
         sys = LtiSystem(A=np.eye(6, k=1), B=np.eye(6)[:, 5:], x0=np.ones(6), T=0.5)
         rep = minimize(DualProblem(sys, [], kind="quadratic", grid=QuadratureGrid.trapezoid(0.5, 400)))
         assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 0
@@ -403,7 +406,7 @@ def controllable_plants(draw):
 def test_quadratic_kinds_solve_in_closed_form(prob):
     rep = minimize(prob)
     assert rep.status is SolveStatus.CONVERGED and rep.iterations == 0
-    assert np.linalg.norm(eval_subgradient(prob, rep.p_T_star)) <= prob.settings.gtol
+    assert np.linalg.norm(eval_subgradient(prob, rep.p_T_star)) <= dual.GTOL
     # u = 2 phi'(I) B^T p, with I = p^T W p, steers x0 to e^{TA} x0 + 2 phi'(I) W p
     sys, p = prob.sys, rep.p_T_star
     W = gramian(sys.A, sys.B, sys.T)
@@ -479,15 +482,20 @@ def kinked_plants(draw):
     B = np.array(draw(st.lists(entries, min_size=N * K, max_size=N * K))).reshape(N, K)
     assume(kalman_rank(A, B) == N)
     x0 = np.array(draw(st.lists(entries, min_size=N, max_size=N)))
-    T = draw(st.floats(0.5, 4.0))
+    return kinked_problem(A, B, x0, draw(st.floats(0.5, 4.0)))
+
+
+def kinked_problem(A, B, x0, T):
+    """The plant with the four-level ladder on every channel, 400 nodes and
+    at most 3000 iterations."""
     sys = LtiSystem(A=A, B=B, x0=x0, T=T)
-    pens = [five_point_ladder() for _ in range(K)]
+    pens = [five_point_ladder() for _ in range(sys.channels)]
     return DualProblem(
         sys, pens, grid=QuadratureGrid.trapezoid(T, 400), settings=OptimizerSettings(max_iterations=3000)
     )
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(prob=kinked_plants())
 def test_converged_data_extract_without_degenerate_error(prob):
     rep = minimize(prob)
@@ -498,18 +506,63 @@ def test_converged_data_extract_without_degenerate_error(prob):
             pytest.fail(f"{rep.message}: {exc}")
 
 
+def known_failure(reason):
+    return pytest.mark.xfail(strict=True, raises=DegenerateAdjointError, reason=reason)
+
+
+@pytest.mark.parametrize(
+    "A, B, x0, T",
+    [
+        pytest.param(
+            np.diag([0.0, 1.0]),
+            [[1.0], [2.0**-23]],
+            [0.0, 0.0],
+            1.0,
+            id="badly-scaled-rows",
+            marks=known_failure("the primal LP of badly scaled steering rows is reported infeasible"),
+        ),
+        pytest.param(
+            [[1.1125369292536007e-308, 0.2831924365986074], [0.2883813407861384, -0.7725655080805547]],
+            [[-9.944933530196445e-65, -0.9069496914500528], [1.1754943508222875e-38, 0.12396254457806566]],
+            [-0.7316290936304024, -6.67286805461442e-145],
+            1.7254599329255922,
+            id="tiny-column",
+            marks=known_failure("a regular channel goes to the primal LP with the pinned one"),
+        ),
+        pytest.param(
+            [[0.0, 0.0], [1.0, 0.0]],
+            [[0.0, 0.5], [0.0, 0.0]],
+            [0.0, 0.5],
+            2.0,
+            id="zero-column",
+            marks=known_failure("a regular channel goes to the primal LP with the pinned one"),
+        ),
+    ],
+)
+def test_converged_data_that_do_not_extract_yet(A, B, x0, T):
+    # converged data whose extraction raises: a feasible LP reported
+    # infeasible, and a regular channel whose LP values miss its subdifferential
+    prob = kinked_problem(A, B, x0, T)
+    rep = minimize(prob)
+    assert rep.status is SolveStatus.CONVERGED
+    extract_control(rep.p_T_star, prob)
+
+
 class TestOptimizerSettings:
     def test_max_iterations_at_least_one(self):
         with pytest.raises(ValueError, match="max_iterations"):
             OptimizerSettings(max_iterations=0)
 
-    def test_gtol_positive(self):
-        with pytest.raises(ValueError, match="gtol"):
-            OptimizerSettings(gtol=0.0)
-
     def test_bracket_multiplier_at_least_one(self):
         with pytest.raises(ValueError, match="bracket_multiplier"):
             OptimizerSettings(bracket_multiplier=0)
+
+    def test_gtol_is_a_constant_not_a_setting(self):
+        # the stationarity tolerance is a module constant, not a setting
+        assert 0.0 < dual.GTOL < np.inf
+        assert [f.name for f in dataclasses.fields(OptimizerSettings)] == ["max_iterations", "bracket_multiplier"]
+        with pytest.raises(TypeError, match="gtol"):
+            OptimizerSettings(gtol=1e-6)
 
 
 @pytest.fixture
@@ -542,10 +595,12 @@ class TestConstantsOnFirstRead:
         oscillator_problem(kind=kind, beta=2.0)
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(self.CONSTANTS, 0)
 
-    def test_construction_still_rejects_a_non_uniform_grid(self):
-        nodes = np.array([0.0, 1.0, 4.0])
-        with pytest.raises(ValueError, match="uniform grid"):
-            oscillator_problem(grid=QuadratureGrid(nodes, np.array([0.5, 2.0, 1.5])))
+    @pytest.mark.parametrize("T", [3.9, 4.1])
+    def test_construction_still_rejects_a_grid_off_the_horizon(self, spy, T):
+        calls = {name: spy(lti, name) for name in self.CONSTANTS}
+        with pytest.raises(ValueError, match=r"cover \[0, T\]"):
+            oscillator_problem(grid=QuadratureGrid.trapezoid(T, 400))
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(self.CONSTANTS, 0)
 
     @pytest.mark.parametrize("kind", ["quadratic", "quadratic_squared"])
     def test_quadratic_minimize_forms_no_rows(self, spy, kind):
@@ -757,7 +812,7 @@ class TestNewtonPhase:
         assert rep.iterations == handover + 1 and rep.newton_steps == 1
         # the report holds the Newton iterate, with its exact value and gradient
         value, grad = ExactEvaluator(prob).value_and_grad(rep.p_T_star)
-        assert rep.value == value and rep.grad_norm == float(np.linalg.norm(grad)) > prob.settings.gtol
+        assert rep.value == value and rep.grad_norm == float(np.linalg.norm(grad)) > dual.GTOL
         assert rep.trace[-1, 1] == float(np.linalg.norm(rep.p_T_star))
 
     def test_counters_of_a_converged_run(self):
@@ -772,7 +827,7 @@ class TestNewtonPhase:
         # Newton direction decreases the value, and steps along -g do
         prob = tangency_problem()
         rep = minimize(prob)
-        assert rep.converged and rep.grad_norm <= prob.settings.gtol
+        assert rep.converged and rep.grad_norm <= dual.GTOL
         ctrl = extract_control(rep.p_T_star, prob)
         switches = ctrl.channels[0].switch_times
         assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6

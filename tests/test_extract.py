@@ -29,7 +29,7 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control.dual import ExactEvaluator
+from multilevel_control.dual import GTOL, ExactEvaluator
 from multilevel_control.extract import BISECTION_MAX_ITER, BISECTION_TOL
 from multilevel_control.lti import exp_action_integral
 
@@ -513,7 +513,7 @@ class TestExtractControl:
         pen = build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
         prob = DualProblem(sys, [pen])
         lo, hi = subgradient_box(prob, np.zeros(2))
-        assert np.linalg.norm(np.clip(0.0, lo, hi)) > prob.settings.gtol
+        assert np.linalg.norm(np.clip(0.0, lo, hi)) > GTOL
         with pytest.raises(DegenerateAdjointError, match=f"not a minimizer.*{reason}"):
             extract_control(np.zeros(2), prob)
 
