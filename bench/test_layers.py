@@ -4,14 +4,14 @@
     python -m pytest -q bench --benchmark-disable         # run each case once
 
 The plants come from ``perfbench/workloads.synthesis_panel()`` and are built
-as the ``synthesis`` workload builds them (4000 quadrature nodes, 8
-sub-cells in each quadrature cell the crossing search leaves uncertified):
-syn-01 has two channels and 8 breakpoints each, syn-11 has six states, one
-channel and 16 breakpoints.  Every plant case runs at a fixed datum, the
-one ``minimize`` returns within ``DESCENT_STEPS`` steps (both plants
-converge there), so its crossings are those of the minimizer.  The
-crossing-search cases record, per channel, the quadrature cells subdivided,
-the refinement steps and the propagator calls in ``extra_info``.  One case
+as the ``synthesis`` workload builds them (4000 quadrature nodes, bracket
+multiplier 8): syn-01 has two channels and 8 breakpoints each, syn-11 has
+six states, one channel and 16 breakpoints.  Every plant case runs at a
+fixed datum, the one ``minimize`` returns within ``DESCENT_STEPS`` steps
+(both plants converge there), so its crossings are those of the minimizer.
+The crossing-search case records, per channel, the quadrature cells that
+the node screen keeps and those that their Bernstein coefficients cut, the
+refinement steps, and the propagator calls in ``extra_info``.  One case
 times the discrete Fenchel primal LP on the data of acceptance criterion 1,
 and one the adjoint rows on the quadrature nodes.  The exact-evaluation
 case times the closed-form integral at fixed pieces and records the Taylor
@@ -97,15 +97,14 @@ def test_quadrature_value_and_grad(benchmark, plant):
     benchmark(pair)
 
 
-def _count_search(monkeypatch, prob, p, guard):
+def _count_search(monkeypatch, prob, p):
     """One crossing search at p, counted per channel: the quadrature cells
-    it subdivides (the points of its grid off the quadrature nodes, over
-    mult - 1 per cell), its refinement steps (the propagator calls inside
-    find_switchings, less the guard's) and all propagator calls of the
-    search, the segment probes included."""
-    cells, steps, calls = [], [], []
-    mult, h = prob.settings.bracket_multiplier, prob.grid.nodes[1] - prob.grid.nodes[0]
-    at = prob.propagator.at
+    that the node screen keeps (those handed to ``dual._cuts``), the kept
+    cells that their Bernstein coefficients cut, and the refinement steps
+    (the propagator calls inside find_switchings); and all propagator calls
+    of the search, the cut samples and the segment probes included."""
+    screened, cut, steps, calls = [], [], [], []
+    at, cuts = prob.propagator.at, dual._cuts
 
     def counted_at(p_T):
         q = at(p_T)
@@ -116,31 +115,34 @@ def _count_search(monkeypatch, prob, p, guard):
 
         return counted
 
-    def search(q, breakpoints, grid, **kwargs):
+    def counted_cuts(starts, *args):
+        times, values = cuts(starts, *args)
+        screened.append(int(starts.size))
+        cut.append(int(np.unique(np.searchsorted(starts, np.concatenate([starts[:0], *times]))).size))
+        return times, values
+
+    def search(*args, **kwargs):
         before = len(calls)
-        out = find_switchings(q, breakpoints, grid, **kwargs)
-        frac = np.mod(np.asarray(grid) / h, 1.0)
-        cells.append(int(np.count_nonzero(np.minimum(frac, 1.0 - frac) > 0.5 / mult)) // (mult - 1))
-        steps.append(len(calls) - before - bool(kwargs.get("midpoint_guard")))
+        out = find_switchings(*args, **kwargs)
+        steps.append(len(calls) - before)
         return out
 
     find_switchings = extract.find_switchings
     monkeypatch.setattr(prob.propagator, "at", counted_at)
+    monkeypatch.setattr(dual, "_cuts", counted_cuts)
     monkeypatch.setattr(extract, "find_switchings", search)
-    dual.ExactEvaluator(prob).pieces(p, midpoint_guard=guard)
+    dual.ExactEvaluator(prob).pieces(p)
     monkeypatch.undo()
-    return {"uncertified_cells": cells, "refinement_steps": steps, "propagator_calls": len(calls)}
+    return {"screened_cells": screened, "cut_cells": cut, "refinement_steps": steps, "propagator_calls": len(calls)}
 
 
-@pytest.mark.parametrize("guard", [False, True], ids=["pieces", "extract"])
-def test_crossing_search(benchmark, plant, guard, monkeypatch):
+def test_crossing_search(benchmark, plant, monkeypatch):
     """The crossing search at the fixed datum, through
-    ``ExactEvaluator.pieces``: without the midpoint guard as the exact
-    evaluation calls it and with it as extraction does.  ``extra_info``
-    holds one call's counts (see ``_count_search``)."""
+    ``ExactEvaluator.pieces``, as the exact evaluation and extraction call
+    it.  ``extra_info`` holds one call's counts (see ``_count_search``)."""
     prob, p = plant
-    benchmark.extra_info.update(_count_search(monkeypatch, prob, p, guard))
-    benchmark(dual.ExactEvaluator(prob).pieces, p, midpoint_guard=guard)
+    benchmark.extra_info.update(_count_search(monkeypatch, prob, p))
+    benchmark(dual.ExactEvaluator(prob).pieces, p)
 
 
 def test_solve_discrete_primal(benchmark):
@@ -155,8 +157,8 @@ def test_solve_discrete_primal(benchmark):
 
 
 def test_extract_control(benchmark, plant):
-    """The staircase at the fixed datum: its crossings with the midpoint
-    guard, the segment probes and the levels."""
+    """The staircase at the fixed datum: its crossings, the segment probes
+    and the levels."""
     prob, p = plant
     benchmark(extract.extract_control, p, prob)
 

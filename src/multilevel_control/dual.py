@@ -110,8 +110,9 @@ class OptimizerSettings:
     """Descent configuration.
 
     ``max_iterations`` caps the quadrature and Newton steps together, and
-    ``bracket_multiplier`` is the number of sub-cells of each quadrature
-    cell that the crossing search leaves uncertified (:meth:`ExactEvaluator.pieces`).
+    ``bracket_multiplier`` sets h_b = (quadrature step) / ``bracket_multiplier``
+    (:meth:`DualProblem.bracket_grid`), the shortest switching interval on a
+    kink that :meth:`ExactEvaluator.pieces` reports pinned.
     The stationarity tolerance on the gradient norm is the constant
     :data:`GTOL`.
     """
@@ -263,9 +264,10 @@ class DualProblem:
         return self.kind.outer(integral() if self.kind.squared else 0.0, self.beta)[1]
 
     def bracket_grid(self) -> float:
-        """The crossing search's sub-cell width h_b = (quadrature step) /
-        ``bracket_multiplier``; B^T p at t_i + r h_b is ``rows[i] @
-        propagator.shift(p, r h_b)``, as e^{(s+r)A} = e^{sA} e^{rA}."""
+        """The width h_b = (quadrature step) / ``bracket_multiplier``: a
+        switching interval at least h_b long whose every probe lies on a kink
+        is pinned there (:meth:`ExactEvaluator.pieces`), a shorter one is a
+        sliver beside a crossing."""
         return (self.grid.nodes[1] - self.grid.nodes[0]) / self.settings.bracket_multiplier
 
     def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
@@ -335,10 +337,38 @@ def subgradient_box(prob: DualProblem, p_T):
 # -- exact piecewise evaluation ----------------------------------------------
 
 # fractions of a switching interval at which its segment is read, in order;
-# the crossing search's rounding allowance (eps of its products) and run length
+# the crossing search's rounding allowance (eps of its products), run length,
+# cut fraction (not dyadic, so that cuts seldom land on a root) and narrowest cut
 PROBES = np.array([0.5, 0.35, 0.65, 0.2, 0.8])
-ROUNDING = 8
-BLOCK = 64
+ROUNDING, BLOCK, CUT, FLOOR = 8, 64, 0.4871, 1e-13
+
+
+def _cuts(starts, h, coef, levels, tol):
+    """Lists of the points that cut the cells [starts, starts + h], whose
+    polynomials have the Bernstein coefficients ``coef``, until each piece
+    crosses each level l at most once, and of the values there.  b - l
+    changes sign at least as often as the piece crosses l (Lane &
+    Riesenfeld, BIT 21, 1981), so monotone b pass; a piece with more changes
+    for a level that b passes by more than ``tol`` on both sides is cut by
+    de Casteljau at the fraction ``CUT``, down to width ``FLOOR``."""
+    width, m, times, values = np.full(starts.size, h), coef.shape[1] - 1, [], []
+    while True:
+        slope = coef[:, 1:] - coef[:, :-1]
+        cut = (slope > 0).any(axis=1) & (slope < 0).any(axis=1)
+        if cut.any():
+            d = coef[cut, None] - levels[:, None]
+            many = np.count_nonzero((d[:, :, 1:] > 0) != (d[:, :, :-1] > 0), axis=2) > 1
+            cut[cut] = (many & (d.min(axis=2) < -tol) & (d.max(axis=2) > tol)).any(axis=1) & (width[cut] > FLOOR)
+        if not cut.any():
+            return times, values
+        b, starts, width, n = coef[cut], starts[cut], width[cut], np.count_nonzero(cut)
+        coef = np.empty((2 * n, m + 1))
+        for k in range(m + 1):
+            coef[:n, k], coef[n:, m - k] = b[:, 0], b[:, -1]
+            b = (1.0 - CUT) * b[:, :-1] + CUT * b[:, 1:]
+        times.append(starts + CUT * width)
+        values.append(coef[:n, m])
+        starts, width = np.concatenate([starts, times[-1]]), np.concatenate([CUT * width, (1.0 - CUT) * width])
 
 
 class ExactEvaluator:
@@ -357,41 +387,36 @@ class ExactEvaluator:
             raise ValueError("exact evaluation applies to the penalized kinds")
         self.prob = prob
 
-    def pieces(self, p_T, midpoint_guard=False):
+    def pieces(self, p_T):
         """Per channel: (crossing times, segment index per switching
         interval, pinned).
 
-        The crossings are searched on the quadrature grid, from the node
-        samples q = ``rows @ p`` and slopes q' = -``rows @ (A^T p)``.  With
-        M >= |q''| (:attr:`DualProblem.row_bounds`), a cell of width h needs
-        no subdivision when min |q'| at its ends exceeds M h (q is monotone)
-        or no level lies within M h^2 / 8, the chord's error, of its end
-        values, both up to ``ROUNDING`` eps of the products.
-        :func:`find_switchings` scans the nodes of the cells that hold a
-        crossing or may, joined across the others, which hold none, with the
-        mult - 1 sub-node samples ``rows[i] @ propagator.shift(p, r h_b)``
-        (h_b of :meth:`DualProblem.bracket_grid`) inside each cell that is
-        not monotone, and refines the brackets with the same propagator.
+        The crossings are searched on the quadrature grid.  A cell is kept
+        when its node samples q = ``rows @ p``, widened by M h^2 / 8 (the
+        chord's error, M >= |q''| by :attr:`DualProblem.row_bounds`) and
+        ``ROUNDING`` eps of the products, reach a level (runs of ``BLOCK``
+        cells first).  A kept cell's Bernstein coefficients
+        (:attr:`~.lti.AdjointPropagator.bernstein`) decide its cuts
+        (:func:`_cuts`), and :func:`find_switchings` scans the kept cells'
+        nodes and the cuts, sampled by de Casteljau, and refines the brackets
+        on the same polynomials.
 
         An interval's segment is read at the first probe of ``PROBES`` off a
         kink, or at the midpoint when every probe is on one; ``pinned`` says
-        that this happens on some interval at least h_b long.  B^T p is
-        analytic, so it sits on a breakpoint over an interval only if it
-        does over the whole horizon; a shorter one is a sliver beside a
-        crossing.
+        that this happens on some interval at least h_b long
+        (:meth:`DualProblem.bracket_grid`).  B^T p is analytic, so it sits
+        on a breakpoint over an interval only if it does over the whole
+        horizon; a shorter one is a sliver beside a crossing.
         """
         from .extract import find_switchings
 
         prob = self.prob
-        h_b, mult = prob.bracket_grid(), prob.settings.bracket_multiplier
-        nodes, rows, h = prob.grid.nodes, prob.rows, h_b * mult
-        qn, Ap = prob.adjoint_observations(p_T), prob.sys.A.T @ p_T
+        prop, nodes, rows = prob.propagator, prob.grid.nodes, prob.rows
+        h, h_b = prop.h, prob.bracket_grid()
+        qn, q_at = prob.adjoint_observations(p_T), prop.at(p_T)
         bound0, bound2 = prob.row_bounds * float(np.linalg.norm(p_T))
         tol = ROUNDING * np.finfo(float).eps * bound0
-        reach, steep = bound2 * h * h / 8.0 + tol, bound2 * h + tol * float(np.linalg.norm(prob.sys.A))
-        sub_t = h_b * np.arange(1, mult)
-        sub_p = prob.propagator.shift(p_T, sub_t)
-        q_at = prob.propagator.at(p_T)
+        reach, coef = bound2 * h * h / 8.0 + tol, (prop.terms @ p_T) @ prop.bernstein
         out = []
         for ch, pen in enumerate(prob.penalizations):
 
@@ -399,7 +424,7 @@ class ExactEvaluator:
                 return q_at(t)[:, ch]
 
             # the cells not certified free of crossings (runs of BLOCK cells
-            # first), whose ends and the horizon's are scanned
+            # first), whose ends and the horizon's are scanned with the cuts
             q, bk = qn[:, ch], np.sort(pen.breakpoints)
             lo, hi = np.minimum(q[:-1], q[1:]) - reach[ch], np.maximum(q[:-1], q[1:]) + reach[ch]
             starts = np.arange(0, lo.size, BLOCK)
@@ -408,17 +433,10 @@ class ExactEvaluator:
             ends = ends[np.searchsorted(bk, hi[ends], "right") > np.searchsorted(bk, lo[ends])]
             keep = np.zeros(nodes.size, dtype=bool)
             keep[[0, -1]] = keep[ends] = keep[ends + 1] = True
-            slope = np.abs(rows[ends, ch] @ Ap), np.abs(rows[ends + 1, ch] @ Ap)
-            cells = ends[np.minimum(*slope) <= steep[ch]]
-            grid, samples = nodes[keep], q[keep]
-            if cells.size:
-                grid = np.concatenate([grid, (nodes[cells, None] + sub_t).reshape(-1)])
-                samples = np.concatenate([samples, (rows[cells, ch] @ sub_p.T).reshape(-1)])
-                order = np.argsort(grid, kind="stable")
-                grid, samples = grid[order], samples[order]
-            crossings, _ = find_switchings(
-                qfun, pen.breakpoints, grid, samples=samples, midpoint_guard=midpoint_guard
-            )
+            cuts, at_cuts = _cuts(nodes[ends], h, rows[ends, ch] @ coef, bk, tol[ch])
+            grid, samples = np.concatenate([nodes[keep], *cuts]), np.concatenate([q[keep], *at_cuts])
+            order = np.argsort(grid, kind="stable") if cuts else slice(None)
+            crossings, _ = find_switchings(qfun, pen.breakpoints, grid[order], samples=samples[order])
             ts = np.concatenate([[0.0], crossings, [prob.sys.T]])
             probes = ts[:-1, None] + PROBES * np.diff(ts)[:, None]
             qp = qfun(probes.reshape(-1)).reshape(probes.shape)

@@ -2,11 +2,11 @@
 
 The adjoint observation q(t) = B^T p(t) is analytic, so it crosses any
 penalization breakpoint finitely often; each crossing is bracketed on the
-quadrature grid, whose uncertified cells alone are subdivided, and refined
-by the Illinois method.  Between crossings the control level is the slope
-of the penalization segment containing q.  Both come from
-:meth:`ExactEvaluator.pieces`, the reading that the exact dual evaluation
-integrates.
+quadrature grid, cut where q's Bernstein coefficients allow two crossings
+of a level, and refined by the Illinois method.  Between crossings the
+control level is the slope of the penalization segment containing q.  Both
+come from :meth:`ExactEvaluator.pieces`, the reading that the exact dual
+evaluation integrates.
 
 Where the datum is degenerate, with q pinned on a breakpoint over an
 interval (the zero datum whenever 0 is a breakpoint), the optimal controls
@@ -134,14 +134,14 @@ class MultilevelControl:
         return cls(channels=chans, scale=float(rec["scale"]), horizon=float(rec["horizon"]))
 
 
-def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
+def find_switchings(q, breakpoints, grid, samples=None):
     """Interior times where ``q`` crosses any breakpoint value.
 
-    ``q`` maps an array of times to values, ``grid`` brackets the crossings.
+    ``q`` maps an array of times to values, ``grid`` brackets the crossings:
+    a cell of it that holds two crossings of a level shows neither.
     Returns (sorted crossing times, sorted touch times): grid points where q
     equals a breakpoint without a sign change across the neighbours are
-    touches.  With ``midpoint_guard`` the cell midpoints are also sampled; a
-    sign flip hidden inside a cell (two crossings) raises.
+    touches.
 
     Each sign change is refined by the Illinois method (modified regula
     falsi; Dowell & Jarratt, BIT 11, 1971): the secant point, kept at least
@@ -164,17 +164,8 @@ def find_switchings(q, breakpoints, grid, samples=None, midpoint_guard=True):
     # one row per breakpoint; a cell with an end on the level brackets
     # nothing: the exact hit is a crossing or a tangential touch by the
     # nearest nonzero signs on both sides
-    bk_col = breakpoints[:, None]
-    above, hit = qq > bk_col, qq == bk_col
-    clear = ~(hit[:, :-1] | hit[:, 1:])
-    change = (above[:, :-1] != above[:, 1:]) & clear
-    if midpoint_guard and breakpoints.size:
-        qm = np.asarray(q(0.5 * (grid[:-1] + grid[1:])), dtype=float).reshape(-1)
-        hidden = ~change & clear & np.where(above[:, :-1], qm < bk_col, qm > bk_col)
-        if hidden.any():
-            level, cell = np.argwhere(hidden)[0]
-            raise ValueError(f"two crossings of level {breakpoints[level]} inside the grid cell "
-                             f"[{grid[cell]}, {grid[cell + 1]}]; use a finer bracketing grid")
+    above, hit = qq > breakpoints[:, None], qq == breakpoints[:, None]
+    change = (above[:, :-1] != above[:, 1:]) & ~(hit[:, :-1] | hit[:, 1:])
     crossings, touches = [], []
     for bk in breakpoints[hit.any(axis=1)]:
         sgn = np.sign(qq - bk)
@@ -221,10 +212,9 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     map at the exact integral term: 1 (plain), beta (scaled) or the
     integral itself (squared).  A regular datum gives the levels of the
     segments that B^T p visits and switches at its crossings, both read off
-    :meth:`ExactEvaluator.pieces` with the midpoint guard on (a pinned
-    datum that trips the guard is read without it).  A degenerate datum,
-    with B^T p pinned on a breakpoint over an interval, leaves a choice
-    between the two adjacent levels there, and one rule selects it:
+    :meth:`ExactEvaluator.pieces`.  A degenerate datum, with B^T p pinned on
+    a breakpoint over an interval, leaves a choice between the two adjacent
+    levels there, and one rule selects it:
 
     1. solve the discrete Fenchel primal of scale * penalization;
     2. check complementary slackness, every node value in scale times the
@@ -246,14 +236,7 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
         raise ValueError("p_T_star has the wrong length")
 
     evaluator = ExactEvaluator(prob)
-    try:
-        pieces = evaluator.pieces(p_T_star, midpoint_guard=True)
-    except ValueError:
-        # B^T p pinned on a breakpoint crosses it at rounding level in every
-        # cell, which trips the guard; such a datum takes the primal path
-        pieces = evaluator.pieces(p_T_star)
-        if not any(pinned for _, _, pinned in pieces):
-            raise
+    pieces = evaluator.pieces(p_T_star)
     scale = prob.outer_slope(lambda: evaluator.integral_and_grad(p_T_star, pieces)[0])
     if any(pinned for _, _, pinned in pieces):
         return _primal_staircase(prob, p_T_star, scale)

@@ -275,7 +275,10 @@ class AdjointPropagator:
     Taylor polynomial R_i sum_k (-delta)^k (A^T)^k / k!.  Its degree m is the
     smallest with (|A|_2 h)^{m+1} / (m+1)! e^{|A|_2 h} <= eps, which bounds
     the remainder relative to |R_i| (Moler & Van Loan, SIAM Review 45,
-    2003); the rounding of the sum grows like e^{|A|_2 h}.
+    2003); the rounding of the sum grows like e^{|A|_2 h}.  On the cell
+    [t_i, t_i + h] the same polynomial in the Bernstein basis of degree m
+    has the coefficients R_i (``terms @ p``) @ :attr:`bernstein` (Farouki &
+    Rajan, CAGD 4, 1987).
     """
 
     def __init__(self, A, B, T: float, times):
@@ -291,23 +294,18 @@ class AdjointPropagator:
             terms.append(terms[-1] @ A.T / k)
         # (A^T)^k / k! side by side: terms[:, k] is the k-th, k = 0 ... m
         self.degree, self.terms = m, np.stack(terms, axis=1)
-
-    def _powers(self, delta):
-        """(-delta)^k, k = 0 ... m, for a 1-d array delta, (len(delta), m + 1)."""
-        out = np.empty((delta.size, self.degree + 1))
-        out[:, 0] = 1.0
-        np.negative(delta[:, None], out=out[:, 1:])
-        return np.multiply.accumulate(out, axis=1, out=out)
+        # power to Bernstein coefficients on [t_i, t_i + h]: C(j, k) / C(m, k) (-h)^k at [k, j]
+        self.bernstein = np.array([[math.comb(j, k) / math.comb(m, k) * (-self.h) ** k for j in range(m + 1)] for k in range(m + 1)])
 
     def _locate(self, t):
-        """The node index at or below each time and the powers of the offset."""
+        """The node index i at or below each time and the powers (-delta)^k,
+        k = 0 ... m, of the offset delta = t - t_i, (len(t), m + 1)."""
         t = np.asarray(t, dtype=float).reshape(-1)
         i = np.minimum(np.maximum(((t - self.times[0]) / self.h).astype(np.intp), 0), self.times.size - 1)
-        return i, self._powers(t - self.times[i])
-
-    def shift(self, p, delta) -> np.ndarray:
-        """e^{-delta A^T} p for offsets 0 <= delta <= h, shape (len(delta), N)."""
-        return self._powers(np.asarray(delta, dtype=float).reshape(-1)) @ (self.terms @ p).T
+        powers = np.empty((t.size, self.degree + 1))
+        powers[:, 0] = 1.0
+        np.negative((t - self.times[i])[:, None], out=powers[:, 1:])
+        return i, np.multiply.accumulate(powers, axis=1, out=powers)
 
     def at(self, p):
         """The map t -> B^T e^{(T-t)A^T} p, values of shape (len(t), K).  The

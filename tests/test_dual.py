@@ -672,19 +672,6 @@ class TestBracketRows:
         single = DualProblem(prob.sys, prob.penalizations, settings=OptimizerSettings(bracket_multiplier=1))
         assert single.bracket_grid() == h
 
-    @pytest.mark.parametrize("prob", bracket_plants())
-    def test_sub_node_rows_match_one_exponential_per_node(self, prob):
-        # the sample at t_i + r h_b, as the crossing search forms it: the node
-        # row times the propagator's shift of p
-        h_b, mult, sys = prob.bracket_grid(), prob.settings.bracket_multiplier, prob.sys
-        p = np.linspace(-1.0, 1.3, sys.dim)
-        shifted = prob.propagator.shift(p, h_b * np.arange(1, mult))
-        rng = np.random.default_rng(1)
-        for i, r in zip(rng.choice(prob.grid.n - 1, 50, replace=False), rng.integers(1, mult, 50)):
-            row = sys.B.T @ sla.expm((sys.T - prob.grid.nodes[i] - r * h_b) * sys.A.T)
-            got = prob.rows[i] @ shifted[r - 1]
-            assert np.all(np.abs(got - row @ p) <= 1e-12 * (1.0 + np.linalg.norm(row)) * np.linalg.norm(p))
-
     def test_solve_and_extraction_form_the_rows_once(self, spy):
         # the plant's rows once, on the quadrature nodes, and the augmented
         # rows of the exact evaluation at most once
@@ -846,13 +833,11 @@ class TestNewtonPhase:
         switches = ctrl.channels[0].switch_times
         assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
 
-    def test_a_pinned_datum_that_trips_the_midpoint_guard_extracts(self):
+    def test_a_pinned_datum_extracts_by_the_primal_path(self):
         # B^T p = 0.234 (p1 e^{0.126 s} + 5.59 p0 (e^{0.126 s} - 1)) on the
         # second channel is constant where p1 = -5.59 p0; the minimizer pins
-        # it on the breakpoint -0.2 up to rounding.  Rounding-level crossings
-        # inside single bracket cells used to trip the midpoint guard; the
-        # midpoints now come from the same node rows as the samples, and the
-        # datum takes the primal path either way
+        # it on the breakpoint -0.2 up to rounding, so the staircase is read
+        # off the discrete Fenchel primal and polished to steer x0
         prob = pinned_problem()
         sys = prob.sys
         rep = minimize(prob)

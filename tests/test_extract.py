@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control.dual import GTOL, ExactEvaluator
+from multilevel_control.dual import FLOOR, GTOL, ROUNDING, ExactEvaluator, _cuts
 from multilevel_control.extract import BISECTION_MAX_ITER, BISECTION_TOL
 from multilevel_control.lti import exp_action_integral
 
@@ -81,13 +82,6 @@ class TestFindSwitchings:
         assert touches.size == 1
         assert touches[0] == pytest.approx(np.pi / 2, abs=1e-15)
 
-    def test_hidden_double_crossing_raises(self):
-        # two crossings of level 0.9 inside one coarse cell
-        q = lambda t: np.sin(20.0 * np.asarray(t))
-        grid = np.linspace(0, 1, 8)
-        with pytest.raises(ValueError, match="finer"):
-            find_switchings(q, [0.9], grid)
-
     def test_refinement_accuracy(self):
         grid = np.linspace(0, 2, 41)
         q = lambda t: np.cos(np.asarray(t) * 1.7) - 0.4
@@ -120,10 +114,9 @@ def _illinois(q, a, b, fa, fb, bk):
     return 0.5 * (a + b)
 
 
-def _find_switchings_reference(q, breakpoints, grid, samples=None, midpoint_guard=True):
+def _find_switchings_reference(q, breakpoints, grid, samples=None):
     """find_switchings as a per-breakpoint np.sign scan with Python lists,
-    sampling the midpoints once per breakpoint, and each bracket refined on
-    its own by :func:`_illinois`."""
+    and each bracket refined on its own by :func:`_illinois`."""
     grid = np.asarray(grid, dtype=float)
     qq = np.asarray(q(grid), dtype=float).reshape(-1) if samples is None else np.asarray(samples, dtype=float).reshape(-1)
     breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
@@ -143,28 +136,10 @@ def _find_switchings_reference(q, breakpoints, grid, samples=None, midpoint_guar
                     crossings.append(float(grid[i]))
             else:
                 touches.append(float(grid[i]))
-        if midpoint_guard:
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            fm = np.sign(np.asarray(q(mids), dtype=float).reshape(-1) - bk)
-            hidden = (sgn[:-1] * sgn[1:] > 0) & (fm * sgn[:-1] < 0)
-            if np.any(hidden):
-                cell = int(np.nonzero(hidden)[0][0])
-                raise ValueError(
-                    "two crossings of level "
-                    f"{bk} inside the grid cell [{grid[cell]}, {grid[cell+1]}]; "
-                    "use a finer bracketing grid"
-                )
     crossings.extend(_illinois(q, *bracket) for bracket in brackets)
     eps = 10 * BISECTION_TOL
     crossings = [t for t in crossings if grid[0] + eps < t < grid[-1] - eps]
     return np.sort(np.array(crossings)), np.sort(np.array(touches))
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        return str(exc)
 
 
 # Values drawn from a few levels, so that samples hit breakpoints exactly,
@@ -179,15 +154,13 @@ level_or_float = st.one_of(st.sampled_from(LEVELS), st.floats(-1.5, 1.5))
     mid_values=st.lists(level_or_float, min_size=39, max_size=39),
     breakpoints=st.lists(st.sampled_from(LEVELS[1:-1]), min_size=1, max_size=5),
     steps=st.lists(st.floats(0.01, 1.0), min_size=39, max_size=39),
-    guard=st.booleans(),
     pass_samples=st.booleans(),
 )
-# a midpoint exactly on the level between two samples above it hides nothing
-@example([1.0, 1.0, 0.0], [0.5] * 39, [0.5], [0.1] * 39, True, True)
-def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, breakpoints, steps, guard, pass_samples):
-    """Same crossings, touches and guard error as the sign scan, on samples
-    with exact hits, touches and runs on a level, unsorted and repeated
-    breakpoints, with and without the midpoint guard."""
+def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, breakpoints, steps, pass_samples):
+    """Same crossings and touches as the sign scan, on samples with exact
+    hits, touches and runs on a level, unsorted and repeated breakpoints,
+    and a piecewise linear q between them whose midpoint values the
+    refinement meets."""
     n = len(samples)
     grid = np.concatenate([[0.0], np.cumsum(steps[: n - 1])])
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -199,14 +172,10 @@ def test_find_switchings_matches_per_breakpoint_sign_scan(samples, mid_values, b
     def q(t):
         return np.interp(t, knots, values)
 
-    args = (q, breakpoints, grid)
-    kwargs = dict(samples=np.array(samples) if pass_samples else None, midpoint_guard=guard)
-    got = _outcome(find_switchings, *args, **kwargs)
-    expected = _outcome(_find_switchings_reference, *args, **kwargs)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    handed = np.array(samples) if pass_samples else None
+    got = find_switchings(q, breakpoints, grid, samples=handed)
+    expected = _find_switchings_reference(q, breakpoints, grid, samples=handed)
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
 
 @pytest.mark.parametrize("signed_ends", [False, True], ids=["all-hits", "signed-ends"])
@@ -223,10 +192,9 @@ def test_find_switchings_on_a_breakpoint_everywhere(signed_ends):
         return np.interp(t, grid, samples)
 
     levels = [-0.5, 0.0, 0.5]
-    for guard in (False, True):
-        got = find_switchings(q, levels, grid, samples=samples, midpoint_guard=guard)
-        expected = _find_switchings_reference(q, levels, grid, samples=samples, midpoint_guard=guard)
-        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    got = find_switchings(q, levels, grid, samples=samples)
+    expected = _find_switchings_reference(q, levels, grid, samples=samples)
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
     if signed_ends:
         # level 0: hits 1..9,999 and 20,001..31,999 cross, 10,001..19,999
         # touch; level 0.5 is touched at 10,000; level -0.5 is crossed once
@@ -248,7 +216,7 @@ def _integral_and_grad_reference(prob, p_T):
     found = []
     for ch, pen in enumerate(prob.penalizations):
         qfun = lambda t, ch=ch: prob.propagator(t, p_T)[:, ch]
-        crossings, _ = _find_switchings_reference(qfun, pen.breakpoints, tb, samples=qb[:, ch], midpoint_guard=False)
+        crossings, _ = _find_switchings_reference(qfun, pen.breakpoints, tb, samples=qb[:, ch])
         found.append(crossings)
         ts = np.concatenate([[0.0], crossings, [T]])
         ks = pen.segment_index(qfun(0.5 * (ts[:-1] + ts[1:])))
@@ -322,12 +290,11 @@ def _scan_crossings(q, levels, T, samples=1_000_000):
 )
 def test_certified_search_finds_what_a_fine_scan_finds(N, seed, T, points):
     """Every crossing that a 10^6-point sign scan of the same exponential sum
-    finds, and at which |q'| exceeds M h_b (M bounds |q''|, h_b is the
-    sub-cell width) and 1e-5, is found within 1e-9.  No other crossing of
-    its level lies within h_b of such a one, so it is alone in its
-    sub-cell, where the certified search must bracket it, and the rounding
-    of q moves it by far less than 1e-9.  Flatter crossings belong to
-    near-tangent pairs, which a sub-cell can hide from both searches alike."""
+    finds, and at which |q'| exceeds M h_b (M bounds |q''|, h_b of
+    ``bracket_grid``) and 1e-5, is found within 1e-9.  No other crossing of
+    its level lies within h_b of such a one, so the scan resolves it, and
+    the rounding of q moves it by far less than 1e-9.  Flatter crossings
+    belong to near-tangent pairs, which the scan itself can miss."""
     rng = np.random.default_rng(seed)
     A = rng.uniform(-2.0, 2.0, (N, N))
     b = rng.uniform(-1.0, 1.0, (N, 1))
@@ -366,28 +333,44 @@ def _check_pair_in_one_cell(peak, half):
 
 @settings(max_examples=40, deadline=None)
 @given(peak=st.floats(0.1, 0.9), half=st.floats(0.05, 0.45))
+# the right crossing on t_20 + h / 4, a dyadic fraction of the cell
+@example(peak=0.2, half=0.05)
 def test_a_pair_of_crossings_inside_one_quadrature_cell_is_found(peak, half):
     """q(t) = cos(t - t*) on the oscillator peaks inside a quadrature cell,
     at t* = t_20 + peak h, and crosses the level cos(half h) at t* -+ half h,
     both inside the cell, whose ends lie below the level: the nodes alone
-    show no crossing, the curvature bound leaves the cell uncertified, and
-    its sub-cells bracket both crossings unless one sub-cell holds both.
-    A crossing within rounding of a sub-node is left to the next test."""
-    mult = 8
+    show no crossing, the chord bound keeps the cell, and its Bernstein
+    coefficients change sign twice, so the cell is cut until each piece
+    brackets one crossing, wherever in the cell the two lie."""
     assume(half < min(peak, 1.0 - peak) - 1e-3)
-    ends = (peak + np.array([-half, half])) * mult
-    assume(np.floor(ends[0]) != np.floor(ends[1]) and np.min(np.abs(ends - np.round(ends))) > 1e-9)
     _check_pair_in_one_cell(peak, half)
 
 
-@pytest.mark.xfail(strict=True, reason="a crossing on a sub-node hides in its twin's sub-cell")
-def test_a_crossing_on_a_sub_node_is_found_with_its_twin():
-    """At peak 0.2 and half 0.05 the right crossing lies on the sub-node
-    t_20 + 2 h_b, where q equals the level.  Its computed sample lies 2e-15
-    below the level, so both crossings share the sub-cell before it and the
-    search finds neither.  A search that subdivides sub-cells whose sample
-    lies within the rounding allowance of a level would find them."""
-    _check_pair_in_one_cell(0.2, 0.05)
+def _bernstein(power):
+    """Bernstein coefficients on [0, 1] of the polynomial with the power
+    coefficients ``power``."""
+    m = len(power) - 1
+    return np.array([sum(math.comb(j, k) / math.comb(m, k) * power[k] for k in range(j + 1)) for j in range(m + 1)])
+
+
+def test_cuts_part_a_close_pair_and_follow_a_touch_only_to_the_allowance():
+    """(u - 0.3)(u - 0.35) on one cell is cut until one root lies in each
+    piece, whose end values, the cuts' de Casteljau values, bracket it.
+    (u - 0.5)^2 touches 0: the cuts follow the touch only until the
+    coefficients dip below the level by no more than the allowance, and a
+    polynomial within the allowance of the level is not cut at all."""
+    one = np.array([0.0])
+    times, values = _cuts(one, 1.0, _bernstein([0.105, -0.65, 1.0])[None], one, 1e-15)
+    t, v = np.concatenate([one, *times, [1.0]]), np.concatenate([[0.105], *values, [0.455]])
+    order = np.argsort(t)
+    t, v = t[order], v[order]
+    assert np.allclose(v, (t - 0.3) * (t - 0.35), rtol=0.0, atol=1e-15)
+    flips = t[1:][v[:-1] * v[1:] < 0]
+    assert flips.size == 2 and 0.3 < flips[0] < 0.35 < flips[1]
+    times, _ = _cuts(one, 1.0, _bernstein([0.25, -1.0, 1.0])[None], one, 1e-15)
+    touch = np.sort(np.concatenate(times))
+    assert 0 < touch.size < 100 and np.min(np.diff(touch)) > FLOOR and np.max(np.abs(touch - 0.5)) < 0.5
+    assert _cuts(one, 1.0, np.full((1, 5), 1e-16) * [1, -1, 1, -1, 1], one, 1e-15) == ([], [])
 
 
 MINIMIZERS = json.loads((Path(__file__).parent / "data" / "synthesis_minimizers.json").read_text())
@@ -395,10 +378,11 @@ MINIMIZERS = json.loads((Path(__file__).parent / "data" / "synthesis_minimizers.
 
 @pytest.mark.parametrize("datum", MINIMIZERS, ids=[d["op_id"][:6] for d in MINIMIZERS])
 def test_crossings_at_the_synthesis_minimizers(datum):
-    """At the minimizer of each penalized synthesis plant, recorded with the
-    crossings that a scan of the whole 8x sub-cell grid and bisection found
-    there, the certified search finds as many crossings, each within 1e-10
-    of the recorded one."""
+    """At the minimizer of each penalized synthesis plant the search finds
+    as many crossings as q - level has roots, each within its sensitivity
+    of the root: ``BISECTION_TOL`` plus the rounding allowance ``ROUNDING``
+    eps |p| row_bounds[0, c] over |q'(t_c)|.  The roots are stored as solved
+    in 40-digit arithmetic (``data/record_roots.py``)."""
     sys = LtiSystem(A=datum["A"], B=datum["B"], x0=datum["x0"], T=datum["T"])
     prob = DualProblem(
         sys,
@@ -408,10 +392,13 @@ def test_crossings_at_the_synthesis_minimizers(datum):
         grid=QuadratureGrid.trapezoid(datum["T"], datum["nodes"]),
         settings=OptimizerSettings(bracket_multiplier=datum["bracket_multiplier"]),
     )
-    pieces = ExactEvaluator(prob).pieces(np.array(datum["p_T"]))
-    for (crossings, _, _), expected in zip(pieces, datum["crossings"]):
-        assert crossings.size == len(expected)
-        assert np.all(np.abs(crossings - np.array(expected)) <= 1e-10)
+    p = np.array(datum["p_T"])
+    allowance = ROUNDING * np.finfo(float).eps * np.linalg.norm(p) * prob.row_bounds[0]
+    for ch, ((crossings, _, _), roots) in enumerate(zip(ExactEvaluator(prob).pieces(p), datum["crossings"])):
+        roots = np.array(roots, dtype=float)
+        slope = np.abs(prob.propagator.rows(roots)[:, ch] @ (sys.A.T @ p))
+        assert crossings.size == roots.size
+        assert np.all(np.abs(crossings - roots) <= BISECTION_TOL + allowance[ch] / slope)
 
 
 class TestExtractControl:
@@ -450,7 +437,7 @@ class TestExtractControl:
         prob, rep = solved_oscillator()
         ctrl = extract_control(rep.p_T_star, prob)
         pen = prob.penalizations[0]
-        # a dense scan, 8 samples per quadrature cell, with the midpoint guard
+        # a dense scan, 8 samples per quadrature cell
         tb = np.linspace(0.0, prob.sys.T, (prob.grid.n - 1) * 8 + 1)
         crossings, _ = find_switchings(
             lambda t: prob.propagator(t, rep.p_T_star)[:, 0], pen.breakpoints, tb

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,10 +454,11 @@ def plants(draw):
 @given(plant=plants(), n=st.integers(20, 200), mult=st.integers(2, 8))
 def test_propagator_matches_per_point_exponentials(plant, n, mult):
     """The propagator's rows and values at t = 0, T, the n nodes and the
-    mult - 1 sub-nodes of every cell, and the sub-node samples node row times
-    ``shift``, lie within 1e-12 (1 + |row|) (times |p| for values) of one
-    Pade exponential per point: node row times a Taylor polynomial of the
-    degree its remainder bound needs, on every plant, defective or not."""
+    mult - 1 sub-nodes of every cell, and there the Bernstein form of each
+    cell's polynomial, lie within 1e-12 (1 + |row|) (times |p| for values)
+    of one Pade exponential per point: node row times a Taylor polynomial
+    of the degree its remainder bound needs, on every plant, defective or
+    not."""
     A, B, T = plant
     times = np.linspace(0.0, T, n)
     prop = AdjointPropagator(A, B, T, times)
@@ -466,7 +469,9 @@ def test_propagator_matches_per_point_exponentials(plant, n, mult):
     scale = 1.0 + np.linalg.norm(expected, axis=2)
     assert np.all(np.linalg.norm(prop.rows(t) - expected, axis=2) <= 1e-12 * scale)
     assert np.all(np.abs(prop(t, p) - expected @ p) <= 1e-12 * scale * np.linalg.norm(p))
-    subs = np.einsum("ikn,rn->irk", prop.node_rows[:-1], prop.shift(p, offsets)).reshape(-1, B.shape[1])
+    m, u = prop.degree, np.arange(1, mult) / mult
+    basis = np.array([math.comb(m, j) * u**j * (1.0 - u) ** (m - j) for j in range(m + 1)])
+    subs = (prop.node_rows[:-1] @ ((prop.terms @ p) @ prop.bernstein) @ basis).transpose(0, 2, 1).reshape(-1, B.shape[1])
     assert np.all(np.abs(subs - expected[n + 2 :] @ p) <= 1e-12 * scale[n + 2 :] * np.linalg.norm(p))
 
 
