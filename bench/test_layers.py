@@ -21,14 +21,17 @@ quadratic control of syn-07 (six states, two channels); both record their
 cell count and distinct cell widths in ``extra_info``.
 The ``minimize`` case times the whole solve and records its step counts
 in ``extra_info``, so that the cost per step is its time over
-``iterations`` in ``--benchmark-json``.
+``iterations`` in ``--benchmark-json``.  The output-stage case times what
+``run_scenario`` writes for ``configs/osc-t4.json``: its two JSON records
+and its ``trajectory.csv`` and ``control.csv`` through ``write_csv``, the
+suite's largest tables.
 """
 
 import numpy as np
 import pytest
 
 import workloads
-from multilevel_control import dual, extract, fenchel, lti, pwl
+from multilevel_control import config, dual, experiments, extract, fenchel, lti, pwl
 
 PLANTS = {"syn-01": 1, "syn-11": 11}
 DESCENT_STEPS = 200
@@ -199,3 +202,19 @@ def test_simulate_forward_quadratic(benchmark):
     )
     u = extract.quadratic_control(dual.minimize(prob).p_T_star, prob)
     _simulate(benchmark, sys_, u, prob.grid.nodes)
+
+
+def test_scenario_output(benchmark, tmp_path):
+    """osc-t4's report.json, summary.json, trajectory.csv and control.csv,
+    written as ``run_scenario`` writes them; ``extra_info`` holds the table
+    rows."""
+    cfg = config.load_config(workloads.CONFIGS / "osc-t4.json")
+    rep, traj, ctrl = experiments._run_checks(cfg)
+    benchmark.extra_info["rows"] = 2 * traj.grid.size
+    benchmark(experiments._emit, cfg, rep, tmp_path, traj, ctrl)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "control.csv",
+        "report.json",
+        "summary.json",
+        "trajectory.csv",
+    ]

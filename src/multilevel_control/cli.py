@@ -70,11 +70,7 @@ def _print_report(rep) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args.config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = _load(args.config, args)
     out = _output_root(args) / cfg.output_dir
     rep = run_scenario(cfg, out)
     _print_report(rep)
@@ -86,8 +82,7 @@ def cmd_suite(args) -> int:
     root = Path(args.directory)
     configs = sorted(root.glob("*.json"))
     if not configs:
-        print(f"config error: no *.json scenarios in {root}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(f"no *.json scenarios in {root}")
     out_root = _output_root(args)
     codes = {}
     owners = {}  # output_dir -> the config file that writes there
@@ -118,11 +113,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    try:
-        cfg = _load(args.config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = _load(args.config, args)
     out = _output_root(args) / f"{cfg.output_dir}-convergence"
     rows = convergence_study(cfg, args.sizes, out)
     print(f"{'M':>6} {'status':>12} {'L2 distance':>14} {'levels':>7} {'bound':>6}")
@@ -142,8 +133,7 @@ def cmd_converge(args) -> int:
 def cmd_report(args) -> int:
     rep_path = Path(args.directory) / "report.json"
     if not rep_path.exists():
-        print(f"config error: no report.json under {args.directory}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(f"no report.json under {args.directory}")
     rep = json.loads(rep_path.read_text())
     print(f"scenario {rep['name']}: status={rep['status']} passed={rep['passed']}")
     solve = rep.get("solve", {})
@@ -165,6 +155,7 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a ConfigError it raises prints ``config error: ...`` and exits 4."""
     parser = argparse.ArgumentParser(
         prog="mlctl",
         description="Staircase (multilevel) control synthesis experiments",
@@ -200,7 +191,11 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

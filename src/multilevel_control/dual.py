@@ -187,7 +187,7 @@ class DualProblem:
             raise ValueError("quadrature grid must cover [0, T]")
         self.settings = settings if settings is not None else OptimizerSettings()
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
-        self._primal = {}
+        self._primal = {}  # scale -> node values, or the message of an infeasible LP
 
     # -- constants, formed on first read -------------------------------------
 
@@ -272,13 +272,18 @@ class DualProblem:
 
     def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
         """Node values (n, K) of the discrete Fenchel primal of ``scale``
-        times the penalizations, solved once per scale (an infeasible one
-        raises :class:`~.fenchel.InfeasiblePrimalError` on every call)."""
-        if scale not in self._primal:
-            from .fenchel import build_discrete_primal, solve_primal
+        times the penalizations, solved once per scale; an infeasible one
+        raises :class:`~.fenchel.InfeasiblePrimalError` again, unsolved."""
+        from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
 
+        if scale not in self._primal:
             dp = build_discrete_primal(self)
-            self._primal[scale] = solve_primal(replace(dp, c=dp.c / scale)).v * scale
+            try:
+                self._primal[scale] = solve_primal(replace(dp, c=dp.c / scale)).v * scale
+            except InfeasiblePrimalError as exc:
+                self._primal[scale] = str(exc)
+        if isinstance(self._primal[scale], str):
+            raise InfeasiblePrimalError(self._primal[scale])
         return self._primal[scale]
 
 

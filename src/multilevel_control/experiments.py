@@ -2,7 +2,7 @@
 
 Each scenario writes into its own directory: ``report.json`` (full record),
 ``control.csv`` and ``trajectory.csv`` (17-significant-digit tables) and
-``summary.json`` (machine-readable pass/fail).  Exit codes: 0 pass, 2 checks
+``summary.json`` (the record's pass/fail keys).  Exit codes: 0 pass, 2 checks
 failed, 3 solver diverged unexpectedly, 4 configuration error.
 """
 
@@ -54,15 +54,11 @@ EXIT_CONFIG_ERROR = 4
 FENCHEL_AGREEMENT_TOL = 0.05
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``rows`` (a 2-D array or any iterable of rows) under ``header``
+    with one ``%`` per row: ``%.17g`` per number, ``%s`` for a ``status``."""
+    fmt = ",".join("%s" if name == "status" else "%.17g" for name in header)
+    path.write_text("\n".join([",".join(header), *(fmt % tuple(row) for row in rows)]) + "\n")
 
 
 @dataclass
@@ -114,7 +110,16 @@ def simulation_grid(nodes, control: Optional[MultilevelControl]) -> np.ndarray:
 
 
 def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> ExperimentReport:
-    """Execute one scenario: minimize, extract, simulate, verify, emit."""
+    """Execute one scenario: minimize, extract, simulate, verify, then emit
+    into ``out_dir`` what the run reached, wherever it stopped."""
+    rep, trajectory, control = _run_checks(cfg)
+    _emit(cfg, rep, out_dir, trajectory, control)
+    return rep
+
+
+def _run_checks(cfg: ExperimentConfig):
+    """The report of one scenario, its trajectory and its staircase, each of
+    the latter None where the run stopped before it or has none."""
     timings = {}
     t0 = time.perf_counter()
     prob = build_problem(cfg)
@@ -143,22 +148,18 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
     if solve.status == SolveStatus.DIVERGED:
         rep.checks["divergence_expected"] = cfg.checks.expect_divergence
         rep.message = solve.message
-        _emit(cfg, rep, out_dir, trajectory=None)
-        return rep
+        return rep, None, None
     if cfg.checks.expect_divergence:
         rep.checks["divergence_expected"] = False
         rep.message = "scenario expected divergence but the solver did not diverge"
-        _emit(cfg, rep, out_dir, trajectory=None)
-        return rep
+        return rep, None, None
     if solve.status != SolveStatus.CONVERGED:
         rep.checks["converged"] = False
         rep.message = solve.message or "no convergence within the iteration budget"
-        _emit(cfg, rep, out_dir, trajectory=None)
-        return rep
+        return rep, None, None
     rep.checks["converged"] = True
 
     control = None
-    traj = None
     t0 = time.perf_counter()
     if cfg.kind.penalized:
         try:
@@ -167,8 +168,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
             rep.status = "degenerate"
             rep.checks["extraction"] = False
             rep.message = str(exc)
-            _emit(cfg, rep, out_dir, trajectory=None)
-            return rep
+            return rep, None, None
         rep.checks["extraction"] = True
         rep.control = control.to_record()
         u_fun = control
@@ -228,49 +228,28 @@ def run_scenario(cfg: ExperimentConfig, out_dir: Path | str | None = None) -> Ex
         rep.solvable = sb.to_dict()
         rep.checks["solvable_bound"] = sb.passes
 
-    _emit(cfg, rep, out_dir, trajectory=traj, control=control, prob=prob)
-    return rep
+    return rep, traj, control
 
 
-def _emit(cfg, rep, out_dir, trajectory=None, control=None, prob=None) -> None:
+def _emit(cfg, rep, out_dir, trajectory, control) -> None:
+    """Write into ``out_dir``, if any, the record with its config
+    (``report.json``), six of its keys (``summary.json``) and the tables of
+    the trajectory and staircase the run reached."""
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep_dict = rep.to_dict()
-    rep_dict["config"] = cfg.raw
-    (out / "report.json").write_text(json.dumps(rep_dict, indent=2, sort_keys=True) + "\n")
-    (out / "summary.json").write_text(
-        json.dumps(
-            {
-                "name": rep.name,
-                "status": rep.status,
-                "passed": rep.passed,
-                "exit_code": rep.exit_code,
-                "checks": rep.checks,
-                "terminal_norm": rep.terminal_norm,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    record = {**rep.to_dict(), "config": cfg.raw}
+    summary = {key: record[key] for key in ("name", "status", "passed", "exit_code", "checks", "terminal_norm")}
+    for name, content in (("report.json", record), ("summary.json", summary)):
+        (out / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
     if trajectory is not None:
-        n_state = trajectory.states.shape[1]
-        write_csv(
-            out / "trajectory.csv",
-            ["t"] + [f"x{i+1}" for i in range(n_state)],
-            (
-                [trajectory.grid[i]] + list(trajectory.states[i])
-                for i in range(trajectory.grid.size)
-            ),
-        )
+        grid = trajectory.grid
+        header = ["t"] + [f"x{i+1}" for i in range(trajectory.states.shape[1])]
+        write_csv(out / "trajectory.csv", header, np.column_stack([grid, trajectory.states]))
         if control is not None:
-            write_csv(
-                out / "control.csv",
-                ["t"] + [f"u{i+1}" for i in range(control.num_channels)],
-                ([t] + list(u) for t, u in zip(trajectory.grid, control(trajectory.grid))),
-            )
+            header = ["t"] + [f"u{i+1}" for i in range(control.num_channels)]
+            write_csv(out / "control.csv", header, np.column_stack([grid, control(grid)]))
 
 
 def convergence_study(cfg: ExperimentConfig, sizes, out_dir: Path | str | None = None) -> list[dict]:

@@ -164,6 +164,10 @@ class TestCliExitCodes:
         assert (out / "summary.json").exists()
         assert (out / "control.csv").exists()
         assert (out / "trajectory.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        keys = ["checks", "exit_code", "name", "passed", "status", "terminal_norm"]
+        assert sorted(summary) == keys and summary == {key: report[key] for key in keys}
 
     def test_quadratic_kind_writes_no_control_csv(self, tmp_path):
         # the quadratic-cost control is no staircase, so only the trajectory is tabulated
@@ -188,18 +192,24 @@ class TestCliExitCodes:
     def test_expected_divergence_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, DIVERGENT)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / "fast-divergent"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json"]
 
     def test_unexpected_divergence_exit_3(self, tmp_path):
         raw = json.loads(json.dumps(DIVERGENT))
         raw["checks"]["expect_divergence"] = False
         cfg = write_cfg(tmp_path, raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out" / "fast-divergent"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json"]
 
     def test_expected_divergence_but_converges_exit_2(self, tmp_path):
         raw = json.loads(json.dumps(FAST_OSC))
         raw["checks"]["expect_divergence"] = True
         cfg = write_cfg(tmp_path, raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out" / "fast-osc"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json"]
 
     def test_failed_terminal_check_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_OSC)
@@ -457,6 +467,48 @@ class TestSuiteAndConverge:
         assert first == second
 
 
+def _reference_csv(header, rows):
+    """The CSV bytes of per-value ``format(float(x), ".17g")``, text as is."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvBytes:
+    """``write_csv`` writes the bytes of the 17-significant-digit reference
+    whatever form its rows take."""
+
+    VALUES = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1 / 3, 0.1, -2.5e-300, 1e22, 4.0]
+
+    def test_array_generator_and_scalar_lists_agree(self, tmp_path):
+        table = np.column_stack([self.VALUES, self.VALUES[::-1], np.arange(len(self.VALUES)) / 7])
+        header = ["t", "x1", "x2"]
+        expected = _reference_csv(header, table.tolist())
+        forms = {
+            "array": table,
+            "generator": (row for row in table),  # as traced benchmark passes hand them
+            "python-scalars": table.tolist(),
+            "numpy-scalars": [list(row) for row in table],
+        }
+        for form, rows in forms.items():
+            path = tmp_path / f"{form}.csv"
+            experiments.write_csv(path, header, rows)
+            assert path.read_bytes() == expected, form
+
+    def test_int_and_status_columns(self, tmp_path):
+        # the shape of convergence.csv
+        header = ["segments", "status", "l2_distance", "levels_used", "switches", "bound_ok"]
+        rows = [
+            [5, "converged", 1 / 3, 4, 3, 1],
+            [8, "degenerate", float("nan"), 0, 0, 0],
+            [2**60, "iteration_cap_reached", np.float64(-0.0), 7, 12, int(True)],
+        ]
+        path = tmp_path / "convergence.csv"
+        experiments.write_csv(path, header, rows)
+        assert path.read_bytes() == _reference_csv(header, rows)
+        assert path.read_text().splitlines()[1] == "5,converged,0.33333333333333331,4,3,1"
+
+
 class TestTwoChannelRunner:
     def test_two_channel_scenario(self, tmp_path):
         raw = json.loads(json.dumps(FAST_OSC))
@@ -544,3 +596,5 @@ class TestZeroStateWithoutZeroLevel:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         printed = capsys.readouterr().out
         assert "status=degenerate" in printed and "level scale 0 " in printed
+        out = tmp_path / "out" / "fast-osc"
+        assert sorted(f.name for f in out.iterdir()) == ["report.json", "summary.json"]
