@@ -8,8 +8,9 @@ the same names.  Per workload one Markdown table row says whether every op
 ends in the same status with the same number of switches per channel,
 whether all levels are equal, the largest relative level shift (levels
 are the scale times the slopes, so this covers the squared kinds' scale), the
-largest switch-time shift and, for the scenario outputs, the largest
-change of a CSV value relative to the largest magnitude in its file.  The
+largest switch-time shift, each with the first op that reaches it, and, for
+the scenario outputs, the largest change of a CSV value relative to the
+largest magnitude in its file.  The
 script reports and never fails: a change that moves outputs on purpose
 moves these figures.
 """
@@ -60,8 +61,13 @@ def run(checkout: Path, workload: str, out: Path) -> dict:
 def compare(workload: str, base: dict, head: dict, base_out: Path, head_out: Path) -> str:
     import numpy as np
 
-    same, equal_levels, level_shift, time_shift = base.keys() == head.keys(), True, 0.0, 0.0
-    for op in base.keys() & head.keys():
+    same, equal_levels = base.keys() == head.keys(), True
+    level_shift = time_shift = (0.0, "-")  # (largest shift, the first op to reach it)
+
+    def larger(old, shift, op):
+        return (shift, op) if shift > old[0] else old
+
+    for op in sorted(base.keys() & head.keys()):
         a, b = base[op], head[op]
         counts = [len(t) for t, _ in a["channels"]], [len(t) for t, _ in b["channels"]]
         if a["status"] != b["status"] or counts[0] != counts[1]:
@@ -71,8 +77,8 @@ def compare(workload: str, base: dict, head: dict, base_out: Path, head_out: Pat
             va, vb = np.asarray(va), np.asarray(vb)
             equal_levels &= bool(np.array_equal(va, vb))
             if va.size:
-                level_shift = max(level_shift, float(np.max(np.abs(va - vb)) / max(np.max(np.abs(va)), 1e-300)))
-                time_shift = max(time_shift, float(np.max(np.abs(np.asarray(ta) - np.asarray(tb)), initial=0.0)))
+                level_shift = larger(level_shift, float(np.max(np.abs(va - vb)) / max(np.max(np.abs(va)), 1e-300)), op)
+                time_shift = larger(time_shift, float(np.max(np.abs(np.asarray(ta) - np.asarray(tb)), initial=0.0)), op)
     csv_change = {}
     for path in sorted(base_out.glob("*/*.csv")):
         other = head_out / path.relative_to(base_out)
@@ -86,7 +92,7 @@ def compare(workload: str, base: dict, head: dict, base_out: Path, head_out: Pat
     csv = ", ".join(f"{name} {v:.2g}" for name, v in csv_change.items()) or "-"
     return (
         f"| {workload} | {len(base)} | {'yes' if same else 'NO'} | {'yes' if equal_levels else 'no'} "
-        f"| {level_shift:.2g} | {time_shift:.2g} | {csv} |"
+        f"| {level_shift[0]:.2g} ({level_shift[1]}) | {time_shift[0]:.2g} ({time_shift[1]}) | {csv} |"
     )
 
 

@@ -15,9 +15,11 @@ The quadratic kinds are solved in closed form from the exact Gramian W.
 The penalized kinds' piecewise-linear integrands give the quadrature
 subgradient a resolution floor at the optimizer's scale, so a short
 quadrature descent is finished by semismooth Newton steps on the exact
-piecewise evaluation (:class:`ExactEvaluator`: crossings certified on the
-quadrature grid by a curvature bound and refined by the Illinois method),
-which drive the true stationarity residual to the requested tolerance.
+piecewise evaluation (:class:`ExactEvaluator`: crossings screened at the
+quadrature nodes, certified by each kept cell's Bernstein coefficients and
+refined by the Illinois method; value and gradient read the
+:func:`staircase_integral` of the slopes between them), which drive the
+true stationarity residual to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -376,15 +378,25 @@ def _cuts(starts, h, coef, levels, tol):
         starts, width = np.concatenate([starts, times[-1]]), np.concatenate([CUT * width, (1.0 - CUT) * width])
 
 
+def staircase_integral(prob: DualProblem, times, levels) -> np.ndarray:
+    """The integral of e^{(T-t)A} B u(t) over [0, T] for the staircase u
+    whose channel c holds ``levels[c][k]`` from switch ``times[c][k-1]`` to
+    ``times[c][k]``: with Psi(s) the integral of e^{rA} B over [0, s], the
+    sum over channels of Psi(T) u_0 + sum_k (u_k - u_{k-1}) Psi(T - tau_k),
+    from one ``rows`` call of :attr:`DualProblem.psi_propagator`."""
+    tau, ch = np.concatenate([[0.0], *times]), np.repeat(np.arange(len(times)), [t.size for t in times])
+    psi = prob.psi_propagator.rows(tau)[:, :, : prob.sys.dim]
+    jumps = np.concatenate([np.diff(lv) for lv in levels])
+    return psi[0].T @ [lv[0] for lv in levels] + jumps @ psi[1 + np.arange(ch.size), ch]
+
+
 class ExactEvaluator:
     """Evaluate the penalized kinds' integral term and its gradient exactly
-    by locating all level crossings of B^T p(t) and integrating the affine
-    integrand per switching interval in closed form: with Psi(s) the
-    integral of e^{rA} B over [0, s], [a, b] contributes Psi(T - a) -
-    Psi(T - b).  The ends Psi(T - t) of all channels' intervals, t = 0 and
-    T included, are one ``rows`` call of :attr:`DualProblem.psi_propagator`,
-    so each channel's pieces telescope to Psi(T) - Psi(0).  :meth:`pieces`
-    is the one reading of a datum's switching intervals; extraction uses it.
+    by locating all level crossings of B^T p(t): between crossings the
+    integrand is affine in p, so the gradient is the
+    :func:`staircase_integral` of the segments' slopes, the terminal state
+    of that staircase less the drift.  :meth:`pieces` is the one reading
+    of a datum's switching intervals; extraction uses it.
     """
 
     def __init__(self, prob: DualProblem):
@@ -455,21 +467,17 @@ class ExactEvaluator:
 
     def integral_and_grad(self, p_T, pieces=None):
         """The integral term I(p_T) and its gradient; ``pieces`` may pass
-        :meth:`pieces` of p_T when the caller already has them."""
+        :meth:`pieces` of p_T when the caller already has them.  The gradient
+        is the :func:`staircase_integral` of the segments' slopes, and I is
+        its product with p_T plus the intercepts times the interval widths."""
         prob = self.prob
         p_T = prob._check_p(p_T)
         pieces = self.pieces(p_T) if pieces is None else pieces
-        ts = [np.concatenate([[0.0], crossings, [prob.sys.T]]) for crossings, _, _ in pieces]
-        rows = prob.psi_propagator.rows(np.concatenate(ts))[:, :, : p_T.size]
-        ends = np.split(rows, np.cumsum([t.size for t in ts[:-1]]))
-        base = np.zeros_like(p_T)
-        integral = 0.0
-        for ch, pen in enumerate(prob.penalizations):
-            ks, psi = pieces[ch][1], ends[ch][:, ch]
-            F = psi[:-1] - psi[1:]  # the integral of e^{(T-t)A} B_ch over each interval
-            base += pen.slopes[ks] @ F
-            integral += float(pen.slopes[ks] @ (F @ p_T) + pen.intercepts[ks] @ np.diff(ts[ch]))
-        return integral, base
+        pens, times = prob.penalizations, [crossings for crossings, _, _ in pieces]
+        base = staircase_integral(prob, times, [pen.slopes[ks] for pen, (_, ks, _) in zip(pens, pieces)])
+        widths = (np.diff(np.concatenate([[0.0], t, [prob.sys.T]])) for t in times)
+        intercepts = sum(float(pen.intercepts[ks] @ w) for pen, (_, ks, _), w in zip(pens, pieces, widths))
+        return float(base @ p_T) + intercepts, base
 
     def value_and_grad(self, p_T, pieces=None):
         """Exact value and gradient of the functional at p_T; ``pieces`` as

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dual import ExactEvaluator
+from .dual import ExactEvaluator, staircase_integral
 from .fenchel import InfeasiblePrimalError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -346,38 +346,23 @@ def _cell_staircase(v, ladder, edges, ch):
     return np.asarray(times, dtype=float), np.asarray(ks, dtype=int), np.asarray(bounds).reshape(-1, 2)
 
 
-def _terminal_map(prob: "DualProblem", times, levels):
-    """Exact zero-order-hold terminal state of a per-channel staircase and
-    its Jacobian with respect to all switch times.
-
-    With Psi(s) the integral of e^{rA} B over [0, s], the terminal state is
-    e^{TA} x0 + sum over channels of Psi(T) u_0 + sum_k (u_k - u_{k-1})
-    Psi(T - tau_k), and its derivative in tau_k is e^{(T - tau_k)A} B
-    (u_{k-1} - u_k) on the channel's column.  Psi(T - tau), tau = 0
-    included, are the rows of :attr:`~.dual.DualProblem.psi_propagator` and
-    e^{(T - tau)A} B those of :attr:`~.dual.DualProblem.propagator`.
-    """
-    N, K = prob.sys.dim, prob.sys.channels
-    tau = np.concatenate([[0.0], *times])
-    switch, ch = np.arange(tau.size - 1), np.repeat(np.arange(K), [t.size for t in times])
-    jumps = np.concatenate([np.diff(lv) for lv in levels])
-    psi = prob.psi_propagator.rows(tau)[:, :, :N]
-    x = prob.drift + psi[0].T @ np.array([lv[0] for lv in levels]) + jumps @ psi[1 + switch, ch]
-    return x, -(prob.propagator.rows(tau[1:])[switch, ch] * jumps[:, None]).T
-
-
 def _polish(prob: "DualProblem", plans, ladders):
     """Per-channel switch times after Gauss-Newton with minimum-norm steps
     on the exact terminal map, run until the terminal norm stops
     decreasing; raises unless the times stay strictly increasing inside
-    their bounds and the terminal norm reaches ``POLISH_TOL``."""
+    their bounds and the terminal norm reaches ``POLISH_TOL``.  The map is
+    e^{TA} x0 plus the :func:`~.dual.staircase_integral`; its derivative in
+    tau_k is e^{(T - tau_k)A} B (u_{k-1} - u_k) on the channel's column."""
     levels = [ladder[ks] for ladder, (_, ks, _) in zip(ladders, plans)]
-    splits = np.cumsum([st.size for st, _, _ in plans])[:-1]
+    sizes = [st.size for st, _, _ in plans]
+    splits, ch = np.cumsum(sizes)[:-1], np.repeat(np.arange(len(plans)), sizes)
     tau = np.concatenate([st for st, _, _ in plans])
     bounds = np.concatenate([b for _, _, b in plans])
+    jumps = np.concatenate([np.diff(lv) for lv in levels])
 
     def terminal(t):
-        return _terminal_map(prob, np.split(t, splits), levels)
+        x = prob.drift + staircase_integral(prob, np.split(t, splits), levels)
+        return x, -(prob.propagator.rows(t)[np.arange(t.size), ch] * jumps[:, None]).T
 
     x, J = terminal(tau)
     for _ in range(POLISH_MAX_ITER if tau.size else 0):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import logging
 import sys as _sys
 import warnings
@@ -52,10 +53,15 @@ def five_point_ladder():
     return build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
 
 
-def six_point_ladder():
+def relaxed_ladder(points):
+    """The chords of u^2 on the partition ``points``, with no kink forced at 0."""
     prof = quadratic_profile()
     relaxed = ConvexProfile(prof.fun, prof.second_derivative, minimizer=None)
-    return build_penalization(relaxed, Partition(np.linspace(-1, 1, 6)))
+    return build_penalization(relaxed, Partition(np.asarray(points, dtype=float)))
+
+
+def six_point_ladder():
+    return relaxed_ladder(np.linspace(-1, 1, 6))
 
 
 def abs_ladder():
@@ -441,6 +447,17 @@ def constant_observation_problem(partition, x0):
     return DualProblem(sys, pens, grid=QuadratureGrid.trapezoid(1.0, 400))
 
 
+def assert_steers(prob, rep, tol):
+    """A converged run whose staircase walks its ladder and steers x0 within
+    ``tol``, simulated on the nodes joined with the switch times."""
+    assert rep.status is SolveStatus.CONVERGED, rep.message
+    ctrl = extract_control(rep.p_T_star, prob)
+    for ch in ctrl.channels:
+        assert verify_staircase(ctrl, ch.level_set)[0]
+    switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+    assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= tol
+
+
 class TestKinkCertificate:
     @pytest.mark.parametrize(
         "partition, x0",
@@ -457,6 +474,13 @@ class TestKinkCertificate:
     def test_non_minimizers_are_not_certified(self, partition, x0):
         rep = minimize(constant_observation_problem(partition, x0))
         assert rep.status is not SolveStatus.CONVERGED
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the descent cannot leave a kinked origin yet")
+    def test_a_feasible_plant_leaves_a_kinked_origin_that_is_no_minimizer(self):
+        # the levels +-1.5 reach the mean control (-0.525, -0.225) that
+        # steers x0: the plant is feasible, and its minimizer is not the origin
+        prob = constant_observation_problem(FOUR_LEVELS, (0.75, 0.3))
+        assert_steers(prob, minimize(prob), 1e-6)
 
     def test_origin_certified_before_the_descent(self):
         prob = constant_observation_problem(FOUR_LEVELS, (0.6, 0.3))
@@ -683,6 +707,22 @@ class TestBracketRows:
         plant = [args for args in rows if np.shape(args[0]) == (prob.sys.dim,) * 2]
         assert len(plant) == 1 and np.array_equal(plant[0][3], prob.grid.nodes)
         assert len(rows) - len(plant) <= 1
+
+
+def test_an_exact_evaluation_reads_psi_once_at_0_and_the_crossings(monkeypatch):
+    # the value and the gradient are one staircase integral: Psi(T - t) at
+    # t = 0 and at every crossing, and no plant row
+    prob = oscillator_problem(six_point_ladder())
+    p = np.array([0.9, -1.3])
+    evaluator = ExactEvaluator(prob)
+    pieces = evaluator.pieces(p)
+    seen = {"psi": [], "plant": []}
+    for name, prop in (("psi", prob.psi_propagator), ("plant", prob.propagator)):
+        monkeypatch.setattr(prop, "rows", lambda t, rows=prop.rows, calls=seen[name]: calls.append(t) or rows(t))
+    evaluator.value_and_grad(p, pieces)
+    crossings = np.concatenate([c for c, _, _ in pieces])
+    assert crossings.size > 2 and seen["plant"] == [] and len(seen["psi"]) == 1
+    assert np.array_equal(seen["psi"][0], np.concatenate([[0.0], crossings]))
 
 
 class TestOriginTest:
@@ -1019,11 +1059,43 @@ def steerable_plants(draw):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(prob=steerable_plants())
 def test_newton_finish_steers_feasible_plants(prob):
-    rep = minimize(prob)
-    assert rep.status is SolveStatus.CONVERGED, rep.message
-    ctrl = extract_control(rep.p_T_star, prob)
-    for ch in ctrl.channels:
-        assert verify_staircase(ctrl, ch.level_set)[0]
-    switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
-    traj = simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches))
-    assert traj.terminal_norm <= 1e-6
+    assert_steers(prob, minimize(prob), 1e-6)
+
+
+ROUNDING_FLOOR_PLANTS = json.loads((Path(__file__).parent / "data" / "rounding_floor_plants.json").read_text())
+
+
+class TestRoundingFloor:
+    """Plants whose Newton descent stalls above GTOL, where no trial step
+    decreases the computed value, with a gradient summed per switching
+    interval (each interior switch's Psi row twice, with full slopes that
+    cancel), and converges with the staircase integral, which reads each
+    row once, with its jump."""
+
+    def test_raw_entry_plant_converges(self):
+        # drawn with raw hypothesis entries: subnormal and tiny entries of A and B
+        A = [
+            [-2.2e-309, -0.2547602659810976, -2.2e-308],
+            [0.5734079509056818, 0.7852611417627196, 0.7942763055618918],
+            [-0.16838100933678235, -0.5447662204827778, 1.2e-51],
+        ]
+        x0 = [-0.07790640366732274, 0.003021082085811906, -0.0008337446041945276]
+        sys = LtiSystem(A=A, B=[[0.7020976682506284], [2.2e-313], [-2.2e-309]], x0=x0, T=1.598329629725899)
+        prob = DualProblem(sys, [six_point_ladder()], grid=QuadratureGrid.trapezoid(sys.T, 1000))
+        assert_steers(prob, minimize(prob), 1e-6)
+
+    @pytest.mark.parametrize("plant", ROUNDING_FLOOR_PLANTS, ids=[p["op_id"] for p in ROUNDING_FLOOR_PLANTS])
+    def test_large_n_plant_converges(self, plant):
+        # three plants of the benchmark's large-N panel (data/record_rounding_floor_plants.py)
+        sys = LtiSystem(A=plant["A"], B=plant["B"], x0=plant["x0"], T=plant["T"])
+        prob = DualProblem(
+            sys,
+            [relaxed_ladder(plant["partition"]) for _ in range(sys.channels)],
+            kind=plant["kind"],
+            beta=plant["beta"],
+            grid=QuadratureGrid.trapezoid(plant["T"], plant["nodes"]),
+            settings=OptimizerSettings(
+                max_iterations=plant["max_iterations"], bracket_multiplier=plant["bracket_multiplier"]
+            ),
+        )
+        assert_steers(prob, minimize(prob), 1e-6)

@@ -376,15 +376,9 @@ def test_cuts_part_a_close_pair_and_follow_a_touch_only_to_the_allowance():
 MINIMIZERS = json.loads((Path(__file__).parent / "data" / "synthesis_minimizers.json").read_text())
 
 
-@pytest.mark.parametrize("datum", MINIMIZERS, ids=[d["op_id"][:6] for d in MINIMIZERS])
-def test_crossings_at_the_synthesis_minimizers(datum):
-    """At the minimizer of each penalized synthesis plant the search finds
-    as many crossings as q - level has roots, each within its sensitivity
-    of the root: ``BISECTION_TOL`` plus the rounding allowance ``ROUNDING``
-    eps |p| row_bounds[0, c] over |q'(t_c)|.  The roots are stored as solved
-    in 40-digit arithmetic (``data/record_roots.py``)."""
+def _minimizer_problem(datum):
     sys = LtiSystem(A=datum["A"], B=datum["B"], x0=datum["x0"], T=datum["T"])
-    prob = DualProblem(
+    return DualProblem(
         sys,
         [_ladder(datum["partition"]) for _ in range(sys.channels)],
         kind=datum["kind"],
@@ -392,13 +386,37 @@ def test_crossings_at_the_synthesis_minimizers(datum):
         grid=QuadratureGrid.trapezoid(datum["T"], datum["nodes"]),
         settings=OptimizerSettings(bracket_multiplier=datum["bracket_multiplier"]),
     )
+
+
+@pytest.mark.parametrize("datum", MINIMIZERS, ids=[d["op_id"][:6] for d in MINIMIZERS])
+def test_crossings_at_the_synthesis_minimizers(datum):
+    """At the minimizer of each penalized synthesis plant the search finds
+    as many crossings as q - level has roots, each within its sensitivity
+    of the root: ``BISECTION_TOL`` plus the rounding allowance ``ROUNDING``
+    eps |p| row_bounds[0, c] over |q'(t_c)|.  The roots are stored as solved
+    in 40-digit arithmetic (``data/record_roots.py``)."""
+    prob = _minimizer_problem(datum)
     p = np.array(datum["p_T"])
     allowance = ROUNDING * np.finfo(float).eps * np.linalg.norm(p) * prob.row_bounds[0]
     for ch, ((crossings, _, _), roots) in enumerate(zip(ExactEvaluator(prob).pieces(p), datum["crossings"])):
         roots = np.array(roots, dtype=float)
-        slope = np.abs(prob.propagator.rows(roots)[:, ch] @ (sys.A.T @ p))
+        slope = np.abs(prob.propagator.rows(roots)[:, ch] @ (prob.sys.A.T @ p))
         assert crossings.size == roots.size
         assert np.all(np.abs(crossings - roots) <= BISECTION_TOL + allowance[ch] / slope)
+
+
+@pytest.mark.parametrize("datum", MINIMIZERS, ids=[d["op_id"][:6] for d in MINIMIZERS])
+def test_exact_gradient_is_the_terminal_state_of_the_staircase(datum):
+    """The exact gradient at p is e^{TA} x0 plus the integral of e^{(T-t)A}
+    B u(t) for the staircase u read at p, so it equals the terminal state
+    that the extracted staircase steers x0 to, simulated on the nodes
+    joined with the switch times."""
+    prob = _minimizer_problem(datum)
+    p = np.array(datum["p_T"])
+    ctrl = extract_control(p, prob)
+    switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+    x_T = simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal
+    assert np.linalg.norm(ExactEvaluator(prob).value_and_grad(p)[1] - x_T) <= 1e-12
 
 
 class TestExtractControl:
