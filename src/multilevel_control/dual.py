@@ -341,6 +341,32 @@ def subgradient_box(prob: DualProblem, p_T):
     return lo, hi
 
 
+# chord_bound's allowance, relative to |q_c| <= |d| row_bounds[0, c], for the
+# rounding of the node samples and their deviation from the exact exponential
+# sum (measured up to 2.4e-13)
+CHORD_TOL = 1e-10
+
+
+def chord_bound(prob: DualProblem, d, slopes, scale: float = 1.0) -> float:
+    """An upper bound of ``scale`` S + drift^T d, ``scale`` >= 0, from the
+    node samples q = ``rows @ d`` alone.  S integrates sum_c max(lo_c q_c,
+    hi_c q_c) over [0, T] for the ``slopes`` (lo_c, hi_c): the integrand is
+    convex and L_c-Lipschitz in q_c (L_c = max(|lo_c|, |hi_c|)), and q_c
+    lies within M_c h^2 / 8 of its chord (M_c = |d| ``row_bounds[1, c]``),
+    so S is at most the trapezoid sum plus T sum_c L_c (M_c h^2 / 8 +
+    ``CHORD_TOL`` |d| ``row_bounds[0, c]``).  With the slopes at 0 and the
+    kind's slope at I(0) as ``scale``, it bounds J'(0; d) from above.
+    """
+    q = prob.adjoint_observations(d)
+    bound0, bound2 = prob.row_bounds * float(np.linalg.norm(d))
+    reach = bound2 * prob.propagator.h**2 / 8.0 + CHORD_TOL * bound0
+    total = 0.0
+    for ch, (lo, hi) in enumerate(slopes):
+        total += float(prob.grid.weights @ np.maximum(lo * q[:, ch], hi * q[:, ch]))
+        total += prob.sys.T * max(abs(lo), abs(hi)) * reach[ch]
+    return scale * total + float(prob.drift @ d)
+
+
 # -- exact piecewise evaluation ----------------------------------------------
 
 # fractions of a switching interval at which its segment is read, in order;
@@ -664,8 +690,9 @@ def minimize(prob: DualProblem) -> SolveReport:
     The run converges when the gradient norm is within :data:`GTOL`, or when
     extraction's complementary-slackness test
     (:func:`~.extract.complementary_slackness`) certifies a kinked point:
-    the origin, tested first if a penalization is kinked at 0, or the
-    active breakpoints near the iterate, tested after a backtracked Newton
+    the origin, tested first if a penalization is kinked at 0 and
+    :func:`chord_bound` cannot show that -g descends, or the active
+    breakpoints near the iterate, tested after a backtracked Newton
     step onto a pinned datum and when the run stops.  It diverges when the
     iterate norm passes the threshold after a window of accepted steps,
     each a strict decrease; a run that finds no decreasing step otherwise,
@@ -711,29 +738,22 @@ def minimize(prob: DualProblem) -> SolveReport:
             message=message,
         )
 
-    def certified(x, integral):
+    def certified(x, scale):
         # extraction's test of a degenerate datum, at the level scale it would use
         from .extract import DegenerateAdjointError, complementary_slackness
 
         try:
-            complementary_slackness(prob, x, prob.outer_slope(integral))
+            complementary_slackness(prob, x, scale)
         except DegenerateAdjointError:
             return False
         return True
 
     def pinned_certificate():
         snapped = _snap_to_active_kinks(prob, p)
-        if snapped is None or not certified(snapped, lambda: evaluator.integral_and_grad(snapped)[0]):
+        if snapped is None or not certified(snapped, prob.outer_slope(lambda: evaluator.integral_and_grad(snapped)[0])):
             return None
         message = "stationary on active breakpoints (complementary-slackness certificate)"
         return report(SolveStatus.CONVERGED, snapped, evaluator.value_and_grad(snapped)[0], 0.0, message)
-
-    # zero is a frequent exact minimizer because the penalization is kinked
-    # at its minimum; there B^T p = 0, so I(0) is T times the penalizations at 0
-    kinked = any(np.less(*pen.slope_bounds(0.0)) for pen in prob.penalizations)
-    if kinked and certified(zero, lambda: prob.sys.T * sum(pen.value(0.0) for pen in prob.penalizations)):
-        message = "stationary at the origin (complementary-slackness certificate)"
-        return report(SolveStatus.CONVERGED, zero, eval_functional(prob, zero), 0.0, message)
 
     def trace():
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
@@ -752,6 +772,17 @@ def minimize(prob: DualProblem) -> SolveReport:
     J, g = eval_functional(prob, p, q), eval_subgradient(prob, p, q)
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise FloatingPointError(f"functional not finite at the initial point p={p}")
+
+    # zero is a frequent exact minimizer because the penalization is kinked
+    # at its minimum; there B^T p = 0, so I(0) is T times the penalizations
+    # at 0.  Its LP certificate runs unless the chord bound shows that -g
+    # descends (a scale <= 0 fails the certificate anyway).
+    at_zero = [pen.slope_bounds(0.0) for pen in prob.penalizations]
+    if any(lo < hi for lo, hi in at_zero):
+        scale = prob.outer_slope(lambda: prob.sys.T * sum(pen.value(0.0) for pen in prob.penalizations))
+        if not chord_bound(prob, -g, at_zero, scale) < 0.0 and certified(zero, scale):
+            message = "stationary at the origin (complementary-slackness certificate)"
+            return report(SolveStatus.CONVERGED, zero, J, 0.0, message)
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
     accepted = 0
     newton = False

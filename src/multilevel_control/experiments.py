@@ -56,8 +56,12 @@ FENCHEL_AGREEMENT_TOL = 0.05
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``rows`` (a 2-D array or any iterable of rows) under ``header``
-    with one ``%`` per row: ``%.17g`` per number, ``%s`` for a ``status``."""
+    with one ``%`` per row: ``%.17g`` per number, ``%s`` for a ``status``.
+    An array is formatted as Python floats, which ``%`` reads faster than
+    NumPy scalars, to the same bytes."""
     fmt = ",".join("%s" if name == "status" else "%.17g" for name in header)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     path.write_text("\n".join([",".join(header), *(fmt % tuple(row) for row in rows)]) + "\n")
 
 

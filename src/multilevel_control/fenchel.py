@@ -7,7 +7,8 @@ with box domain, the steering constraint is linear), solved exactly with
 HiGHS in incremental form: one bounded variable per node and conjugate
 piece, and one equality row per state.  It is solved independently of the
 dual minimizer, so the duality gap and the optimality fraction are checks of
-that minimizer rather than restatements of it.
+that minimizer rather than restatements of it.  HiGHS is imported by the
+first LP (:func:`linprog`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .dual import DualProblem, eval_functional
 
@@ -76,6 +76,14 @@ class GapReport:
     gap: float
     primal_value: float
     dual_value: float
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: HiGHS loads
+    only in a process that solves an LP."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def build_discrete_primal(prob: DualProblem) -> DiscretePrimal:

@@ -151,8 +151,8 @@ class PwlConvex:
         return self.slopes.size
 
     def segment_index(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.clip(np.searchsorted(self.breakpoints, u), 0, self.pieces - 1)
+        # the pieces - 1 breakpoints give indices 0 .. pieces - 1, NaN the last
+        return np.searchsorted(self.breakpoints, np.asarray(u, dtype=float))
 
     def value(self, u):
         """Evaluate via the segment list; +inf outside a finite domain."""

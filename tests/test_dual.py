@@ -38,7 +38,7 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control import dual, extract, lti, pwl
+from multilevel_control import dual, extract, fenchel, lti, pwl
 from multilevel_control.config import load_config
 from multilevel_control.dual import ExactEvaluator, line_search, quadratic_minimizer
 from multilevel_control.experiments import build_problem, run_scenario
@@ -530,6 +530,18 @@ def test_converged_data_extract_without_degenerate_error(prob):
             pytest.fail(f"{rep.message}: {exc}")
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(prob=kinked_plants())
+def test_an_origin_that_the_chord_bound_rejects_is_no_minimizer(prob):
+    # a negative bound of J'(0; -g) shows that -g descends, so the LP
+    # certificate of the origin fails too
+    zero = np.zeros(prob.sys.dim)
+    slopes = [pen.slope_bounds(0.0) for pen in prob.penalizations]
+    if dual.chord_bound(prob, -eval_subgradient(prob, zero), slopes) < 0.0:
+        with pytest.raises(DegenerateAdjointError):
+            extract.complementary_slackness(prob, zero, 1.0)
+
+
 def known_failure(reason):
     return pytest.mark.xfail(strict=True, raises=DegenerateAdjointError, reason=reason)
 
@@ -727,25 +739,51 @@ def test_an_exact_evaluation_reads_psi_once_at_0_and_the_crossings(monkeypatch):
 
 class TestOriginTest:
     def test_squared_origin_test_forms_no_exact_integral(self, spy, monkeypatch):
-        # at p = 0, B^T p = 0, so I(0) is T times the penalizations at 0: no
-        # crossing search and no exact integral
+        # at p = 0, B^T p = 0, so I(0) is T times the penalizations at 0 and
+        # the chord bound reads the node rows: no crossing search and no
+        # exact integral.  Here I(0) = 0 makes the squared kind's scale 0, so
+        # the bound is drift^T d < 0 and rejects the origin before its LP
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "osc-t05-squared.json")
         prob = build_problem(cfg)
         searches = spy(extract, "find_switchings")
         integrals = spy(lti, "exp_action_integral")
+        lps = spy(extract, "complementary_slackness")
+        bound = dual.chord_bound
         seen = []
 
         class OriginTested(Exception):
             pass
 
-        def origin_test(prob, p_T, scale):
-            seen.append((len(searches), len(integrals), scale))
+        def origin_test(prob, d, slopes, scale):
+            seen.append((bound(prob, d, slopes, scale) < 0.0, len(searches), len(integrals), len(lps), scale))
             raise OriginTested
 
-        monkeypatch.setattr(extract, "complementary_slackness", origin_test)
+        monkeypatch.setattr(dual, "chord_bound", origin_test)
         with pytest.raises(OriginTested):
             minimize(prob)
-        assert seen == [(0, 0, 0.0)]
+        assert seen == [(True, 0, 0, 0, 0.0)]
+
+    def test_a_minimizing_origin_solves_its_lp_once(self, spy):
+        # the bound cannot reject a minimizer, so the LP certifies it, again
+        # with no crossing search and no exact integral
+        prob = oscillator_problem()
+        searches = spy(extract, "find_switchings")
+        integrals = spy(lti, "exp_action_integral")
+        lps = spy(fenchel, "linprog")
+        rep = minimize(prob)
+        assert rep.status is SolveStatus.CONVERGED and "stationary at the origin" in rep.message
+        assert (len(lps), len(searches), len(integrals)) == (1, 0, 0)
+
+    @pytest.mark.parametrize("name", ["osc-t05-plain", "scalar-expansive-divergence"])
+    def test_a_rejected_origin_solves_no_lp(self, spy, name):
+        prob = build_problem(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
+        lps = spy(fenchel, "linprog")
+        rep = minimize(prob)
+        assert rep.status is SolveStatus.DIVERGED
+        assert rep.message == (
+            "iterate norm passed the divergence threshold with strictly decreasing values (non-coercive functional)"
+        )
+        assert len(lps) == 0
 
 
 def regular_problems():

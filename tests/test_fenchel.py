@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +120,42 @@ class TestSolvePrimal:
                 prob.primal_nodes(1.0)
             messages.add(str(err.value))
         assert len(calls) == 1 and len(messages) == 1
+
+    def test_solve_primal_calls_the_module_linprog_once(self, monkeypatch):
+        # solve_primal reads the module attribute, so a wrapper there sees its LP
+        plant = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.5], T=1.0)
+        prob = DualProblem(plant, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 100))
+        calls = []
+        lp = fenchel.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lp(*args, **kwargs)
+
+        monkeypatch.setattr(fenchel, "linprog", counted)
+        solve_primal(build_discrete_primal(prob))
+        assert len(calls) == 1
+
+    def test_highs_is_imported_by_the_first_lp(self):
+        # in a fresh interpreter, importing every module leaves scipy.optimize
+        # out; the first solve_primal loads it
+        code = """
+import sys
+import multilevel_control
+from multilevel_control import cli, config, dual, experiments, extract, fenchel, lti, pwl, solvable
+print("scipy.optimize" in sys.modules)
+prob = dual.DualProblem(
+    lti.LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.5], T=1.0),
+    [pwl.build_penalization(pwl.quadratic_profile(), pwl.Partition([-1.0, 0.0, 1.0]))],
+    grid=dual.QuadratureGrid.trapezoid(1.0, 100),
+)
+fenchel.solve_primal(fenchel.build_discrete_primal(prob))
+print("scipy.optimize" in sys.modules)
+"""
+        src = str(Path(fenchel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
 
     def test_feasible_solution_steers_state(self, oscillator_case):
         prob, _, primal = oscillator_case
