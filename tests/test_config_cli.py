@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
@@ -494,6 +495,15 @@ class TestCsvBytes:
             path = tmp_path / f"{form}.csv"
             experiments.write_csv(path, header, rows)
             assert path.read_bytes() == expected, form
+
+    def test_an_array_table_sets_off_no_collection(self, tmp_path):
+        # a trajectory-sized table: lists kept per row would pass the
+        # first generation's threshold a dozen times
+        table = np.column_stack([np.linspace(0.0, 4.0, 8001), np.ones((8001, 2)) / 3])
+        gc.collect()
+        before = [s["collections"] for s in gc.get_stats()]
+        experiments.write_csv(tmp_path / "trajectory.csv", ["t", "x1", "x2"], table)
+        assert [s["collections"] for s in gc.get_stats()] == before
 
     def test_int_and_status_columns(self, tmp_path):
         # the shape of convergence.csv
