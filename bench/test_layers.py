@@ -21,7 +21,9 @@ quadratic control of syn-07 (six states, two channels); both record their
 cell count and distinct cell widths in ``extra_info``.
 The ``minimize`` case times the whole solve and records its step counts
 in ``extra_info``, so that the cost per step is its time over
-``iterations`` in ``--benchmark-json``.  The output-stage case times what
+``iterations`` in ``--benchmark-json``; a second ``minimize`` case times the
+diverged solve of ``configs/osc-t05-plain.json`` and records its
+``iterations`` and ``status``.  The output-stage case times what
 ``run_scenario`` writes for ``configs/osc-t4.json``: its two JSON records
 and its ``trajectory.csv`` and ``control.csv`` through ``write_csv``, the
 suite's largest tables.
@@ -87,6 +89,16 @@ def test_minimize(benchmark, plant):
     benchmark.extra_info["line_search_trials"] = rep.line_search_trials
     benchmark.extra_info["status"] = rep.status.value
     assert rep.converged
+
+
+def test_minimize_diverged(benchmark):
+    """The solve of osc-t05-plain, whose x0 no control on its ladder's hull
+    steers to 0 at T = 0.5: it ends ``DIVERGED``."""
+    prob = experiments.build_problem(config.load_config(workloads.CONFIGS / "osc-t05-plain.json"))
+    rep = benchmark(dual.minimize, prob)
+    benchmark.extra_info["iterations"] = rep.iterations
+    benchmark.extra_info["status"] = rep.status.value
+    assert rep.status is dual.SolveStatus.DIVERGED
 
 
 def test_quadrature_value_and_grad(benchmark, plant):

@@ -1,11 +1,13 @@
 """Short horizons: where the plain dual functional gives up, and how the
 squared-integral variant rescues the synthesis.
 
-At T = 0.5 the plain functional for x0 = (-1, 0.5) is non-coercive: the
-solver certifies divergence (iterates run off to infinity with strictly
-decreasing values).  Squaring the penalized integral makes the functional
-coercive for every horizon; the price is an extra intensity factor carried
-by the control levels.
+At T = 0.5 no control with levels in the ladder's hull [-1.5, 1.5] steers
+x0 = (-1, 0.5) to 0, and the plain functional is unbounded below: the
+solver certifies divergence by a negative chord bound of the functional's
+recession (the support-function margin of the hull) along an iterate.
+Squaring the penalized integral makes the functional coercive for every
+horizon on this controllable plant, whose ladder has 0 inside its hull; the
+price is an extra intensity factor carried by the control levels.
 """
 
 import numpy as np

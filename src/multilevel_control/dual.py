@@ -129,18 +129,15 @@ class OptimizerSettings:
             raise ValueError(f"bracket_multiplier must be >= 1, got {self.bracket_multiplier}")
 
 
-# Descent constants.  A run converges once the gradient norm is within GTOL.
-# Divergence is certified once the iterate norm passes
-# DIVERGENCE_THRESHOLD after DIVERGENCE_WINDOW accepted steps, each a strict
-# decrease.  A Newton step solves (H + mu I) d = -g with mu =
+# Descent constants.  A run converges once the gradient norm is within GTOL,
+# and diverges at once if the drift's residual outside the range of the
+# Gramian exceeds GTOL.  A Newton step solves (H + mu I) d = -g with mu =
 # NEWTON_REGULARIZATION (1 + tr H) and takes the largest step 2^-k that meets
 # the Armijo condition with constant ARMIJO, found by bisecting k, which the
 # convexity of the functional along d allows (see line_search).  A stalled
 # iterate is snapped onto the breakpoints its node observations lie within
 # SNAP_TOL of (relative).
 GTOL = 1e-6
-DIVERGENCE_THRESHOLD = 1e6
-DIVERGENCE_WINDOW = 100
 NEWTON_REGULARIZATION = 1e-10
 ARMIJO = 1e-4
 SNAP_TOL = 1e-6
@@ -355,7 +352,10 @@ def chord_bound(prob: DualProblem, d, slopes, scale: float = 1.0) -> float:
     lies within M_c h^2 / 8 of its chord (M_c = |d| ``row_bounds[1, c]``),
     so S is at most the trapezoid sum plus T sum_c L_c (M_c h^2 / 8 +
     ``CHORD_TOL`` |d| ``row_bounds[0, c]``).  With the slopes at 0 and the
-    kind's slope at I(0) as ``scale``, it bounds J'(0; d) from above.
+    kind's slope at I(0) as ``scale``, it bounds J'(0; d) from above; with
+    the hull (slopes[0], slopes[-1]) and the plain or scaled kind's constant
+    slope, the recession lim J(s d) / s, which is the support-function
+    margin m(d): below 0, it proves that no control steers x0 to 0.
     """
     q = prob.adjoint_observations(d)
     bound0, bound2 = prob.row_bounds * float(np.linalg.norm(d))
@@ -669,13 +669,16 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):
 def minimize(prob: DualProblem) -> SolveReport:
     """Minimize the dual functional over p_T.
 
-    The quadratic kinds are solved in closed form by
+    A run diverges only on a certificate that no control exists.  The first
+    is, on an uncontrollable plant, the drift's residual r outside the range
+    of the Gramian W: B^T p(t) vanishes along -r, so every kind falls to -inf
+    along it and no gradient is shorter than |r|.  When |r| > :data:`GTOL`
+    the run diverges at once, reporting |r| and the value at the origin.
+
+    The quadratic kinds are then solved in closed form by
     :func:`quadratic_minimizer` with no iterations, and converge when the
-    gradient there is within :data:`GTOL`.  A larger gradient is, on an
-    uncontrollable plant, the least-squares residual that W annihilates (the
-    functional is unbounded below along it: the run diverges) and, on a
-    controllable one, rounding amplified by an ill-conditioned W
-    (``ITERATION_CAP``).
+    gradient there is within :data:`GTOL`.  A larger gradient is rounding
+    amplified by an ill-conditioned W (``ITERATION_CAP``).
 
     The penalized kinds take gradient steps on the quadrature functional,
     grown on every decrease, up to the first that does not decrease it.
@@ -693,16 +696,22 @@ def minimize(prob: DualProblem) -> SolveReport:
     the origin, tested first if a penalization is kinked at 0 and
     :func:`chord_bound` cannot show that -g descends, or the active
     breakpoints near the iterate, tested after a backtracked Newton
-    step onto a pinned datum and when the run stops.  It diverges when the
-    iterate norm passes the threshold after a window of accepted steps,
-    each a strict decrease; a run that finds no decreasing step otherwise,
-    or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
+    step onto a pinned datum and when the run stops.  The second divergence
+    certificate, for the plain and scaled kinds only, is a negative
+    :func:`chord_bound` of the recession function along an accepted iterate.
+    A run that finds no decreasing step, or uses up ``max_iterations``,
+    ends at ``ITERATION_CAP``.
     """
-    controllable = kalman_rank(prob.sys.A, prob.sys.B) == prob.sys.dim
-    if not controllable:
+    zero = np.zeros(prob.sys.dim)
+    if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
         logging.getLogger("multilevel_control").warning(
             "system is not controllable: the dual functional may have no minimizer"
         )
+        W = prob.gram
+        residual = float(np.linalg.norm(prob.drift - W @ np.linalg.lstsq(W, prob.drift, rcond=None)[0]))
+        if residual > GTOL:
+            message = "the drift leaves the range of the Gram matrix (functional unbounded below)"
+            return SolveReport(SolveStatus.DIVERGED, None, eval_functional(prob, zero), 0, residual, message=message)
 
     if not prob.kind.penalized:
         p = quadratic_minimizer(prob)
@@ -712,13 +721,9 @@ def minimize(prob: DualProblem) -> SolveReport:
         gn = float(np.linalg.norm(eval_subgradient(prob, p)))
         if gn <= GTOL:
             return SolveReport(SolveStatus.CONVERGED, p, value, 0, gn, message="closed-form solution")
-        if not controllable:
-            message = "the drift leaves the range of the Gram matrix (functional unbounded below)"
-            return SolveReport(SolveStatus.DIVERGED, None, value, 0, gn, message=message)
         message = "the closed form misses the stationarity tolerance (ill-conditioned Gram matrix)"
         return SolveReport(SolveStatus.ITERATION_CAP, p, value, 0, gn, message=message)
 
-    zero = np.zeros(prob.sys.dim)
     p = zero.copy()
     evaluator = ExactEvaluator(prob)
     it = newton_steps = halvings = trials = 0
@@ -783,8 +788,8 @@ def minimize(prob: DualProblem) -> SolveReport:
         if not chord_bound(prob, -g, at_zero, scale) < 0.0 and certified(zero, scale):
             message = "stationary at the origin (complementary-slackness certificate)"
             return report(SolveStatus.CONVERGED, zero, J, 0.0, message)
+    hull = [(pen.slopes[0], pen.slopes[-1]) for pen in prob.penalizations]
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    accepted = 0
     newton = False
     trace()
     while it < prob.settings.max_iterations:
@@ -820,17 +825,11 @@ def minimize(prob: DualProblem) -> SolveReport:
                 trace()
                 break  # no step decreases the value
             t, p, J, g, pieces = found
-        accepted += 1
         trace()
-        if float(np.linalg.norm(p)) > DIVERGENCE_THRESHOLD and accepted >= DIVERGENCE_WINDOW:
-            return report(
-                SolveStatus.DIVERGED,
-                None,
-                J,
-                gn,
-                "iterate norm passed the divergence threshold with strictly "
-                "decreasing values (non-coercive functional)",
-            )
+        if not prob.kind.squared and chord_bound(prob, p, hull, prob.kind.outer(0.0, prob.beta)[1]) < 0.0:
+            message = "the recession bound along the iterate is negative: no control with levels in the "
+            message += "ladder's hull steers x0 to 0 (functional unbounded below)"
+            return report(SolveStatus.DIVERGED, None, J, float(np.linalg.norm(g)), message)
         if newton and t < 1.0 and any(pinned for _, _, pinned in pieces):
             done = pinned_certificate()
             if done is not None:

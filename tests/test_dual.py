@@ -779,11 +779,101 @@ class TestOriginTest:
         prob = build_problem(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
         lps = spy(fenchel, "linprog")
         rep = minimize(prob)
-        assert rep.status is SolveStatus.DIVERGED
+        assert rep.status is SolveStatus.DIVERGED and rep.iterations <= 2
         assert rep.message == (
-            "iterate norm passed the divergence threshold with strictly decreasing values (non-coercive functional)"
+            "the recession bound along the iterate is negative: no control with levels in the ladder's hull "
+            "steers x0 to 0 (functional unbounded below)"
         )
         assert len(lps) == 0
+
+
+class TestDivergenceCertificates:
+    @pytest.mark.parametrize(
+        "T, status",
+        # the exact margin on the hull +-1.5 is -9.1e-7 at 0.676301 and +5.8e-8 at 0.6763025
+        [(0.676301, SolveStatus.DIVERGED), (0.6763025, SolveStatus.CONVERGED)],
+    )
+    def test_the_verdict_next_to_the_minimal_time(self, T, status):
+        assert minimize(oscillator_problem(T=T, x0=np.array([-0.25, 0.25]))).status is status
+
+    @pytest.mark.parametrize("kind", ["plain", "scaled", "squared"])
+    @pytest.mark.parametrize(
+        "A, x0", [(np.zeros((2, 2)), (0.0, 1.0)), (np.diag([-1.0, -2.0]), (0.1, 1.0))], ids=["integrator", "stable"]
+    )
+    def test_a_drift_outside_the_range_of_the_gramian_diverges_at_once(self, A, x0, kind):
+        sys = LtiSystem(A=A, B=[[1.0], [0.0]], x0=x0, T=1.0)
+        rep = minimize(DualProblem(sys, [five_point_ladder()], kind=kind, beta=2.0))
+        assert rep.status is SolveStatus.DIVERGED and rep.iterations == 0 and rep.p_T_star is None
+        assert rep.message == "the drift leaves the range of the Gram matrix (functional unbounded below)"
+
+    def test_the_squared_kind_has_no_recession_certificate(self):
+        # levels in [0.8, 1.6] cannot steer x0 = (1, 0) to 0 (the exact
+        # margin reaches -0.92), but the squared kind has no recession
+        # certificate, so the run ends at the cap
+        settings = OptimizerSettings(max_iterations=300)
+        pen = relaxed_ladder([0.2, 0.6, 1.0])
+        rep = minimize(oscillator_problem(pen, kind="squared", T=1.0, x0=(1.0, 0.0), settings=settings))
+        assert rep.status is SolveStatus.ITERATION_CAP and rep.iterations == 300
+
+
+@st.composite
+def hull_plants(draw):
+    """Plants with 2-3 states and 1-2 channels, entries in [-1, 1], T in
+    [0.5, 4], and per channel a hull lo < 0 < hi of levels."""
+    N = draw(st.integers(2, 3))
+    K = draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=N * N, max_size=N * N))).reshape(N, N)
+    B = np.array(draw(st.lists(entries, min_size=N * K, max_size=N * K))).reshape(N, K)
+    assume(kalman_rank(A, B) == N)
+    hulls = [(draw(st.floats(-2.0, -0.2)), draw(st.floats(0.2, 2.0))) for _ in range(K)]
+    return A, B, draw(st.floats(0.5, 4.0)), hulls
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    plant=hull_plants(),
+    x0=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    d=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    n=st.sampled_from([400, 4000]),
+)
+def test_the_recession_bound_exceeds_the_exact_margin(plant, x0, d, n):
+    # on the two-slope ladder max(lo v, hi v) of each hull, the plain kind's
+    # exact value at d is the margin m(d)
+    A, B, T, hulls = plant
+    N = A.shape[0]
+    d = np.array(d[:N])
+    assume(np.linalg.norm(d) > 1e-3)
+    d /= np.linalg.norm(d)
+    pens = [pwl.PwlConvex([lo, hi], [0.0, 0.0]) for lo, hi in hulls]
+    prob = DualProblem(LtiSystem(A=A, B=B, x0=x0[:N], T=T), pens, grid=QuadratureGrid.trapezoid(T, n))
+    assert dual.chord_bound(prob, d, hulls, 1.0) >= ExactEvaluator(prob).value_and_grad(d)[0]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(plant=hull_plants(), kind=st.sampled_from(["plain", "scaled"]), data=st.data())
+def test_feasible_plants_never_diverge(plant, kind, data):
+    # x0 = -e^{-TA} x_T(u) for a staircase u with levels inside 0.6 times the
+    # kind's hull, so that the margin is positive in every direction; the
+    # chords of u^2 on (a lo, (1 - a) lo, (1 - a) hi, a hi) span the hull.
+    # Psi(s), the integral of e^{rA} B over [0, s], is a block of e^{sM}
+    A, B, T, hulls = plant
+    (N, K), beta = B.shape, 2.0 if kind == "scaled" else 1.0
+    M = np.block([[A, B], [np.zeros((K, N + K))]])
+    x_T = np.zeros(N)
+    for ch, (lo, hi) in enumerate(hulls):
+        times = np.unique(data.draw(st.lists(st.floats(0.05 * T, 0.95 * T), min_size=1, max_size=4)))
+        ends = np.concatenate([[0.0], times, [T]])
+        level = st.floats(0.6 * beta * lo, 0.6 * beta * hi)
+        levels = data.draw(st.lists(level, min_size=ends.size - 1, max_size=ends.size - 1))
+        psi = np.array([sla.expm(M * (T - t))[:N, N + ch] for t in ends])
+        x_T += (psi[:-1] - psi[1:]).T @ levels
+    sys = LtiSystem(A=A, B=B, x0=-sla.expm(-T * A) @ x_T, T=T)
+    a = data.draw(st.floats(0.6, 0.9))
+    pens = [relaxed_ladder([a * lo, (1 - a) * lo, (1 - a) * hi, a * hi]) for lo, hi in hulls]
+    grid, capped = QuadratureGrid.trapezoid(T, 400), OptimizerSettings(max_iterations=3000)
+    prob = DualProblem(sys, pens, kind=kind, beta=beta, grid=grid, settings=capped)
+    assert minimize(prob).status is not SolveStatus.DIVERGED
 
 
 def regular_problems():
