@@ -23,7 +23,9 @@ The ``minimize`` case times the whole solve and records its step counts
 in ``extra_info``, so that the cost per step is its time over
 ``iterations`` in ``--benchmark-json``; a second ``minimize`` case times the
 diverged solve of ``configs/osc-t05-plain.json`` and records its
-``iterations`` and ``status``.  The output-stage case times what
+``iterations`` and ``status``.  The line-search case times the first
+Newton search from the origin and records its exponent and exact trials.
+The output-stage case times what
 ``run_scenario`` writes for ``configs/osc-t4.json``: its two JSON records
 and its ``trajectory.csv`` and ``control.csv`` through ``write_csv``, the
 suite's largest tables.
@@ -89,6 +91,22 @@ def test_minimize(benchmark, plant):
     benchmark.extra_info["line_search_trials"] = rep.line_search_trials
     benchmark.extra_info["status"] = rep.status.value
     assert rep.converged
+
+
+def test_line_search(benchmark, plant):
+    """The first Newton search from the origin, where H = 0 and the
+    direction is -g / NEWTON_REGULARIZATION: the quadrature guess and the
+    exact trials that confirm it.  ``extra_info`` records the exponent k of
+    the step and the exact trials."""
+    prob, _ = plant
+    evaluator = dual.ExactEvaluator(prob)
+    p = np.zeros(prob.sys.A.shape[0])
+    J, g = evaluator.value_and_grad(p)
+    assert not evaluator.hessian(p).any()
+    found, k, trials = benchmark(dual.line_search, evaluator, p, J, g, -g / dual.NEWTON_REGULARIZATION)
+    benchmark.extra_info["k"] = k
+    benchmark.extra_info["trials"] = trials
+    assert found is not None
 
 
 def test_minimize_diverged(benchmark):

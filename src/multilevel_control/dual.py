@@ -133,10 +133,11 @@ class OptimizerSettings:
 # and diverges at once if the drift's residual outside the range of the
 # Gramian exceeds GTOL.  A Newton step solves (H + mu I) d = -g with mu =
 # NEWTON_REGULARIZATION (1 + tr H) and takes the largest step 2^-k that meets
-# the Armijo condition with constant ARMIJO, found by bisecting k, which the
-# convexity of the functional along d allows (see line_search).  A stalled
-# iterate is snapped onto the breakpoints its node observations lie within
-# SNAP_TOL of (relative).
+# the Armijo condition with constant ARMIJO: the quadrature functional guesses
+# k and exact trials at k and k - 1 confirm it, or bisection on k finds it,
+# which the convexity of the functional along d allows (see line_search).  A
+# stalled iterate is snapped onto the breakpoints its node observations lie
+# within SNAP_TOL of (relative).
 GTOL = 1e-6
 NEWTON_REGULARIZATION = 1e-10
 ARMIJO = 1e-4
@@ -559,7 +560,7 @@ class SolveReport:
     (:func:`line_search`), ``line_search_halvings`` sums the exponents k of
     the steps 2^-k taken, or the exponent of the rounding floor where a
     search found none, and ``line_search_trials`` the exact evaluations
-    spent, at most 1 + log2 of the floor's exponent per search."""
+    spent, at most 2 + log2 of the floor's exponent per search."""
 
     status: SolveStatus
     p_T_star: Optional[np.ndarray]
@@ -589,15 +590,25 @@ def line_search(evaluator: ExactEvaluator, p, J, g, d):
 
     Every penalized kind's exact functional is convex along any ray (I
     integrates convex penalizations of B^T p; ``squared``'s I^2 / 2 where I
-    >= 0), so the passing exponents are all k >= k*: the search tries t = 1,
-    then bisects k on (0, k_end) and returns 2^-k*, the step that halving t
-    from 1 reaches first, from at most 1 + log2 k_end evaluations.
-    Convexity also gives J'(t) >= (J(t) - J) / t, so a failed trial whose
-    slope along d is below ARMIJO g^T d failed on the rounding of the
-    value, and the bisection goes on among longer steps.  Where the premise
-    fails (``squared`` with I < 0) or the decrease is below rounding, the
-    step returned still passes the test, but halving may have stopped at
-    another one.
+    >= 0), so the passing exponents are all k >= k*, and the search returns
+    2^-k*, the step that halving t from 1 reaches first.  It bisects k on
+    (0, k_end), and a failed trial whose slope along d is below ARMIJO g^T d
+    failed on the rounding of the value (convexity gives J'(t) >= (J(t) -
+    J) / t), so the bisection goes on among longer steps.
+
+    The quadrature functional (:func:`eval_functional` on the node
+    observations of p + t d) is convex along d too and far cheaper, so its
+    first exponent k_q that passes the same test (t = 1 first, then
+    bisection) is the guess: the exact trials at k_q and k_q - 1 come first.
+    When k_q passes and k_q - 1 fails by overshooting (its slope along d is
+    at least ARMIJO g^T d, or k_q - 1 = 0), they bracket k*, and the search
+    ends after 2 trials, or 1 when t = 1 passes.  Otherwise it bisects the
+    bracket they leave, from at most 2 + log2 k_end evaluations.  The guess
+    is taken only when its Armijo decrease is above rounding at J; below,
+    the search tries t = 1 and bisects (0, k_end), from at most 1 + log2
+    k_end evaluations.  Where the premise fails (``squared`` with I < 0) or
+    the decrease is below rounding, the step returned still passes the
+    test, but halving may have stopped at another one.
     """
     slope = float(g @ d)
     floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
@@ -605,32 +616,45 @@ def line_search(evaluator: ExactEvaluator, p, J, g, d):
     while t > floor:
         t *= 0.5
         k_end += 1
+    if k_end == 0:
+        return None, 0, 0
 
-    def trial(k):
+    def bisect(shorter, first):
+        # the first k in (-1, k_end) that ``shorter`` accepts, or k_end: the
+        # exponents ``first`` (popped from the end) are tried before midpoints
+        lo, hi = -1, k_end
+        while hi - lo > 1:
+            k = first.pop() if first else (lo + hi) // 2
+            if lo < k < hi:
+                lo, hi = (lo, k) if shorter(k) else (k, hi)
+        return hi
+
+    prob = evaluator.prob
+    qp, qd = prob.adjoint_observations(p), prob.adjoint_observations(d)
+    J_q = eval_functional(prob, p, qp)
+
+    def quadrature_passes(k):
+        J_t = eval_functional(prob, p + 0.5**k * d, qp + 0.5**k * qd)
+        return J_t < J_q and J_t <= J_q + ARMIJO * 0.5**k * slope
+
+    found, k_found, trials = None, k_end, 0
+
+    def exact_passes(k):
+        nonlocal found, k_found, trials
         t = 0.5**k
         cand = p + t * d
         cand_pieces = evaluator.pieces(cand)
         J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
-        passed = J_cand < J and J_cand <= J + ARMIJO * t * slope
-        return passed, float(g_cand @ d), (t, cand, J_cand, g_cand, cand_pieces)
-
-    if k_end == 0:
-        return None, 0, 0
-    passed, _, step = trial(0)
-    if passed:
-        return step, 0, 1
-    best, k_best, lo, hi, trials = None, k_end, 0, k_end, 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        passed, cand_slope, step = trial(mid)
         trials += 1
-        if passed:
-            best, k_best, hi = step, mid, mid
-        elif cand_slope < ARMIJO * slope:
-            hi = mid  # too short to resolve the decrease from rounding
-        else:
-            lo = mid
-    return best, k_best, trials
+        if J_cand < J and J_cand <= J + ARMIJO * t * slope:
+            found, k_found = (t, cand, J_cand, g_cand, cand_pieces), k
+            return True
+        return k > 0 and float(g_cand @ d) < ARMIJO * slope  # too short to resolve the decrease from rounding
+
+    k_q = bisect(quadrature_passes, [0])
+    guessed = k_q < k_end and J + ARMIJO * 0.5**k_q * slope < J
+    bisect(exact_passes, [k_q - 1, k_q] if guessed else [0])
+    return found, k_found, trials
 
 
 def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):

@@ -1036,6 +1036,43 @@ def halving_search(evaluator, p, J, g, d):
     return None, halvings, halvings
 
 
+def bisection_search(evaluator, p, J, g, d):
+    """The reference bisection: :func:`dual.line_search` without the
+    quadrature guess, trying t = 1 and bisecting k on (0, k_end)."""
+    slope = float(g @ d)
+    floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
+    k_end, t = 0, 1.0
+    while t > floor:
+        t *= 0.5
+        k_end += 1
+
+    def trial(k):
+        t = 0.5**k
+        cand = p + t * d
+        cand_pieces = evaluator.pieces(cand)
+        J_cand, g_cand = evaluator.value_and_grad(cand, cand_pieces)
+        passed = J_cand < J and J_cand <= J + dual.ARMIJO * t * slope
+        return passed, float(g_cand @ d), (t, cand, J_cand, g_cand, cand_pieces)
+
+    if k_end == 0:
+        return None, 0, 0
+    passed, _, step = trial(0)
+    if passed:
+        return step, 0, 1
+    best, k_best, lo, hi, trials = None, k_end, 0, k_end, 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        passed, cand_slope, step = trial(mid)
+        trials += 1
+        if passed:
+            best, k_best, hi = step, mid, mid
+        elif cand_slope < dual.ARMIJO * slope:
+            hi = mid  # too short to resolve the decrease from rounding
+        else:
+            lo = mid
+    return best, k_best, trials
+
+
 def floor_exponent(p, d):
     """k_end: the first k with 2^-k at or below the rounding floor."""
     floor = np.finfo(float).eps * (1.0 + float(np.linalg.norm(p))) / float(np.linalg.norm(d))
@@ -1056,11 +1093,73 @@ def newton_plants():
     ]
 
 
+def raw_entry_problem():
+    # drawn with raw hypothesis entries: subnormal and tiny entries of A and B
+    A = [
+        [-2.2e-309, -0.2547602659810976, -2.2e-308],
+        [0.5734079509056818, 0.7852611417627196, 0.7942763055618918],
+        [-0.16838100933678235, -0.5447662204827778, 1.2e-51],
+    ]
+    x0 = [-0.07790640366732274, 0.003021082085811906, -0.0008337446041945276]
+    sys = LtiSystem(A=A, B=[[0.7020976682506284], [2.2e-313], [-2.2e-309]], x0=x0, T=1.598329629725899)
+    return DualProblem(sys, [six_point_ladder()], grid=QuadratureGrid.trapezoid(sys.T, 1000))
+
+
+ROUNDING_FLOOR_PLANTS = json.loads((Path(__file__).parent / "data" / "rounding_floor_plants.json").read_text())
+
+
+def rounding_floor_problem(plant):
+    sys = LtiSystem(A=plant["A"], B=plant["B"], x0=plant["x0"], T=plant["T"])
+    return DualProblem(
+        sys,
+        [relaxed_ladder(plant["partition"]) for _ in range(sys.channels)],
+        kind=plant["kind"],
+        beta=plant["beta"],
+        grid=QuadratureGrid.trapezoid(plant["T"], plant["nodes"]),
+        settings=OptimizerSettings(
+            max_iterations=plant["max_iterations"], bracket_multiplier=plant["bracket_multiplier"]
+        ),
+    )
+
+
+SYNTHESIS_MINIMIZERS = json.loads((Path(__file__).parent / "data" / "synthesis_minimizers.json").read_text())
+
+
+def synthesis_problem(datum):
+    sys = LtiSystem(A=datum["A"], B=datum["B"], x0=datum["x0"], T=datum["T"])
+    return DualProblem(
+        sys,
+        [relaxed_ladder(datum["partition"]) for _ in range(sys.channels)],
+        kind=datum["kind"],
+        beta=datum["beta"],
+        grid=QuadratureGrid.trapezoid(datum["T"], datum["nodes"]),
+        settings=OptimizerSettings(bracket_multiplier=datum["bracket_multiplier"]),
+    )
+
+
+def guessed_search_plants():
+    """(build, kind, most trials per search): the Newton plants, the
+    raw-entry plant, the rounding-floor plants and the plants of the stored
+    synthesis minimizers, whose every search takes at most 2 trials."""
+    return [
+        *(pytest.param(*param.values, None, id=param.id) for param in newton_plants()),
+        pytest.param(lambda _: raw_entry_problem(), None, None, id="raw-entry"),
+        *(
+            pytest.param(lambda _, plant=plant: rounding_floor_problem(plant), None, None, id=plant["op_id"])
+            for plant in ROUNDING_FLOOR_PLANTS
+        ),
+        *(
+            pytest.param(lambda _, datum=datum: synthesis_problem(datum), None, 2, id=datum["op_id"][:6])
+            for datum in SYNTHESIS_MINIMIZERS
+        ),
+    ]
+
+
 class TestLineSearch:
     @pytest.mark.parametrize("build, kind", newton_plants())
     def test_bisection_takes_the_halving_step(self, build, kind, monkeypatch):
         # at every line search of a solve, the bisection on the exponent
-        # returns a step that passes the test, from at most 1 + log2 k_end
+        # returns a step that passes the test, from at most 2 + log2 k_end
         # evaluations; where the halving loop's step decreases the value by
         # more than rounding, it is that step, with the same candidate bytes
         # and halving count (below rounding, both pick a step by the noise
@@ -1072,7 +1171,7 @@ class TestLineSearch:
             ref, ref_k, _ = halving_search(evaluator, p, J, g, d)
             slope = float(g @ d)
             k_end = floor_exponent(p, d)
-            assert trials <= 1 + int(np.ceil(np.log2(k_end)))
+            assert trials <= 2 + int(np.ceil(np.log2(k_end)))
             if found is None:
                 assert k == k_end
             else:
@@ -1099,7 +1198,7 @@ class TestLineSearch:
         found, k, trials = line_search(evaluator, p, J, g, g)
         k_end = floor_exponent(p, g)
         assert found is None and k == k_end
-        assert trials <= 1 + int(np.ceil(np.log2(k_end)))
+        assert trials <= 2 + int(np.ceil(np.log2(k_end)))
 
     def test_the_first_step_from_the_origin_is_cheap(self):
         # at the origin H = 0, so the Newton step is -g / mu, about 1e10 |g|
@@ -1113,7 +1212,29 @@ class TestLineSearch:
         found, k, trials = line_search(evaluator, p, J, g, d)
         ref, ref_k, ref_trials = halving_search(evaluator, p, J, g, d)
         assert found is not None and found[0] == ref[0] and k == ref_k >= 30
-        assert trials <= 2 + int(np.ceil(np.log2(floor_exponent(p, d)))) < ref_trials
+        assert trials == 2 < ref_trials
+
+    @pytest.mark.parametrize("build, kind, most_trials", guessed_search_plants())
+    def test_the_guess_takes_the_bisection_step(self, build, kind, most_trials, monkeypatch):
+        # at every line search of a solve from the origin, below rounding
+        # too, the search that the quadrature functional guesses for returns
+        # the reference bisection's step: the same exponent, candidate,
+        # value and gradient bytes, or None in both
+        trials = []
+
+        def checked(evaluator, p, J, g, d):
+            found, k, n = line_search(evaluator, p, J, g, d)
+            ref, ref_k, _ = bisection_search(evaluator, p, J, g, d)
+            assert k == ref_k and (found is None) == (ref is None)
+            if found is not None:
+                assert found[0] == ref[0] and found[2] == ref[2]
+                assert found[1].tobytes() == ref[1].tobytes() and found[3].tobytes() == ref[3].tobytes()
+            trials.append(n)
+            return found, k, n
+
+        monkeypatch.setattr(dual, "line_search", checked)
+        minimize(build(kind))
+        assert trials and (most_trials is None or max(trials) <= most_trials)
 
     def test_a_negative_squared_integral_still_gets_an_armijo_step(self):
         # on the one-sided ladder {1, 2, 3} the chord extension 3u - 2 is
@@ -1190,9 +1311,6 @@ def test_newton_finish_steers_feasible_plants(prob):
     assert_steers(prob, minimize(prob), 1e-6)
 
 
-ROUNDING_FLOOR_PLANTS = json.loads((Path(__file__).parent / "data" / "rounding_floor_plants.json").read_text())
-
-
 class TestRoundingFloor:
     """Plants whose Newton descent stalls above GTOL, where no trial step
     decreases the computed value, with a gradient summed per switching
@@ -1201,29 +1319,11 @@ class TestRoundingFloor:
     row once, with its jump."""
 
     def test_raw_entry_plant_converges(self):
-        # drawn with raw hypothesis entries: subnormal and tiny entries of A and B
-        A = [
-            [-2.2e-309, -0.2547602659810976, -2.2e-308],
-            [0.5734079509056818, 0.7852611417627196, 0.7942763055618918],
-            [-0.16838100933678235, -0.5447662204827778, 1.2e-51],
-        ]
-        x0 = [-0.07790640366732274, 0.003021082085811906, -0.0008337446041945276]
-        sys = LtiSystem(A=A, B=[[0.7020976682506284], [2.2e-313], [-2.2e-309]], x0=x0, T=1.598329629725899)
-        prob = DualProblem(sys, [six_point_ladder()], grid=QuadratureGrid.trapezoid(sys.T, 1000))
+        prob = raw_entry_problem()
         assert_steers(prob, minimize(prob), 1e-6)
 
     @pytest.mark.parametrize("plant", ROUNDING_FLOOR_PLANTS, ids=[p["op_id"] for p in ROUNDING_FLOOR_PLANTS])
     def test_large_n_plant_converges(self, plant):
         # three plants of the benchmark's large-N panel (data/record_rounding_floor_plants.py)
-        sys = LtiSystem(A=plant["A"], B=plant["B"], x0=plant["x0"], T=plant["T"])
-        prob = DualProblem(
-            sys,
-            [relaxed_ladder(plant["partition"]) for _ in range(sys.channels)],
-            kind=plant["kind"],
-            beta=plant["beta"],
-            grid=QuadratureGrid.trapezoid(plant["T"], plant["nodes"]),
-            settings=OptimizerSettings(
-                max_iterations=plant["max_iterations"], bracket_multiplier=plant["bracket_multiplier"]
-            ),
-        )
+        prob = rounding_floor_problem(plant)
         assert_steers(prob, minimize(prob), 1e-6)
