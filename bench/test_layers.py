@@ -25,6 +25,8 @@ in ``extra_info``, so that the cost per step is its time over
 diverged solve of ``configs/osc-t05-plain.json`` and records its
 ``iterations`` and ``status``.  The line-search case times the first
 Newton search from the origin and records its exponent and exact trials.
+The steepest-subgradient case times the minimum-norm subgradient at three
+kinked origins, two of them minimizers, and records Wolfe's major cycles.
 The output-stage case times what
 ``run_scenario`` writes for ``configs/osc-t4.json``: its two JSON records
 and its ``trajectory.csv`` and ``control.csv`` through ``write_csv``, the
@@ -41,21 +43,26 @@ PLANTS = {"syn-01": 1, "syn-11": 11}
 DESCENT_STEPS = 200
 
 
-@pytest.fixture(scope="module", params=sorted(PLANTS))
-def plant(request):
-    inst = workloads.synthesis_panel()[PLANTS[request.param]]
-    assert inst.op_id.startswith(request.param)
+def instance_problem(inst, nodes=workloads.GRID_NODES):
+    """The workloads' problem of ``inst``, capped at ``DESCENT_STEPS`` steps."""
     sys_ = lti.LtiSystem(A=inst.A, B=inst.B, x0=inst.x0, T=inst.T)
-    prob = dual.DualProblem(
+    return dual.DualProblem(
         sys_,
         [workloads._penalization(inst.partition) for _ in range(sys_.channels)],
         kind=inst.kind,
         beta=inst.beta,
-        grid=dual.QuadratureGrid.trapezoid(inst.T, workloads.GRID_NODES),
+        grid=dual.QuadratureGrid.trapezoid(inst.T, nodes),
         settings=dual.OptimizerSettings(
             max_iterations=DESCENT_STEPS, bracket_multiplier=workloads.BRACKET_MULTIPLIER
         ),
     )
+
+
+@pytest.fixture(scope="module", params=sorted(PLANTS))
+def plant(request):
+    inst = workloads.synthesis_panel()[PLANTS[request.param]]
+    assert inst.op_id.startswith(request.param)
+    prob = instance_problem(inst)
     prob.bracket_grid()
     return prob, dual.minimize(prob).p_T_star
 
@@ -82,8 +89,8 @@ def test_exact_eval(benchmark, plant):
 
 
 def test_minimize(benchmark, plant):
-    """The solve from the origin: quadrature steps, then Newton steps on the
-    exact functional until it converges, within ``DESCENT_STEPS`` steps."""
+    """The solve from the origin: its test, then Newton steps on the exact
+    functional until it converges, within ``DESCENT_STEPS`` steps."""
     prob, _ = plant
     rep = benchmark(dual.minimize, prob)
     benchmark.extra_info["iterations"] = rep.iterations
@@ -119,8 +126,41 @@ def test_minimize_diverged(benchmark):
     assert rep.status is dual.SolveStatus.DIVERGED
 
 
+@pytest.fixture(scope="module", params=["acc-c1", "deg-00", "osc-t05-plain"])
+def kinked_origin(request):
+    """A problem whose penalization is kinked at the origin: two ``certify``
+    ops of seed 1 whose origin is the minimizer, with every node on the kink
+    (criterion 1's oscillator at T = 4 and the first random degenerate op),
+    and ``configs/osc-t05-plain.json``, whose origin is none.  The node rows
+    are formed here."""
+    if request.param == "osc-t05-plain":
+        prob = experiments.build_problem(config.load_config(workloads.CONFIGS / "osc-t05-plain.json"))
+    else:
+        inst = next(case for case in workloads.certify_cases(1) if case.op_id.startswith(request.param))
+        prob = instance_problem(inst, inst.nodes)
+    prob.rows
+    return request.param, prob
+
+
+def test_steepest_subgradient(benchmark, kinked_origin):
+    """The minimum-norm subgradient at a kinked origin: Wolfe's method on
+    the node-sampled subdifferential.  ``extra_info`` records the zonotope's
+    generators, the major cycles (one product with the generators each) and
+    the norm, within ``GTOL`` exactly at the two minimizers."""
+    name, prob = kinked_origin
+    zero = np.zeros(prob.sys.dim)
+    s = benchmark(dual.steepest_subgradient, prob, zero)
+    c, h = dual.subdifferential(prob, zero)
+    benchmark.extra_info["generators"] = h.shape[0]
+    benchmark.extra_info["wolfe_cycles"] = dual._min_norm_point(c, h)[1]
+    benchmark.extra_info["norm"] = float(np.linalg.norm(s))
+    assert (benchmark.extra_info["norm"] <= dual.GTOL) == (name != "osc-t05-plain")
+
+
 def test_quadrature_value_and_grad(benchmark, plant):
-    """One candidate of the quadrature descent: its value and gradient."""
+    """The quadrature value and subgradient at the datum, from one product
+    with the node rows: what the line search's guess and the origin's test
+    read."""
     prob, p = plant
 
     def pair():

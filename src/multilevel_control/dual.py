@@ -12,14 +12,14 @@ square (``squared``, ``quadratic_squared``).  The control levels are the
 slope phi'(I) times the penalizations' chord slopes.
 
 The quadratic kinds are solved in closed form from the exact Gramian W.
-The penalized kinds' piecewise-linear integrands give the quadrature
-subgradient a resolution floor at the optimizer's scale, so a short
-quadrature descent is finished by semismooth Newton steps on the exact
-piecewise evaluation (:class:`ExactEvaluator`: crossings screened at the
-quadrature nodes, certified by each kept cell's Bernstein coefficients and
-refined by the Illinois method; value and gradient read the
-:func:`staircase_integral` of the slopes between them), which drive the
-true stationarity residual to the requested tolerance.
+The penalized kinds are minimized from the origin by semismooth Newton
+steps on the exact piecewise evaluation (:class:`ExactEvaluator`: crossings
+screened at the quadrature nodes, certified by each kept cell's Bernstein
+coefficients and refined by the Illinois method; value and gradient read the
+:func:`staircase_integral` of the slopes between them).  At a kink, the
+minimum-norm element of the node-sampled subdifferential
+(:func:`steepest_subgradient`) certifies a minimizer or gives the steepest
+descent.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class QuadratureGrid:
 class OptimizerSettings:
     """Descent configuration.
 
-    ``max_iterations`` caps the quadrature and Newton steps together, and
+    ``max_iterations`` caps the origin's step and the Newton steps, and
     ``bracket_multiplier`` sets h_b = (quadrature step) / ``bracket_multiplier``
     (:meth:`DualProblem.bracket_grid`), the shortest switching interval on a
     kink that :meth:`ExactEvaluator.pieces` reports pinned.
@@ -129,15 +129,15 @@ class OptimizerSettings:
             raise ValueError(f"bracket_multiplier must be >= 1, got {self.bracket_multiplier}")
 
 
-# Descent constants.  A run converges once the gradient norm is within GTOL,
-# and diverges at once if the drift's residual outside the range of the
-# Gramian exceeds GTOL.  A Newton step solves (H + mu I) d = -g with mu =
-# NEWTON_REGULARIZATION (1 + tr H) and takes the largest step 2^-k that meets
-# the Armijo condition with constant ARMIJO: the quadrature functional guesses
-# k and exact trials at k and k - 1 confirm it, or bisection on k finds it,
-# which the convexity of the functional along d allows (see line_search).  A
-# stalled iterate is snapped onto the breakpoints its node observations lie
-# within SNAP_TOL of (relative).
+# Descent constants.  A run converges once the gradient norm, or the
+# minimum-norm subgradient at a kink, is within GTOL, and diverges at once if
+# the drift's residual outside the range of the Gramian exceeds GTOL.  A
+# Newton step solves (H + mu I) d = -g with mu = NEWTON_REGULARIZATION (1 +
+# tr H) and takes the largest step 2^-k that meets the Armijo condition with
+# constant ARMIJO: the quadrature functional guesses k and exact trials at k
+# and k - 1 confirm it, or bisection on k finds it, which the convexity of the
+# functional along d allows (see line_search).  A stalled iterate is snapped
+# onto the breakpoints its node observations lie within SNAP_TOL of (relative).
 GTOL = 1e-6
 NEWTON_REGULARIZATION = 1e-10
 ARMIJO = 1e-4
@@ -311,32 +311,81 @@ def eval_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
     return prob.outer_slope(lambda: prob.integral_term(p_T, q)) * base + prob.drift
 
 
-def subgradient_box(prob: DualProblem, p_T):
-    """Coordinatewise interval hull of the subdifferential at p_T.
-
-    Nodes within :data:`~.pwl.COINCIDENCE_TOL` of a penalization breakpoint
-    contribute their full slope interval; all others their single slope.  The
-    intervals are scaled by the slope of the kind's map at the current
-    integral term.  The quadratic kinds are smooth: both bounds are the
-    gradient.
-    """
-    if not prob.kind.penalized:
-        g = eval_subgradient(prob, p_T)
-        return g.copy(), g.copy()
+def subdifferential(prob: DualProblem, p_T, q=None):
+    """The node-sampled subdifferential at p_T, the zonotope c + sum_j [-1,
+    1] h_j, as ``(c, h)``: c is :func:`eval_subgradient`, and each node i and
+    channel ch on a kink (slope bounds lo < hi) give a row h_j = phi'(I) w_i
+    (hi - lo) / 2 B_ch^T e^{(T-t_i)A^T}.  ``q`` as for :func:`eval_functional`."""
     p_T = prob._check_p(p_T)
-    q = prob.adjoint_observations(p_T)
-    w = prob.grid.weights
-    factor = prob.outer_slope(lambda: prob.integral_term(p_T, q))
-    lo = prob.drift.copy()
-    hi = prob.drift.copy()
+    if not prob.kind.penalized:
+        return eval_subgradient(prob, p_T), np.zeros((0, p_T.size))
+    q = prob.adjoint_observations(p_T) if q is None else q
+    scale = prob.outer_slope(lambda: prob.integral_term(p_T, q))
+    h = []
     for ch, pen in enumerate(prob.penalizations):
-        s_lo, s_hi = pen.slope_bounds(q[:, ch])
-        contrib = factor * w[:, None] * prob.rows[:, ch, :]
-        a = contrib * s_lo[:, None]
-        b = contrib * s_hi[:, None]
-        lo += np.minimum(a, b).sum(axis=0)
-        hi += np.maximum(a, b).sum(axis=0)
-    return lo, hi
+        lo, hi = pen.slope_bounds(q[:, ch])
+        on = lo < hi
+        h.append((0.5 * scale * prob.grid.weights[on] * (hi - lo)[on])[:, None] * prob.rows[on, ch])
+    return eval_subgradient(prob, p_T, q), np.concatenate(h)
+
+
+def subgradient_box(prob: DualProblem, p_T):
+    """Coordinatewise interval hull of the :func:`subdifferential` at p_T,
+    c -/+ sum_j |h_j|: nodes on a penalization breakpoint contribute their
+    full slope interval, all others their single slope."""
+    c, h = subdifferential(prob, p_T)
+    width = np.abs(h).sum(axis=0)
+    return c - width, c + width
+
+
+# Wolfe's stopping allowance on x^T (x - v), in eps times the square of the
+# bound |c| + sum_j |h_j| of the zonotope's points, and his major cycles' cap
+WOLFE_ROUNDING, WOLFE_CYCLES = 64, 1000
+
+
+def steepest_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
+    """The minimum-norm element s of the :func:`subdifferential` at p_T: min
+    over d of J'(p; d) + |d|^2 / 2 is -|s|^2 / 2, at d = -s, so -s is the
+    steepest descent and |s| <= :data:`GTOL` certifies a minimizer (Wolfe,
+    Math. Prog. 11, 1976).  ``q`` as for :func:`eval_functional`."""
+    return _min_norm_point(*subdifferential(prob, p_T, q))[0]
+
+
+def _min_norm_point(c, h):
+    """The least-norm point of the zonotope c + sum_j [-1, 1] h_j (rows of
+    ``h``) by Wolfe's method from c: the vertex minimizing x^T z is c -
+    sign(h x)^T h, a corral of at most N + 1 atoms has its affine minimizer
+    by least squares on their differences, and a minor cycle moves towards
+    it until a weight falls to 0 and drops that atom.  Returns the point and
+    the count of major cycles, one product with ``h`` each."""
+    if not h.size:
+        return c, 0
+    allowance = WOLFE_ROUNDING * np.finfo(float).eps * float(np.linalg.norm(c) + np.linalg.norm(h, axis=1).sum()) ** 2
+    atoms, weights, x = c[None, :], np.ones(1), c
+    for cycles in range(1, WOLFE_CYCLES + 1):
+        v = c - np.sign(h @ x) @ h
+        if x @ x - x @ v <= allowance:
+            break
+        atoms, weights = np.vstack([atoms, v]), np.append(weights, 0.0)
+        while True:
+            beta = np.linalg.lstsq((atoms[1:] - atoms[0]).T, -atoms[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+            if np.all(alpha > 0.0):
+                weights = alpha
+                break
+            # the largest move towards alpha that keeps every weight >= 0
+            cut = np.flatnonzero(alpha <= 0.0)
+            ratio = weights[cut] / np.maximum(weights[cut] - alpha[cut], np.finfo(float).tiny)
+            j, theta = cut[np.argmin(ratio)], float(ratio.min())
+            weights = (1.0 - theta) * weights + theta * alpha
+            keep = weights > np.finfo(float).eps
+            keep[j] = False
+            atoms, weights = atoms[keep], weights[keep] / weights[keep].sum()
+        y = weights @ atoms
+        if not y @ y < x @ x:
+            break  # no progress above rounding
+        x = y
+    return x, cycles
 
 
 # chord_bound's allowance, relative to |q_c| <= |d| row_bounds[0, c], for the
@@ -352,11 +401,10 @@ def chord_bound(prob: DualProblem, d, slopes, scale: float = 1.0) -> float:
     convex and L_c-Lipschitz in q_c (L_c = max(|lo_c|, |hi_c|)), and q_c
     lies within M_c h^2 / 8 of its chord (M_c = |d| ``row_bounds[1, c]``),
     so S is at most the trapezoid sum plus T sum_c L_c (M_c h^2 / 8 +
-    ``CHORD_TOL`` |d| ``row_bounds[0, c]``).  With the slopes at 0 and the
-    kind's slope at I(0) as ``scale``, it bounds J'(0; d) from above; with
-    the hull (slopes[0], slopes[-1]) and the plain or scaled kind's constant
-    slope, the recession lim J(s d) / s, which is the support-function
-    margin m(d): below 0, it proves that no control steers x0 to 0.
+    ``CHORD_TOL`` |d| ``row_bounds[0, c]``).  With the hull (slopes[0],
+    slopes[-1]) and the plain or scaled kind's constant slope, it bounds the
+    recession lim J(s d) / s, which is the support-function margin m(d):
+    below 0, it proves that no control steers x0 to 0.
     """
     q = prob.adjoint_observations(d)
     bound0, bound2 = prob.row_bounds * float(np.linalg.norm(d))
@@ -555,7 +603,7 @@ class SolveStatus(enum.Enum):
 @dataclass
 class SolveReport:
     """The outcome of :func:`minimize`.  ``iterations`` counts the steps
-    that ``max_iterations`` caps, quadrature and Newton steps alike;
+    that ``max_iterations`` caps, the origin's step and the Newton steps;
     ``newton_steps`` counts the Newton steps.  Over their line searches
     (:func:`line_search`), ``line_search_halvings`` sums the exponents k of
     the steps 2^-k taken, or the exponent of the rounding floor where a
@@ -663,27 +711,21 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):
 
     Systems with a singular A^T admit constant adjoint observations, so a
     minimizer can pin B^T p(t) to a kink over the whole window (not just at
-    isolated crossings); the complementary-slackness certificate only holds
-    once those nodes are exactly active.  Returns None when nothing is
-    nearly active or the projection moves p by more than ``SNAP_TOL``-scale.
+    isolated crossings); :func:`steepest_subgradient` sees those nodes' slope
+    intervals only once they are exactly active.  Returns None when nothing
+    is nearly active or the projection moves p by more than ``SNAP_TOL``-scale.
     """
-    q = prob.adjoint_observations(p)
-    rows = []
-    targets = []
-    for ch in range(prob.channels):
-        pen = prob.penalizations[ch]
-        if not pen.breakpoints.size:
-            continue
-        d = np.abs(q[:, ch][:, None] - pen.breakpoints)
-        j = np.argmin(d, axis=1)
-        near = d[np.arange(q.shape[0]), j] <= SNAP_TOL * (1.0 + np.abs(q[:, ch]))
-        if np.any(near):
+    q, rows, targets = prob.adjoint_observations(p), [], []
+    for ch, pen in enumerate(prob.penalizations):
+        if pen.breakpoints.size:
+            d = np.abs(q[:, ch][:, None] - pen.breakpoints)
+            j = np.argmin(d, axis=1)
+            near = d[np.arange(q.shape[0]), j] <= SNAP_TOL * (1.0 + np.abs(q[:, ch]))
             rows.append(prob.rows[near, ch, :])
             targets.append(pen.breakpoints[j[near]])
-    if not rows:
+    if not any(t.size for t in targets):
         return None
-    A = np.vstack(rows)
-    b = np.concatenate(targets)
+    A, b = np.vstack(rows), np.concatenate(targets)
     delta, *_ = np.linalg.lstsq(A, b - A @ p, rcond=None)
     if float(np.linalg.norm(delta)) > 10.0 * SNAP_TOL * (1.0 + float(np.linalg.norm(p))):
         return None
@@ -704,27 +746,22 @@ def minimize(prob: DualProblem) -> SolveReport:
     gradient there is within :data:`GTOL`.  A larger gradient is rounding
     amplified by an ill-conditioned W (``ITERATION_CAP``).
 
-    The penalized kinds take gradient steps on the quadrature functional,
-    grown on every decrease, up to the first that does not decrease it.
-    Semismooth Newton steps on the exact evaluation then remove the
-    quadrature floor of the subgradient: each solves (H + mu I) d = -g with
-    H of :meth:`ExactEvaluator.hessian` and takes the step of
-    :func:`line_search`.  It follows -g instead when d is no descent
-    direction or no step along d decreases the value: H misses the
-    curvature of crossings about to appear, so near a tangency d can
-    overshoot.
+    The penalized kinds start at the origin, which its
+    :func:`steepest_subgradient` s within :data:`GTOL` certifies (0
+    iterations).  For the plain and scaled kinds, a negative
+    :func:`chord_bound` of the recession function along -s, and then along
+    each accepted iterate, is the second divergence certificate.  Semismooth
+    Newton steps on the exact evaluation follow: each solves (H + mu I) d =
+    -g with H of :meth:`ExactEvaluator.hessian` and takes the step of
+    :func:`line_search`.  Where no step along d decreases the value on a
+    pinned datum, s at the iterate certifies it or gives the direction -s;
+    -g comes last, since H misses the curvature of crossings about to appear.
 
-    The run converges when the gradient norm is within :data:`GTOL`, or when
-    extraction's complementary-slackness test
-    (:func:`~.extract.complementary_slackness`) certifies a kinked point:
-    the origin, tested first if a penalization is kinked at 0 and
-    :func:`chord_bound` cannot show that -g descends, or the active
-    breakpoints near the iterate, tested after a backtracked Newton
-    step onto a pinned datum and when the run stops.  The second divergence
-    certificate, for the plain and scaled kinds only, is a negative
-    :func:`chord_bound` of the recession function along an accepted iterate.
-    A run that finds no decreasing step, or uses up ``max_iterations``,
-    ends at ``ITERATION_CAP``.
+    The run also converges when |g| is within :data:`GTOL`, or when s is at
+    the active breakpoints near the iterate (:func:`_snap_to_active_kinks`),
+    tested after a backtracked step onto a pinned datum and when the run
+    stops.  A run that finds no decreasing step, or uses up
+    ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     zero = np.zeros(prob.sys.dim)
     if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
@@ -748,113 +785,84 @@ def minimize(prob: DualProblem) -> SolveReport:
         message = "the closed form misses the stationarity tolerance (ill-conditioned Gram matrix)"
         return SolveReport(SolveStatus.ITERATION_CAP, p, value, 0, gn, message=message)
 
-    p = zero.copy()
+    p = zero
     evaluator = ExactEvaluator(prob)
     it = newton_steps = halvings = trials = 0
     trace_rows = []
 
     def report(status, p_star, value, gnorm, message=""):
-        return SolveReport(
-            status=status,
-            p_T_star=p_star,
-            value=value,
-            iterations=it,
-            grad_norm=gnorm,
-            newton_steps=newton_steps,
-            line_search_halvings=halvings,
-            line_search_trials=trials,
-            trace=np.asarray(trace_rows).reshape(-1, 3),
-            message=message,
-        )
+        trace = np.asarray(trace_rows).reshape(-1, 3)
+        return SolveReport(status, p_star, value, it, gnorm, trace, message, newton_steps, halvings, trials)
 
-    def certified(x, scale):
-        # extraction's test of a degenerate datum, at the level scale it would use
-        from .extract import DegenerateAdjointError, complementary_slackness
-
-        try:
-            complementary_slackness(prob, x, scale)
-        except DegenerateAdjointError:
-            return False
-        return True
+    def at_kink(x, s):  # the end at a kinked point x whose steepest subgradient s is within GTOL
+        message = "stationary on active breakpoints (minimum-norm subgradient)"
+        return report(SolveStatus.CONVERGED, x, evaluator.value_and_grad(x)[0], float(np.linalg.norm(s)), message)
 
     def pinned_certificate():
         snapped = _snap_to_active_kinks(prob, p)
-        if snapped is None or not certified(snapped, prob.outer_slope(lambda: evaluator.integral_and_grad(snapped)[0])):
-            return None
-        message = "stationary on active breakpoints (complementary-slackness certificate)"
-        return report(SolveStatus.CONVERGED, snapped, evaluator.value_and_grad(snapped)[0], 0.0, message)
+        s = None if snapped is None else steepest_subgradient(prob, snapped)
+        return None if s is None or np.linalg.norm(s) > GTOL else at_kink(snapped, s)
 
     def trace():
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
 
-    def search(d):
+    def search(d, grad):  # line_search along d, with grad^T d the slope of its Armijo test
         nonlocal halvings, trials
-        found, k, n = line_search(evaluator, p, J, g, d)
+        found, k, n = line_search(evaluator, p, J, grad, d)
         halvings += k
         trials += n
         return found
 
-    # Gradient steps on the quadrature functional, grown on every decrease,
-    # up to the first rejected one; then Newton steps on the exact
-    # functional, along -g when no step along the Newton direction descends.
-    q = prob.adjoint_observations(p)
-    J, g = eval_functional(prob, p, q), eval_subgradient(prob, p, q)
+    # the origin, a frequent minimizer as the penalizations are kinked at their
+    # minimum: B^T p = 0 there, so its test reads only the node rows
+    J, g = eval_functional(prob, p), steepest_subgradient(prob, p)
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise FloatingPointError(f"functional not finite at the initial point p={p}")
-
-    # zero is a frequent exact minimizer because the penalization is kinked
-    # at its minimum; there B^T p = 0, so I(0) is T times the penalizations
-    # at 0.  Its LP certificate runs unless the chord bound shows that -g
-    # descends (a scale <= 0 fails the certificate anyway).
-    at_zero = [pen.slope_bounds(0.0) for pen in prob.penalizations]
-    if any(lo < hi for lo, hi in at_zero):
-        scale = prob.outer_slope(lambda: prob.sys.T * sum(pen.value(0.0) for pen in prob.penalizations))
-        if not chord_bound(prob, -g, at_zero, scale) < 0.0 and certified(zero, scale):
-            message = "stationary at the origin (complementary-slackness certificate)"
-            return report(SolveStatus.CONVERGED, zero, J, 0.0, message)
+    gn = float(np.linalg.norm(g))
+    if gn <= GTOL:
+        return report(SolveStatus.CONVERGED, p, J, gn, "stationary at the origin (minimum-norm subgradient)")
     hull = [(pen.slopes[0], pen.slopes[-1]) for pen in prob.penalizations]
-    step = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    newton = False
+
+    def unbounded(d):  # the recession bound along d, for the kinds whose map is linear
+        return not prob.kind.squared and chord_bound(prob, d, hull, prob.kind.outer(0.0, prob.beta)[1]) < 0.0
+
+    def diverged():
+        message = "the recession bound along the iterate is negative: no control with levels in the "
+        message += "ladder's hull steers x0 to 0 (functional unbounded below)"
+        return report(SolveStatus.DIVERGED, None, J, float(np.linalg.norm(g)), message)
+
+    it = 1  # the origin's step: the recession test along -s, then the exact evaluation
+    trace()
+    if unbounded(-g):
+        return diverged()
+    pieces = evaluator.pieces(p)
+    J, g = evaluator.value_and_grad(p, pieces)
     trace()
     while it < prob.settings.max_iterations:
         it += 1
         gn = float(np.linalg.norm(g))
         if gn <= GTOL:
             return report(SolveStatus.CONVERGED, p, J, gn)
-        if not newton:
-            cand = p - step * g
-            q = prob.adjoint_observations(cand)
-            J_cand = eval_functional(prob, cand, q)
-            if not np.isfinite(J_cand):
-                raise FloatingPointError(
-                    f"functional overflowed at iterate {it} (|p| = {np.linalg.norm(cand):.3e})"
-                )
-            if not J_cand < J:
-                newton = True
-                pieces = evaluator.pieces(p)
-                J, g = evaluator.value_and_grad(p, pieces)
-                trace()
-                continue
-            p, J, g = cand, J_cand, eval_subgradient(prob, cand, q)
-            step *= 1.3
-        else:
-            newton_steps += 1
-            H = evaluator.hessian(p, pieces)
-            mu = NEWTON_REGULARIZATION * (1.0 + float(np.trace(H)))
-            d = -np.linalg.solve(H + mu * np.eye(p.size), g)
-            found = search(d) if float(g @ d) < 0.0 else None
-            if found is None:
-                found = search(-g)
-            if found is None:
-                trace()
-                break  # no step decreases the value
-            t, p, J, g, pieces = found
+        newton_steps += 1
+        H = evaluator.hessian(p, pieces)
+        mu = NEWTON_REGULARIZATION * (1.0 + float(np.trace(H)))
+        d = -np.linalg.solve(H + mu * np.eye(p.size), g)
+        found = search(d, g) if float(g @ d) < 0.0 else None
+        if found is None and any(pinned for _, _, pinned in pieces):
+            s = steepest_subgradient(prob, p)
+            if np.linalg.norm(s) <= GTOL:
+                return at_kink(p, s)
+            found = search(-s, s)
+        if found is None:
+            found = search(-g, g)
+        if found is None:
+            trace()
+            break  # no step decreases the value
+        t, p, J, g, pieces = found
         trace()
-        if not prob.kind.squared and chord_bound(prob, p, hull, prob.kind.outer(0.0, prob.beta)[1]) < 0.0:
-            message = "the recession bound along the iterate is negative: no control with levels in the "
-            message += "ladder's hull steers x0 to 0 (functional unbounded below)"
-            return report(SolveStatus.DIVERGED, None, J, float(np.linalg.norm(g)), message)
-        if newton and t < 1.0 and any(pinned for _, _, pinned in pieces):
+        if unbounded(p):
+            return diverged()
+        if t < 1.0 and any(pinned for _, _, pinned in pieces):
             done = pinned_certificate()
             if done is not None:
                 return done
@@ -862,15 +870,8 @@ def minimize(prob: DualProblem) -> SolveReport:
     gn = float(np.linalg.norm(g))
     if gn <= GTOL:
         return report(SolveStatus.CONVERGED, p, J, gn)
-    done = pinned_certificate()
-    if done is not None:
-        return done
-    return report(
-        SolveStatus.ITERATION_CAP,
-        p,
-        J,
-        gn,
-        "descent stalled before reaching the stationarity tolerance",
+    return pinned_certificate() or report(
+        SolveStatus.ITERATION_CAP, p, J, gn, "descent stalled before reaching the stationarity tolerance"
     )
 
 

@@ -219,8 +219,8 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     1. solve the discrete Fenchel primal of scale * penalization;
     2. check complementary slackness, every node value in scale times the
        slopes supporting the penalization at B^T p there, else raise
-       :class:`DegenerateAdjointError`; :func:`~.dual.minimize` certifies
-       kinked points with the same two steps;
+       :class:`DegenerateAdjointError` (:func:`~.dual.minimize` certified
+       the datum by :func:`~.dual.steepest_subgradient` instead);
     3. hold each node value over its quadrature cell: a ladder value stays,
        a value between two adjacent levels becomes one switch inside the
        cell that splits it in the matching shares;
@@ -262,10 +262,9 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
 
 
 def complementary_slackness(prob: "DualProblem", p_T, scale: float) -> np.ndarray:
-    """Steps 1-2 of the degenerate selection, and the certificate of kinked
-    points in :func:`~.dual.minimize`: the primal node values at ``scale``,
-    each checked to lie in ``scale`` times the slopes supporting the
-    penalization at B^T p_T, which holds exactly when p_T minimizes the
+    """Steps 1-2 of the degenerate selection: the primal node values at
+    ``scale``, each checked to lie in ``scale`` times the slopes supporting
+    the penalization at B^T p_T, which holds exactly when p_T minimizes the
     discrete dual; raises :class:`DegenerateAdjointError` otherwise."""
     if not (np.isfinite(scale) and scale > 0):
         # a zero scale (squared kind, zero integral) makes the gradient the

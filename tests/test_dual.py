@@ -461,26 +461,47 @@ def assert_steers(prob, rep, tol):
 class TestKinkCertificate:
     @pytest.mark.parametrize(
         "partition, x0",
-        [
-            # levels +-1 reach |x0|_1 <= 2 only: infeasible
-            ([-1.0, 0.0, 1.0], (1.5, 0.6)),
-            # the inner levels +-0.5 reach |x0|_1 <= 1 only: 0 is no minimizer
-            (FOUR_LEVELS, (0.75, 0.3)),
-            # the descent stalls near a kinked point that is no minimizer
-            (FOUR_LEVELS, (1.2, 0.5)),
-        ],
-        ids=["infeasible", "origin-not-minimizer", "active-kinks-not-minimizer"],
+        # levels +-1 reach |x0|_1 <= 2 only: infeasible
+        [([-1.0, 0.0, 1.0], (1.5, 0.6))],
+        ids=["infeasible"],
     )
     def test_non_minimizers_are_not_certified(self, partition, x0):
         rep = minimize(constant_observation_problem(partition, x0))
         assert rep.status is not SolveStatus.CONVERGED
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the descent cannot leave a kinked origin yet")
-    def test_a_feasible_plant_leaves_a_kinked_origin_that_is_no_minimizer(self):
-        # the levels +-1.5 reach the mean control (-0.525, -0.225) that
-        # steers x0: the plant is feasible, and its minimizer is not the origin
+    @pytest.mark.parametrize("x0", [(0.75, 0.3), (1.2, 0.5)], ids=["origin-not-minimizer", "active-kinks-not-minimizer"])
+    def test_a_feasible_plant_leaves_a_kinked_origin_that_is_no_minimizer(self, x0):
+        # the inner levels +-0.5 reach |x0|_1 <= 1 only, so 0 is no
+        # minimizer, but the levels +-1.5 reach the mean controls
+        # (-0.525, -0.225) and (-0.85, -0.35) that steer x0; the minimizer
+        # (-0.25, -0.25) pins both channels on a kink
+        prob = constant_observation_problem(FOUR_LEVELS, x0)
+        rep = minimize(prob)
+        assert_steers(prob, rep, 1e-6)
+        assert np.allclose(rep.p_T_star, -0.25, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x0, norm",
+        [((0.75, 0.3), 0.05 / np.sqrt(2)), ((1.2, 0.5), 0.7 / np.sqrt(2))],
+        ids=["origin-not-minimizer", "active-kinks-not-minimizer"],
+    )
+    def test_the_steepest_subgradient_at_the_old_stall_and_at_the_minimizer(self, x0, norm):
+        # both runs once stalled at p = 0, where the minimum-norm subgradient
+        # is no zero vector; it is 0 up to rounding at the minimizer
+        prob = constant_observation_problem(FOUR_LEVELS, x0)
+        s = dual.steepest_subgradient(prob, np.zeros(2))
+        assert np.linalg.norm(s) == pytest.approx(norm, rel=1e-9) and np.linalg.norm(s) > dual.GTOL
+        assert np.linalg.norm(dual.steepest_subgradient(prob, np.array([-0.25, -0.25]))) < 1e-14
+
+    def test_the_steepest_descent_identity_at_a_kinked_origin(self):
+        # min_d J'(0; d) + |d|^2 / 2 = -|s|^2 / 2 at d = -s; B^T p is constant
+        # in time and stays between the breakpoints -0.5, 0 and 0.5 along
+        # -t s for t in [0, 1], so J is affine there and its chord is J'(0; -s)
         prob = constant_observation_problem(FOUR_LEVELS, (0.75, 0.3))
-        assert_steers(prob, minimize(prob), 1e-6)
+        zero = np.zeros(2)
+        s = dual.steepest_subgradient(prob, zero)
+        slope = eval_functional(prob, -s) - eval_functional(prob, zero)
+        assert slope + 0.5 * (s @ s) == pytest.approx(-0.5 * (s @ s), rel=0, abs=1e-14)
 
     def test_origin_certified_before_the_descent(self):
         prob = constant_observation_problem(FOUR_LEVELS, (0.6, 0.3))
@@ -740,39 +761,41 @@ def test_an_exact_evaluation_reads_psi_once_at_0_and_the_crossings(monkeypatch):
 class TestOriginTest:
     def test_squared_origin_test_forms_no_exact_integral(self, spy, monkeypatch):
         # at p = 0, B^T p = 0, so I(0) is T times the penalizations at 0 and
-        # the chord bound reads the node rows: no crossing search and no
-        # exact integral.  Here I(0) = 0 makes the squared kind's scale 0, so
-        # the bound is drift^T d < 0 and rejects the origin before its LP
+        # the steepest subgradient reads the node rows: no crossing search, no
+        # exact integral and no LP before the first exact evaluation.  Here
+        # I(0) = 0 makes the squared kind's scale 0, so s is the drift
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "osc-t05-squared.json")
         prob = build_problem(cfg)
         searches = spy(extract, "find_switchings")
         integrals = spy(lti, "exp_action_integral")
-        lps = spy(extract, "complementary_slackness")
-        bound = dual.chord_bound
+        lps = spy(fenchel, "linprog")
+        oracles = spy(dual, "steepest_subgradient")
         seen = []
 
-        class OriginTested(Exception):
+        class ExactEvaluation(Exception):
             pass
 
-        def origin_test(prob, d, slopes, scale):
-            seen.append((bound(prob, d, slopes, scale) < 0.0, len(searches), len(integrals), len(lps), scale))
-            raise OriginTested
+        def pieces(self, p):
+            seen.append((len(oracles), len(searches), len(integrals), len(lps)))
+            raise ExactEvaluation
 
-        monkeypatch.setattr(dual, "chord_bound", origin_test)
-        with pytest.raises(OriginTested):
+        monkeypatch.setattr(ExactEvaluator, "pieces", pieces)
+        with pytest.raises(ExactEvaluation):
             minimize(prob)
-        assert seen == [(True, 0, 0, 0, 0.0)]
+        assert seen == [(1, 0, 0, 0)]
+        assert np.array_equal(oracles[0][1], np.zeros(2))
+        assert np.array_equal(dual.steepest_subgradient(prob, np.zeros(2)), prob.drift)
 
-    def test_a_minimizing_origin_solves_its_lp_once(self, spy):
-        # the bound cannot reject a minimizer, so the LP certifies it, again
-        # with no crossing search and no exact integral
+    def test_a_minimizing_origin_solves_no_lp(self, spy):
+        # its steepest subgradient certifies it, with no crossing search, no
+        # exact integral and no LP
         prob = oscillator_problem()
         searches = spy(extract, "find_switchings")
         integrals = spy(lti, "exp_action_integral")
         lps = spy(fenchel, "linprog")
         rep = minimize(prob)
         assert rep.status is SolveStatus.CONVERGED and "stationary at the origin" in rep.message
-        assert (len(lps), len(searches), len(integrals)) == (1, 0, 0)
+        assert (len(lps), len(searches), len(integrals)) == (0, 0, 0)
 
     @pytest.mark.parametrize("name", ["osc-t05-plain", "scalar-expansive-divergence"])
     def test_a_rejected_origin_solves_no_lp(self, spy, name):
@@ -988,18 +1011,19 @@ class TestNewtonPhase:
         assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
 
     def test_a_sliver_beside_a_crossing_is_not_pinned(self):
-        # B^T p rises above the breakpoint 0.2 and returns to it 2.6e-10
-        # before T; every probe of that last interval lies on the kink, but
-        # the datum is regular and its staircase steers x0
+        # at the stored datum B^T p rises above the breakpoint 0.2 and returns
+        # to it 2.6e-10 before T; every probe of that last interval lies on
+        # the kink, but the datum is regular and its staircase steers x0
         prob = sliver_problem()
         T = prob.sys.T
-        rep = minimize(prob)
-        assert rep.converged
-        [(crossings, _, pinned)] = ExactEvaluator(prob).pieces(rep.p_T_star)
+        p = np.array(json.loads((Path(__file__).parent / "data" / "sliver_minimizer.json").read_text())["p_T"])
+        [(crossings, _, pinned)] = ExactEvaluator(prob).pieces(p)
         assert T - crossings[-1] < 1e-9 and not pinned
-        ctrl = extract_control(rep.p_T_star, prob)
+        ctrl = extract_control(p, prob)
         switches = ctrl.channels[0].switch_times
         assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-6
+        # the minimizer is ill-determined: the run from the origin stops elsewhere, and steers x0 too
+        assert_steers(prob, minimize(prob), 1e-6)
 
     def test_a_pinned_datum_extracts_by_the_primal_path(self):
         # B^T p = 0.234 (p1 e^{0.126 s} + 5.59 p0 (e^{0.126 s} - 1)) on the
@@ -1327,3 +1351,42 @@ class TestRoundingFloor:
         # three plants of the benchmark's large-N panel (data/record_rounding_floor_plants.py)
         prob = rounding_floor_problem(plant)
         assert_steers(prob, minimize(prob), 1e-6)
+
+
+def test_the_minimum_norm_point_matches_bounded_least_squares():
+    # the least-norm point of the zonotope c + sum_j [-1, 1] h_j is c + h^T t
+    # for the t that minimizes |c + h^T t| over the box [-1, 1]^m, which
+    # scipy's bounded-variable least squares solves independently
+    from scipy.optimize import lsq_linear
+
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        N, m = rng.integers(1, 7), rng.integers(1, 60)
+        h = rng.standard_normal((m, N)) * rng.uniform(0.01, 1.0, (m, 1))
+        c = rng.uniform(0.1, 10.0) * rng.standard_normal(N)
+        t = lsq_linear(h.T, -c, bounds=(-1.0, 1.0), method="bvls", tol=1e-15).x
+        reference = float(np.linalg.norm(c + h.T @ t))
+        assert np.linalg.norm(dual._min_norm_point(c, h)[0]) == pytest.approx(reference, rel=1e-10, abs=1e-13)
+
+
+def lp_free_plants():
+    """The shipped configs, the plants of the stored synthesis minimizers and
+    the acceptance plants of criteria 1 and 5 (one plant) and 9."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    return [
+        *(pytest.param(lambda path=path: build_problem(load_config(path)), id=path.stem) for path in configs),
+        *(
+            pytest.param(lambda datum=datum: synthesis_problem(datum), id=datum["op_id"])
+            for datum in SYNTHESIS_MINIMIZERS
+        ),
+        pytest.param(oscillator_problem, id="criteria-1-5"),
+        pytest.param(lambda: oscillator_problem(kind="scaled", beta=3.0), id="criterion-9"),
+    ]
+
+
+@pytest.mark.parametrize("build", lp_free_plants())
+def test_minimize_solves_no_lp(spy, build):
+    prob = build()
+    lps = spy(fenchel, "linprog")
+    minimize(prob)
+    assert lps == []
