@@ -130,7 +130,9 @@ class OptimizerSettings:
 
 
 # Descent constants.  A run converges once the gradient norm, or the
-# minimum-norm subgradient at a kink, is within GTOL, and diverges at once if
+# minimum-norm subgradient at a kink, is within GTOL (at a kink also within
+# NODE_TOL times the subdifferential's extent: extraction's relative
+# tolerance on node values, see steepest_subgradient), and diverges at once if
 # the drift's residual outside the range of the Gramian exceeds GTOL.  A
 # Newton step solves (H + mu I) d = -g with mu = NEWTON_REGULARIZATION (1 +
 # tr H) and takes the largest step 2^-k that meets the Armijo condition with
@@ -142,6 +144,7 @@ GTOL = 1e-6
 NEWTON_REGULARIZATION = 1e-10
 ARMIJO = 1e-4
 SNAP_TOL = 1e-6
+NODE_TOL = 1e-9
 
 
 class DualProblem:
@@ -343,12 +346,18 @@ def subgradient_box(prob: DualProblem, p_T):
 WOLFE_ROUNDING, WOLFE_CYCLES = 64, 1000
 
 
-def steepest_subgradient(prob: DualProblem, p_T, q=None) -> np.ndarray:
-    """The minimum-norm element s of the :func:`subdifferential` at p_T: min
-    over d of J'(p; d) + |d|^2 / 2 is -|s|^2 / 2, at d = -s, so -s is the
-    steepest descent and |s| <= :data:`GTOL` certifies a minimizer (Wolfe,
-    Math. Prog. 11, 1976).  ``q`` as for :func:`eval_functional`."""
-    return _min_norm_point(*subdifferential(prob, p_T, q))[0]
+def steepest_subgradient(prob: DualProblem, p_T, q=None):
+    """The minimum-norm element s of the :func:`subdifferential` at p_T, and
+    the radius within which |s| certifies p_T a minimizer.  Min over d of
+    J'(p; d) + |d|^2 / 2 is -|s|^2 / 2, at d = -s, so -s is the steepest
+    descent (Wolfe, Math. Prog. 11, 1976).  The radius is :data:`GTOL`, or
+    where nodes sit on kinks the smaller ``NODE_TOL`` times the extent sum_j
+    |h_j|, the subgradient's reach over the kinked nodes' slope intervals:
+    the relative precision at which extraction checks node values against
+    those intervals.  ``q`` as for :func:`eval_functional`."""
+    c, h = subdifferential(prob, p_T, q)
+    radius = min(GTOL, NODE_TOL * float(np.linalg.norm(h, axis=1).sum())) if h.size else GTOL
+    return _min_norm_point(c, h)[0], radius
 
 
 def _min_norm_point(c, h):
@@ -715,17 +724,23 @@ def _snap_to_active_kinks(prob: DualProblem, p: np.ndarray):
     intervals only once they are exactly active.  Returns None when nothing
     is nearly active or the projection moves p by more than ``SNAP_TOL``-scale.
     """
-    q, rows, targets = prob.adjoint_observations(p), [], []
-    for ch, pen in enumerate(prob.penalizations):
-        if pen.breakpoints.size:
-            d = np.abs(q[:, ch][:, None] - pen.breakpoints)
-            j = np.argmin(d, axis=1)
-            near = d[np.arange(q.shape[0]), j] <= SNAP_TOL * (1.0 + np.abs(q[:, ch]))
+    q = prob.adjoint_observations(p)
+    rows = []
+    targets = []
+    for ch in range(prob.channels):
+        pen = prob.penalizations[ch]
+        if not pen.breakpoints.size:
+            continue
+        d = np.abs(q[:, ch][:, None] - pen.breakpoints)
+        j = np.argmin(d, axis=1)
+        near = d[np.arange(q.shape[0]), j] <= SNAP_TOL * (1.0 + np.abs(q[:, ch]))
+        if np.any(near):
             rows.append(prob.rows[near, ch, :])
             targets.append(pen.breakpoints[j[near]])
-    if not any(t.size for t in targets):
+    if not rows:
         return None
-    A, b = np.vstack(rows), np.concatenate(targets)
+    A = np.vstack(rows)
+    b = np.concatenate(targets)
     delta, *_ = np.linalg.lstsq(A, b - A @ p, rcond=None)
     if float(np.linalg.norm(delta)) > 10.0 * SNAP_TOL * (1.0 + float(np.linalg.norm(p))):
         return None
@@ -747,21 +762,23 @@ def minimize(prob: DualProblem) -> SolveReport:
     amplified by an ill-conditioned W (``ITERATION_CAP``).
 
     The penalized kinds start at the origin, which its
-    :func:`steepest_subgradient` s within :data:`GTOL` certifies (0
-    iterations).  For the plain and scaled kinds, a negative
+    :func:`steepest_subgradient` s certifies (0 iterations) when |s| is
+    within the oracle's radius.  For the plain and scaled kinds, a negative
     :func:`chord_bound` of the recession function along -s, and then along
     each accepted iterate, is the second divergence certificate.  Semismooth
     Newton steps on the exact evaluation follow: each solves (H + mu I) d =
     -g with H of :meth:`ExactEvaluator.hessian` and takes the step of
     :func:`line_search`.  Where no step along d decreases the value on a
-    pinned datum, s at the iterate certifies it or gives the direction -s;
-    -g comes last, since H misses the curvature of crossings about to appear.
+    pinned datum, s at the iterate certifies it or gives the direction -s /
+    mu, whose steps 2^-k span the same lengths as a Newton step's where H
+    vanishes; -g comes last, since H misses the curvature of crossings about
+    to appear.
 
-    The run also converges when |g| is within :data:`GTOL`, or when s is at
-    the active breakpoints near the iterate (:func:`_snap_to_active_kinks`),
-    tested after a backtracked step onto a pinned datum and when the run
-    stops.  A run that finds no decreasing step, or uses up
-    ``max_iterations``, ends at ``ITERATION_CAP``.
+    The run also converges when |g| is within :data:`GTOL`, or when s
+    certifies the active breakpoints near the iterate
+    (:func:`_snap_to_active_kinks`), tested after a backtracked step onto a
+    pinned datum and when the run stops.  A run that finds no decreasing
+    step, or uses up ``max_iterations``, ends at ``ITERATION_CAP``.
     """
     zero = np.zeros(prob.sys.dim)
     if kalman_rank(prob.sys.A, prob.sys.B) < prob.sys.dim:
@@ -791,17 +808,31 @@ def minimize(prob: DualProblem) -> SolveReport:
     trace_rows = []
 
     def report(status, p_star, value, gnorm, message=""):
-        trace = np.asarray(trace_rows).reshape(-1, 3)
-        return SolveReport(status, p_star, value, it, gnorm, trace, message, newton_steps, halvings, trials)
+        return SolveReport(
+            status=status,
+            p_T_star=p_star,
+            value=value,
+            iterations=it,
+            grad_norm=gnorm,
+            newton_steps=newton_steps,
+            line_search_halvings=halvings,
+            line_search_trials=trials,
+            trace=np.asarray(trace_rows).reshape(-1, 3),
+            message=message,
+        )
 
-    def at_kink(x, s):  # the end at a kinked point x whose steepest subgradient s is within GTOL
+    def at_kink(x, value, s):  # the end at a kinked point x that its steepest subgradient s certifies
         message = "stationary on active breakpoints (minimum-norm subgradient)"
-        return report(SolveStatus.CONVERGED, x, evaluator.value_and_grad(x)[0], float(np.linalg.norm(s)), message)
+        return report(SolveStatus.CONVERGED, x, value, float(np.linalg.norm(s)), message)
 
     def pinned_certificate():
         snapped = _snap_to_active_kinks(prob, p)
-        s = None if snapped is None else steepest_subgradient(prob, snapped)
-        return None if s is None or np.linalg.norm(s) > GTOL else at_kink(snapped, s)
+        if snapped is None:
+            return None
+        s, radius = steepest_subgradient(prob, snapped)
+        if np.linalg.norm(s) > radius:
+            return None
+        return at_kink(snapped, evaluator.value_and_grad(snapped)[0], s)
 
     def trace():
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
@@ -815,11 +846,13 @@ def minimize(prob: DualProblem) -> SolveReport:
 
     # the origin, a frequent minimizer as the penalizations are kinked at their
     # minimum: B^T p = 0 there, so its test reads only the node rows
-    J, g = eval_functional(prob, p), steepest_subgradient(prob, p)
+    q = prob.adjoint_observations(p)
+    J = eval_functional(prob, p, q)
+    g, radius = steepest_subgradient(prob, p, q)
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise FloatingPointError(f"functional not finite at the initial point p={p}")
     gn = float(np.linalg.norm(g))
-    if gn <= GTOL:
+    if gn <= radius:
         return report(SolveStatus.CONVERGED, p, J, gn, "stationary at the origin (minimum-norm subgradient)")
     hull = [(pen.slopes[0], pen.slopes[-1]) for pen in prob.penalizations]
 
@@ -849,10 +882,10 @@ def minimize(prob: DualProblem) -> SolveReport:
         d = -np.linalg.solve(H + mu * np.eye(p.size), g)
         found = search(d, g) if float(g @ d) < 0.0 else None
         if found is None and any(pinned for _, _, pinned in pieces):
-            s = steepest_subgradient(prob, p)
-            if np.linalg.norm(s) <= GTOL:
-                return at_kink(p, s)
-            found = search(-s, s)
+            s, radius = steepest_subgradient(prob, p)
+            if np.linalg.norm(s) <= radius:
+                return at_kink(p, J, s)
+            found = search(-s / mu, s)
         if found is None:
             found = search(-g, g)
         if found is None:

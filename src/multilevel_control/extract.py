@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dual import ExactEvaluator, staircase_integral
+from .dual import NODE_TOL, ExactEvaluator, staircase_integral
 from .fenchel import InfeasiblePrimalError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,10 +43,9 @@ __all__ = [
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 50
 # degenerate selection: primal node values within NODE_TOL (relative to the
-# ladder) of a level count as that level; Gauss-Newton on the switch times
-# runs at most POLISH_MAX_ITER steps and must bring the exact terminal norm
-# to POLISH_TOL
-NODE_TOL = 1e-9
+# ladder, shared with minimize's kink certificate) of a level count as that
+# level; Gauss-Newton on the switch times runs at most POLISH_MAX_ITER steps
+# and must bring the exact terminal norm to POLISH_TOL
 POLISH_MAX_ITER = 20
 POLISH_TOL = 1e-9
 

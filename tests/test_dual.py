@@ -489,9 +489,23 @@ class TestKinkCertificate:
         # both runs once stalled at p = 0, where the minimum-norm subgradient
         # is no zero vector; it is 0 up to rounding at the minimizer
         prob = constant_observation_problem(FOUR_LEVELS, x0)
-        s = dual.steepest_subgradient(prob, np.zeros(2))
+        s, _ = dual.steepest_subgradient(prob, np.zeros(2))
         assert np.linalg.norm(s) == pytest.approx(norm, rel=1e-9) and np.linalg.norm(s) > dual.GTOL
-        assert np.linalg.norm(dual.steepest_subgradient(prob, np.array([-0.25, -0.25]))) < 1e-14
+        assert np.linalg.norm(dual.steepest_subgradient(prob, np.array([-0.25, -0.25]))[0]) < 1e-14
+
+    def test_an_origin_within_gtol_of_stationary_is_left_for_the_minimizer(self):
+        # |s(0)| = (|x0|_1 - 1) / sqrt(2) = 7.1e-7 is within GTOL, but the
+        # origin is no minimizer and extraction's LP rejects it; the radius
+        # of the certificate, NODE_TOL times the subdifferential's extent,
+        # leaves it, and the run goes on to the minimizer (-0.25, -0.25)
+        prob = constant_observation_problem(FOUR_LEVELS, (0.75, 0.25 + 1e-6))
+        s, radius = dual.steepest_subgradient(prob, np.zeros(2))
+        assert radius < np.linalg.norm(s) <= dual.GTOL
+        with pytest.raises(DegenerateAdjointError):
+            extract_control(np.zeros(2), prob)
+        rep = minimize(prob)
+        assert_steers(prob, rep, 1e-6)
+        assert np.allclose(rep.p_T_star, -0.25, rtol=0, atol=1e-12)
 
     def test_the_steepest_descent_identity_at_a_kinked_origin(self):
         # min_d J'(0; d) + |d|^2 / 2 = -|s|^2 / 2 at d = -s; B^T p is constant
@@ -499,7 +513,7 @@ class TestKinkCertificate:
         # -t s for t in [0, 1], so J is affine there and its chord is J'(0; -s)
         prob = constant_observation_problem(FOUR_LEVELS, (0.75, 0.3))
         zero = np.zeros(2)
-        s = dual.steepest_subgradient(prob, zero)
+        s, _ = dual.steepest_subgradient(prob, zero)
         slope = eval_functional(prob, -s) - eval_functional(prob, zero)
         assert slope + 0.5 * (s @ s) == pytest.approx(-0.5 * (s @ s), rel=0, abs=1e-14)
 
@@ -784,7 +798,7 @@ class TestOriginTest:
             minimize(prob)
         assert seen == [(1, 0, 0, 0)]
         assert np.array_equal(oracles[0][1], np.zeros(2))
-        assert np.array_equal(dual.steepest_subgradient(prob, np.zeros(2)), prob.drift)
+        assert np.array_equal(dual.steepest_subgradient(prob, np.zeros(2))[0], prob.drift)
 
     def test_a_minimizing_origin_solves_no_lp(self, spy):
         # its steepest subgradient certifies it, with no crossing search, no
