@@ -200,10 +200,10 @@ def _count_search(monkeypatch, prob, p):
         steps.append(len(calls) - before)
         return out
 
-    find_switchings = extract.find_switchings
+    find_switchings = dual.find_switchings
     monkeypatch.setattr(prob.propagator, "at", counted_at)
     monkeypatch.setattr(dual, "_cuts", counted_cuts)
-    monkeypatch.setattr(extract, "find_switchings", search)
+    monkeypatch.setattr(dual, "find_switchings", search)
     dual.ExactEvaluator(prob).pieces(p)
     monkeypatch.undo()
     return {"screened_cells": screened, "cut_cells": cut, "refinement_steps": steps, "propagator_calls": len(calls)}
@@ -214,7 +214,9 @@ def test_crossing_search(benchmark, plant, monkeypatch):
     ``ExactEvaluator.pieces``, as the exact evaluation and extraction call
     it.  ``extra_info`` holds one call's counts (see ``_count_search``)."""
     prob, p = plant
-    benchmark.extra_info.update(_count_search(monkeypatch, prob, p))
+    counts = _count_search(monkeypatch, prob, p)
+    assert counts["refinement_steps"], "the wrapped crossing search was never called"
+    benchmark.extra_info.update(counts)
     benchmark(dual.ExactEvaluator(prob).pieces, p)
 
 

@@ -15,18 +15,22 @@ The quadratic kinds are solved in closed form from the exact Gramian W.
 The penalized kinds are minimized from the origin by semismooth Newton
 steps on the exact piecewise evaluation (:class:`ExactEvaluator`: crossings
 screened at the quadrature nodes, certified by each kept cell's Bernstein
-coefficients and refined by the Illinois method; value and gradient read the
-:func:`staircase_integral` of the slopes between them).  At a kink, the
-minimum-norm element of the node-sampled subdifferential
-(:func:`steepest_subgradient`) certifies a minimizer or gives the steepest
-descent.
+coefficients and refined by the Illinois method in :func:`find_switchings`;
+value and gradient read the :func:`staircase_integral` of the slopes between
+them).  At a kink, the minimum-norm element of the node-sampled
+subdifferential (:func:`steepest_subgradient`) certifies a minimizer or
+gives the steepest descent.  No LP is solved here.
+
+The module imports only :mod:`.lti` and :mod:`.pwl`.  The primal LP
+(:mod:`.fenchel`) and extraction (:mod:`.extract`), which turns
+:meth:`ExactEvaluator.pieces` into staircases, build on it.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -190,7 +194,6 @@ class DualProblem:
             raise ValueError("quadrature grid must cover [0, T]")
         self.settings = settings if settings is not None else OptimizerSettings()
         self.drift = mat_exp(sys.A, sys.T) @ sys.x0
-        self._primal = {}  # scale -> node values, or the message of an infeasible LP
 
     # -- constants, formed on first read -------------------------------------
 
@@ -272,22 +275,6 @@ class DualProblem:
         is pinned there (:meth:`ExactEvaluator.pieces`), a shorter one is a
         sliver beside a crossing."""
         return (self.grid.nodes[1] - self.grid.nodes[0]) / self.settings.bracket_multiplier
-
-    def primal_nodes(self, scale: float = 1.0) -> np.ndarray:
-        """Node values (n, K) of the discrete Fenchel primal of ``scale``
-        times the penalizations, solved once per scale; an infeasible one
-        raises :class:`~.fenchel.InfeasiblePrimalError` again, unsolved."""
-        from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
-
-        if scale not in self._primal:
-            dp = build_discrete_primal(self)
-            try:
-                self._primal[scale] = solve_primal(replace(dp, c=dp.c / scale)).v * scale
-            except InfeasiblePrimalError as exc:
-                self._primal[scale] = str(exc)
-        if isinstance(self._primal[scale], str):
-            raise InfeasiblePrimalError(self._primal[scale])
-        return self._primal[scale]
 
 
 # -- functional / subgradient ------------------------------------------------
@@ -432,6 +419,9 @@ def chord_bound(prob: DualProblem, d, slopes, scale: float = 1.0) -> float:
 # cut fraction (not dyadic, so that cuts seldom land on a root) and narrowest cut
 PROBES = np.array([0.5, 0.35, 0.65, 0.2, 0.8])
 ROUNDING, BLOCK, CUT, FLOOR = 8, 64, 0.4871, 1e-13
+# the Illinois refinement's bracket width and step cap
+BISECTION_TOL = 1e-12
+BISECTION_MAX_ITER = 50
 
 
 def _cuts(starts, h, coef, levels, tol):
@@ -460,6 +450,77 @@ def _cuts(starts, h, coef, levels, tol):
         times.append(starts + CUT * width)
         values.append(coef[:n, m])
         starts, width = np.concatenate([starts, times[-1]]), np.concatenate([CUT * width, (1.0 - CUT) * width])
+
+
+def find_switchings(q, breakpoints, grid, samples=None):
+    """Interior times where ``q`` crosses any breakpoint value.
+
+    ``q`` maps an array of times to values, ``grid`` brackets the crossings:
+    a cell of it that holds two crossings of a level shows neither.
+    Returns (sorted crossing times, sorted touch times): grid points where q
+    equals a breakpoint without a sign change across the neighbours are
+    touches.
+
+    Each sign change is refined by the Illinois method (modified regula
+    falsi; Dowell & Jarratt, BIT 11, 1971): the secant point, kept at least
+    ``BISECTION_TOL`` / 2 inside the bracket as in Dekker's method, or the
+    midpoint where it is not finite, becomes the newest end; where it lies
+    on the side of the one before, the older end stays with its value
+    halved.  A bracket stops at width ``BISECTION_TOL`` or an exact zero,
+    within ``BISECTION_MAX_ITER`` steps, and the crossing is its midpoint.
+    All brackets are refined together in breakpoint-major order, one ``q``
+    evaluation per step on those still open.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("bracketing grid must be strictly increasing")
+    qq = np.asarray(q(grid), dtype=float).reshape(-1) if samples is None else np.asarray(samples, dtype=float).reshape(-1)
+    if qq.size != grid.size:
+        raise ValueError("sample count does not match the grid")
+    breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+
+    # one row per breakpoint; a cell with an end on the level brackets
+    # nothing: the exact hit is a crossing or a tangential touch by the
+    # nearest nonzero signs on both sides
+    above, hit = qq > breakpoints[:, None], qq == breakpoints[:, None]
+    change = (above[:, :-1] != above[:, 1:]) & ~(hit[:, :-1] | hit[:, 1:])
+    crossings, touches = [], []
+    for bk in breakpoints[hit.any(axis=1)]:
+        sgn = np.sign(qq - bk)
+        signed = np.flatnonzero(sgn)
+        i = np.flatnonzero(qq == bk)
+        j = np.searchsorted(signed, i)  # first signed sample after each hit
+        inner = (j > 0) & (j < signed.size)
+        i, j = i[inner], j[inner]
+        flip = sgn[signed[j - 1]] * sgn[signed[j]] < 0
+        crossings.extend(grid[i[flip]].tolist())
+        touches.extend(grid[i[~flip]].tolist())
+    level, idx = np.nonzero(change)  # breakpoint-major
+    bks = breakpoints[level]
+    # Illinois steps on all open brackets together, one vectorized
+    # evaluation per step: b is the newest end and a the older one, whose
+    # value is halved whenever a step keeps it
+    a, b = grid[idx], grid[idx + 1]
+    fa, fb = qq[idx] - bks, qq[idx + 1] - bks
+    live = np.arange(idx.size)
+    for _ in range(BISECTION_MAX_ITER):
+        live = live[np.abs(b[live] - a[live]) > BISECTION_TOL]
+        if not live.size:
+            break
+        a0, b0, fa0, fb0 = a[live], b[live], fa[live], fb[live]
+        lo, hi = np.minimum(a0, b0), np.maximum(a0, b0)
+        x = np.minimum(np.maximum(b0 - fb0 * (b0 - a0) / (fb0 - fa0), lo + 0.5 * BISECTION_TOL), hi - 0.5 * BISECTION_TOL)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        fx = np.asarray(q(x), dtype=float).reshape(-1) - bks[live]
+        flip = (fx > 0) != (fb0 > 0)  # x and b straddle the level: b is kept
+        a[live] = np.where(fx == 0, x, np.where(flip, b0, a0))  # an exact zero closes the bracket
+        fa[live] = np.where(flip, fb0, 0.5 * fa0)
+        b[live], fb[live] = x, fx
+    crossings.extend((0.5 * (a + b)).tolist())
+    eps = 10 * BISECTION_TOL
+    a, b = grid[0], grid[-1]
+    crossings = [t for t in crossings if a + eps < t < b - eps]
+    return np.sort(np.array(crossings)), np.sort(np.array(touches))
 
 
 def staircase_integral(prob: DualProblem, times, levels) -> np.ndarray:
@@ -509,8 +570,6 @@ class ExactEvaluator:
         on a breakpoint over an interval only if it does over the whole
         horizon; a shorter one is a sliver beside a crossing.
         """
-        from .extract import find_switchings
-
         prob = self.prob
         prop, nodes, rows = prob.propagator, prob.grid.nodes, prob.rows
         h, h_b = prop.h, prob.bracket_grid()
@@ -769,10 +828,10 @@ def minimize(prob: DualProblem) -> SolveReport:
     Newton steps on the exact evaluation follow: each solves (H + mu I) d =
     -g with H of :meth:`ExactEvaluator.hessian` and takes the step of
     :func:`line_search`.  Where no step along d decreases the value on a
-    pinned datum, s at the iterate certifies it or gives the direction -s /
-    mu, whose steps 2^-k span the same lengths as a Newton step's where H
-    vanishes; -g comes last, since H misses the curvature of crossings about
-    to appear.
+    pinned datum, s at the iterate ends the loop when it certifies it, or
+    gives the direction -s / mu, whose steps 2^-k span the same lengths as a
+    Newton step's where H vanishes; -g comes last, since H misses the
+    curvature of crossings about to appear.
 
     The run also converges when |g| is within :data:`GTOL`, or when s
     certifies the active breakpoints near the iterate
@@ -821,18 +880,15 @@ def minimize(prob: DualProblem) -> SolveReport:
             message=message,
         )
 
-    def at_kink(x, value, s):  # the end at a kinked point x that its steepest subgradient s certifies
-        message = "stationary on active breakpoints (minimum-norm subgradient)"
-        return report(SolveStatus.CONVERGED, x, value, float(np.linalg.norm(s)), message)
-
-    def pinned_certificate():
+    def pinned_certificate():  # the end at the snapped iterate, if its steepest subgradient certifies it
         snapped = _snap_to_active_kinks(prob, p)
         if snapped is None:
             return None
         s, radius = steepest_subgradient(prob, snapped)
         if np.linalg.norm(s) > radius:
             return None
-        return at_kink(snapped, evaluator.value_and_grad(snapped)[0], s)
+        message = "stationary on active breakpoints (minimum-norm subgradient)"
+        return report(SolveStatus.CONVERGED, snapped, evaluator.value_and_grad(snapped)[0], float(np.linalg.norm(s)), message)
 
     def trace():
         trace_rows.append((J, float(np.linalg.norm(p)), float(np.linalg.norm(g))))
@@ -884,7 +940,7 @@ def minimize(prob: DualProblem) -> SolveReport:
         if found is None and any(pinned for _, _, pinned in pieces):
             s, radius = steepest_subgradient(prob, p)
             if np.linalg.norm(s) <= radius:
-                return at_kink(p, J, s)
+                break  # s certifies p: the certificate after the loop snaps it and ends the run
             found = search(-s / mu, s)
         if found is None:
             found = search(-g, g)

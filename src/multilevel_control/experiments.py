@@ -31,7 +31,7 @@ from .extract import (
     quadratic_control,
     verify_staircase,
 )
-from .fenchel import InfeasiblePrimalError, duality_gap, optimality_fraction
+from .fenchel import InfeasiblePrimalError, build_discrete_primal, duality_gap, optimality_fraction, solve_primal
 from .lti import simulate_forward
 from .pwl import Partition, interp_error_bound, quadratic_profile
 from .solvable import solvable_bound
@@ -202,7 +202,7 @@ def _run_checks(cfg: ExperimentConfig):
     if cfg.checks.fenchel and cfg.kind == FunctionalKind.PLAIN:
         t0 = time.perf_counter()
         try:
-            v = prob.primal_nodes()
+            v = solve_primal(build_discrete_primal(prob)).v
             gap = duality_gap(v, solve.p_T_star, prob)
             rel = abs(gap.gap) / (1.0 + abs(gap.primal_value))
             rep.gap = {

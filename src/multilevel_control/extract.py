@@ -1,33 +1,31 @@
 """From an optimal adjoint datum to an explicit staircase control.
 
 The adjoint observation q(t) = B^T p(t) is analytic, so it crosses any
-penalization breakpoint finitely often; each crossing is bracketed on the
-quadrature grid, cut where q's Bernstein coefficients allow two crossings
-of a level, and refined by the Illinois method.  Between crossings the
-control level is the slope of the penalization segment containing q.  Both
-come from :meth:`ExactEvaluator.pieces`, the reading that the exact dual
-evaluation integrates.
+penalization breakpoint finitely often.  :meth:`~.dual.ExactEvaluator.pieces`
+reads its crossings and the segment between them, the reading that the
+exact dual evaluation integrates; its crossing search,
+:func:`~.dual.find_switchings`, lives in :mod:`.dual` and is re-exported
+here.  This module turns the pieces into staircases: between crossings the
+control level is the slope of the penalization segment containing q.
 
 Where the datum is degenerate, with q pinned on a breakpoint over an
 interval (the zero datum whenever 0 is a breakpoint), the optimal controls
 are the selections of the two adjacent slopes there, and the staircase is
-read off a vertex of the discrete Fenchel primal instead: bang-bang on that
-pair except at a few nodes, each of which becomes one switch inside its
-cell, and the switch times are then polished onto the exact terminal map.
+read off a vertex of the discrete Fenchel primal instead, solved by
+:func:`~.fenchel.solve_primal` at each call: bang-bang on that pair except
+at a few nodes, each of which becomes one switch inside its cell, and the
+switch times are then polished onto the exact terminal map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .dual import NODE_TOL, ExactEvaluator, staircase_integral
-from .fenchel import InfeasiblePrimalError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dual import DualProblem
+from .dual import NODE_TOL, DualProblem, ExactEvaluator, find_switchings, staircase_integral
+from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
 
 __all__ = [
     "DegenerateAdjointError",
@@ -40,8 +38,6 @@ __all__ = [
     "quadratic_control",
 ]
 
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 50
 # degenerate selection: primal node values within NODE_TOL (relative to the
 # ladder, shared with minimize's kink certificate) of a level count as that
 # level; Gauss-Newton on the switch times runs at most POLISH_MAX_ITER steps
@@ -133,78 +129,7 @@ class MultilevelControl:
         return cls(channels=chans, scale=float(rec["scale"]), horizon=float(rec["horizon"]))
 
 
-def find_switchings(q, breakpoints, grid, samples=None):
-    """Interior times where ``q`` crosses any breakpoint value.
-
-    ``q`` maps an array of times to values, ``grid`` brackets the crossings:
-    a cell of it that holds two crossings of a level shows neither.
-    Returns (sorted crossing times, sorted touch times): grid points where q
-    equals a breakpoint without a sign change across the neighbours are
-    touches.
-
-    Each sign change is refined by the Illinois method (modified regula
-    falsi; Dowell & Jarratt, BIT 11, 1971): the secant point, kept at least
-    ``BISECTION_TOL`` / 2 inside the bracket as in Dekker's method, or the
-    midpoint where it is not finite, becomes the newest end; where it lies
-    on the side of the one before, the older end stays with its value
-    halved.  A bracket stops at width ``BISECTION_TOL`` or an exact zero,
-    within ``BISECTION_MAX_ITER`` steps, and the crossing is its midpoint.
-    All brackets are refined together in breakpoint-major order, one ``q``
-    evaluation per step on those still open.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("bracketing grid must be strictly increasing")
-    qq = np.asarray(q(grid), dtype=float).reshape(-1) if samples is None else np.asarray(samples, dtype=float).reshape(-1)
-    if qq.size != grid.size:
-        raise ValueError("sample count does not match the grid")
-    breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-
-    # one row per breakpoint; a cell with an end on the level brackets
-    # nothing: the exact hit is a crossing or a tangential touch by the
-    # nearest nonzero signs on both sides
-    above, hit = qq > breakpoints[:, None], qq == breakpoints[:, None]
-    change = (above[:, :-1] != above[:, 1:]) & ~(hit[:, :-1] | hit[:, 1:])
-    crossings, touches = [], []
-    for bk in breakpoints[hit.any(axis=1)]:
-        sgn = np.sign(qq - bk)
-        signed = np.flatnonzero(sgn)
-        i = np.flatnonzero(qq == bk)
-        j = np.searchsorted(signed, i)  # first signed sample after each hit
-        inner = (j > 0) & (j < signed.size)
-        i, j = i[inner], j[inner]
-        flip = sgn[signed[j - 1]] * sgn[signed[j]] < 0
-        crossings.extend(grid[i[flip]].tolist())
-        touches.extend(grid[i[~flip]].tolist())
-    level, idx = np.nonzero(change)  # breakpoint-major
-    bks = breakpoints[level]
-    # Illinois steps on all open brackets together, one vectorized
-    # evaluation per step: b is the newest end and a the older one, whose
-    # value is halved whenever a step keeps it
-    a, b = grid[idx], grid[idx + 1]
-    fa, fb = qq[idx] - bks, qq[idx + 1] - bks
-    live = np.arange(idx.size)
-    for _ in range(BISECTION_MAX_ITER):
-        live = live[np.abs(b[live] - a[live]) > BISECTION_TOL]
-        if not live.size:
-            break
-        a0, b0, fa0, fb0 = a[live], b[live], fa[live], fb[live]
-        lo, hi = np.minimum(a0, b0), np.maximum(a0, b0)
-        x = np.minimum(np.maximum(b0 - fb0 * (b0 - a0) / (fb0 - fa0), lo + 0.5 * BISECTION_TOL), hi - 0.5 * BISECTION_TOL)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        fx = np.asarray(q(x), dtype=float).reshape(-1) - bks[live]
-        flip = (fx > 0) != (fb0 > 0)  # x and b straddle the level: b is kept
-        a[live] = np.where(fx == 0, x, np.where(flip, b0, a0))  # an exact zero closes the bracket
-        fa[live] = np.where(flip, fb0, 0.5 * fa0)
-        b[live], fb[live] = x, fx
-    crossings.extend((0.5 * (a + b)).tolist())
-    eps = 10 * BISECTION_TOL
-    a, b = grid[0], grid[-1]
-    crossings = [t for t in crossings if a + eps < t < b - eps]
-    return np.sort(np.array(crossings)), np.sort(np.array(touches))
-
-
-def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
+def extract_control(p_T_star, prob: DualProblem) -> MultilevelControl:
     """Staircase control associated with a converged adjoint datum.
 
     Levels are scale * (segment slope), with scale the slope of the kind's
@@ -260,7 +185,7 @@ def extract_control(p_T_star, prob: "DualProblem") -> MultilevelControl:
     return MultilevelControl(channels=tuple(chans), scale=scale, horizon=prob.sys.T)
 
 
-def complementary_slackness(prob: "DualProblem", p_T, scale: float) -> np.ndarray:
+def complementary_slackness(prob: DualProblem, p_T, scale: float) -> np.ndarray:
     """Steps 1-2 of the degenerate selection: the primal node values at
     ``scale``, each checked to lie in ``scale`` times the slopes supporting
     the penalization at B^T p_T, which holds exactly when p_T minimizes the
@@ -269,8 +194,9 @@ def complementary_slackness(prob: "DualProblem", p_T, scale: float) -> np.ndarra
         # a zero scale (squared kind, zero integral) makes the gradient the
         # drift, which is nonzero with x0
         raise DegenerateAdjointError(f"the level scale {scale:g} at the datum is not positive")
+    dp = build_discrete_primal(prob)
     try:
-        v = prob.primal_nodes(scale)
+        v = solve_primal(replace(dp, c=dp.c / scale)).v * scale
     except InfeasiblePrimalError as exc:
         raise DegenerateAdjointError(f"the datum is not a minimizer: {exc}") from None
     q = prob.adjoint_observations(p_T)
@@ -290,7 +216,7 @@ def complementary_slackness(prob: "DualProblem", p_T, scale: float) -> np.ndarra
     return v
 
 
-def _primal_staircase(prob: "DualProblem", p_T, scale: float) -> MultilevelControl:
+def _primal_staircase(prob: DualProblem, p_T, scale: float) -> MultilevelControl:
     """The degenerate selection of :func:`extract_control` (steps 1-4)."""
     v = complementary_slackness(prob, p_T, scale)
     nodes = prob.grid.nodes
@@ -344,7 +270,7 @@ def _cell_staircase(v, ladder, edges, ch):
     return np.asarray(times, dtype=float), np.asarray(ks, dtype=int), np.asarray(bounds).reshape(-1, 2)
 
 
-def _polish(prob: "DualProblem", plans, ladders):
+def _polish(prob: DualProblem, plans, ladders):
     """Per-channel switch times after Gauss-Newton with minimum-norm steps
     on the exact terminal map, run until the terminal norm stops
     decreasing; raises unless the times stay strictly increasing inside
@@ -409,7 +335,7 @@ def verify_staircase(ctrl: MultilevelControl, levels) -> tuple[bool, Optional[di
     return True, None
 
 
-def quadratic_control(p_T_star, prob: "DualProblem"):
+def quadratic_control(p_T_star, prob: DualProblem):
     """The stationarity-consistent control of the quadratic kinds.
 
     For the quadratic functional the null control is u(t) = 2 B^T p(t);

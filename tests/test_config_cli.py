@@ -324,6 +324,17 @@ class TestCliExitCodes:
         assert rep.gap["control_agreement"] == agreement
         assert not rep.passed and rep.checks["fenchel_agreement"] is False
 
+    def test_fenchel_check_at_a_degenerate_minimizer(self, tmp_path):
+        # criterion 5's data: osc-t4 on the four-level ladder, whose dual
+        # minimizer is the origin, pinned on the kink at 0; extraction and the
+        # check each solve the primal LP (about 1.5e-2 agreement)
+        raw = json.loads(json.dumps(OSC_T4))
+        raw["penalization"]["partitions"] = [[-1.0, -0.5, 0.0, 0.5, 1.0]]
+        rep = run_scenario(parse_config(raw), tmp_path)
+        assert rep.passed and "stationary at the origin" in rep.solve["message"]
+        assert rep.checks["fenchel_gap"] and rep.checks["fenchel_agreement"]
+        assert rep.gap["control_agreement"] <= experiments.FENCHEL_AGREEMENT_TOL
+
     def test_negative_seed_exit_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_OSC)
         assert main(["converge", str(cfg), "--sizes", "5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 4

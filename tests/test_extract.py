@@ -30,8 +30,7 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
-from multilevel_control.dual import FLOOR, GTOL, ROUNDING, ExactEvaluator, _cuts
-from multilevel_control.extract import BISECTION_MAX_ITER, BISECTION_TOL
+from multilevel_control.dual import BISECTION_MAX_ITER, BISECTION_TOL, FLOOR, GTOL, ROUNDING, ExactEvaluator, _cuts
 from multilevel_control.lti import exp_action_integral
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -104,23 +104,6 @@ class TestSolvePrimal:
                 with pytest.raises(InfeasiblePrimalError):
                     solve_primal(dp)
 
-    def test_an_infeasible_primal_is_solved_once_per_scale(self, monkeypatch):
-        sys = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[1.5], T=1.0)
-        prob = DualProblem(sys, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 1000))
-        calls = []
-
-        def counted(dp):
-            calls.append(dp)
-            return solve_primal(dp)
-
-        monkeypatch.setattr(fenchel, "solve_primal", counted)
-        messages = set()
-        for _ in range(2):
-            with pytest.raises(InfeasiblePrimalError) as err:
-                prob.primal_nodes(1.0)
-            messages.add(str(err.value))
-        assert len(calls) == 1 and len(messages) == 1
-
     def test_solve_primal_calls_the_module_linprog_once(self, monkeypatch):
         # solve_primal reads the module attribute, so a wrapper there sees its LP
         plant = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.5], T=1.0)
