@@ -11,9 +11,12 @@ fixed datum, the one ``minimize`` returns within ``DESCENT_STEPS`` steps
 (both plants converge there), so its crossings are those of the minimizer.
 The crossing-search case records, per channel, the quadrature cells that
 the node screen keeps and those that their Bernstein coefficients cut, the
-refinement steps, and the propagator calls in ``extra_info``.  One case
-times the discrete Fenchel primal LP on the data of acceptance criterion 1,
-and one the adjoint rows on the quadrature nodes.  The exact-evaluation
+refinement steps, and the propagator calls in ``extra_info``.  On the data
+of acceptance criterion 1, whose dual minimizer is the degenerate origin,
+one case times the discrete Fenchel primal LP, the check of that origin, and
+one the degenerate extraction there, recording its switch count and
+Gauss-Newton steps in ``extra_info``.  One case times the adjoint rows on
+the quadrature nodes.  The exact-evaluation
 case times the closed-form integral at fixed pieces and records the Taylor
 degree of both propagators.  Two cases propagate with
 ``simulate_forward``: the staircase extracted at the datum, and the
@@ -220,15 +223,39 @@ def test_crossing_search(benchmark, plant, monkeypatch):
     benchmark(dual.ExactEvaluator(prob).pieces, p)
 
 
-def test_solve_discrete_primal(benchmark):
-    """The N-row primal LP on criterion-1 data (oscillator, T = 4, x0 =
-    (-1, 0.5), four-level ladder, 4000 nodes), whose dual minimizer is the
-    degenerate origin: the LP that certifies it and selects its staircase."""
+def criterion1_problem():
+    """Criterion-1 data: oscillator, T = 4, x0 = (-1, 0.5), four-level
+    ladder, 4000 nodes; its dual minimizer is the degenerate origin."""
     sys_ = lti.LtiSystem(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], x0=[-1.0, 0.5], T=4.0)
     partition = pwl.Partition(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
-    ladder = pwl.build_penalization(pwl.quadratic_profile(), partition)
-    dp = fenchel.build_discrete_primal(dual.DualProblem(sys_, [ladder]))
-    benchmark(fenchel.solve_primal, dp)
+    return dual.DualProblem(sys_, [pwl.build_penalization(pwl.quadratic_profile(), partition)])
+
+
+def test_solve_discrete_primal(benchmark):
+    """The N-row primal LP on criterion-1 data, the Fenchel check of its
+    degenerate origin: a first solve, then the moment over its optimal
+    face, which is no point there."""
+    benchmark(fenchel.solve_primal, fenchel.build_discrete_primal(criterion1_problem()))
+
+
+def test_extract_control_degenerate(benchmark, monkeypatch):
+    """The degenerate selection at criterion 1's origin: N = 2 switch times
+    by Gauss-Newton from both start orders, no LP.  ``extra_info`` records
+    the switch count and the Gauss-Newton steps of each start order."""
+    prob, origin = criterion1_problem(), np.zeros(2)
+    steps, steer = [], extract._steer
+
+    def counted(*args):
+        out = steer(*args)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(extract, "_steer", counted)
+    ctrl = extract.extract_control(origin, prob)
+    monkeypatch.undo()
+    benchmark.extra_info["switches"] = int(ctrl.channels[0].switch_times.size)
+    benchmark.extra_info["gauss_newton_steps"] = steps
+    benchmark(extract.extract_control, origin, prob)
 
 
 def test_extract_control(benchmark, plant):

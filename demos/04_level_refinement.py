@@ -4,9 +4,9 @@ control.
 Doubling the number of chords halves the mesh of the interpolation, the
 chord slopes fill in, and the synthesized staircase converges (in discrete
 L^2) to the control obtained from the quadratic functional.  For this data
-the 4-segment ladder's dual minimizer is the origin: its staircase is
-selected from a vertex of the Fenchel primal between the two inner levels,
-with 252 switches against at most 12 in the regular cases (see demo 06).
+the 4-segment ladder's dual minimizer is the origin: its staircase takes
+the two inner levels with N = 2 switches, placed by Gauss-Newton on the
+switch times, against at most 12 in the regular cases (see demo 06).
 """
 
 from multilevel_control.config import parse_config

@@ -12,13 +12,12 @@ Two distinct obstructions cap what a given level ladder can do:
    bounded by the two inner slopes make the origin the exact dual
    minimizer.  The optimal controls are then the selections of the
    subdifferential at the kink, and the dual datum alone does not fix the
-   switching times.  Extraction reads a staircase between the two inner
-   slopes off a vertex of the discrete Fenchel primal (bang-bang outside at
-   most N = 2 nodes) and polishes its switch times onto the exact terminal
-   map.
+   switching times.  Extraction selects a staircase between the two inner
+   slopes with N = 2 switches, the principal representation of a moment
+   point, and places them by Gauss-Newton on the exact terminal map.
    Ladders with a flat middle segment (zero level, as in the 6-point
-   construction) give a regular minimizer and fewer switches for the same
-   data.
+   construction) give a regular minimizer for the same data, whose
+   switches sit at the crossings of B^T p (3 there, against 2 here).
 """
 
 import numpy as np
@@ -67,6 +66,6 @@ print(
     f"{ch.switch_times.size} switches, exact terminal norm {traj.terminal_norm:.1e}"
 )
 print(
-    "  leaner waveform: a ladder with a zero level (e.g. the 6-point uniform"
-    "\n  partition), a shorter horizon, or the squared-integral functional."
+    "  regular minimizer instead: a ladder with a zero level (e.g. the 6-point"
+    "\n  uniform partition), a shorter horizon, or the squared-integral functional."
 )

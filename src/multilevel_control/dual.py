@@ -135,14 +135,14 @@ class OptimizerSettings:
 
 # Descent constants.  A run converges once the gradient norm, or the
 # minimum-norm subgradient at a kink, is within GTOL (at a kink also within
-# NODE_TOL times the subdifferential's extent: extraction's relative
-# tolerance on node values, see steepest_subgradient), and diverges at once if
-# the drift's residual outside the range of the Gramian exceeds GTOL.  A
-# Newton step solves (H + mu I) d = -g with mu = NEWTON_REGULARIZATION (1 +
-# tr H) and takes the largest step 2^-k that meets the Armijo condition with
-# constant ARMIJO: the quadrature functional guesses k and exact trials at k
-# and k - 1 confirm it, or bisection on k finds it, which the convexity of the
-# functional along d allows (see line_search).  A stalled iterate is snapped
+# NODE_TOL times the subdifferential's extent, a relative tolerance, see
+# steepest_subgradient), and diverges at once if the drift's residual
+# outside the range of the Gramian exceeds GTOL.  A Newton step solves
+# (H + mu I) d = -g with mu = NEWTON_REGULARIZATION (1 + tr H) and takes the
+# largest step 2^-k that meets the Armijo condition with constant ARMIJO: the
+# quadrature functional guesses k and exact trials at k and k - 1 confirm it,
+# or bisection on k finds it, which the convexity of the functional along d
+# allows (see line_search).  A stalled iterate is snapped
 # onto the breakpoints its node observations lie within SNAP_TOL of (relative).
 GTOL = 1e-6
 NEWTON_REGULARIZATION = 1e-10
@@ -339,9 +339,10 @@ def steepest_subgradient(prob: DualProblem, p_T, q=None):
     J'(p; d) + |d|^2 / 2 is -|s|^2 / 2, at d = -s, so -s is the steepest
     descent (Wolfe, Math. Prog. 11, 1976).  The radius is :data:`GTOL`, or
     where nodes sit on kinks the smaller ``NODE_TOL`` times the extent sum_j
-    |h_j|, the subgradient's reach over the kinked nodes' slope intervals:
-    the relative precision at which extraction checks node values against
-    those intervals.  ``q`` as for :func:`eval_functional`."""
+    |h_j|, the subgradient's reach over the kinked nodes' slope intervals: a
+    point certified by GTOL alone can be no minimizer, one where no
+    staircase between the kinks' levels steers x0 (README, "Degenerate dual
+    minimizers").  ``q`` as for :func:`eval_functional`."""
     c, h = subdifferential(prob, p_T, q)
     radius = min(GTOL, NODE_TOL * float(np.linalg.norm(h, axis=1).sum())) if h.size else GTOL
     return _min_norm_point(c, h)[0], radius
@@ -533,6 +534,13 @@ def staircase_integral(prob: DualProblem, times, levels) -> np.ndarray:
     psi = prob.psi_propagator.rows(tau)[:, :, : prob.sys.dim]
     jumps = np.concatenate([np.diff(lv) for lv in levels])
     return psi[0].T @ [lv[0] for lv in levels] + jumps @ psi[1 + np.arange(ch.size), ch]
+
+
+def moment_weights(nodes, weights) -> np.ndarray:
+    """Node weights w_i (t_i / T)^2 of the moment, summed over channels,
+    that :func:`~.fenchel.solve_primal` minimizes over its optimal face and
+    :func:`~.extract.extract_control` over the staircases that steer x0."""
+    return weights * (nodes / nodes[-1]) ** 2
 
 
 class ExactEvaluator:

@@ -8,24 +8,26 @@ exact dual evaluation integrates; its crossing search,
 here.  This module turns the pieces into staircases: between crossings the
 control level is the slope of the penalization segment containing q.
 
-Where the datum is degenerate, with q pinned on a breakpoint over an
-interval (the zero datum whenever 0 is a breakpoint), the optimal controls
-are the selections of the two adjacent slopes there, and the staircase is
-read off a vertex of the discrete Fenchel primal instead, solved by
-:func:`~.fenchel.solve_primal` at each call: bang-bang on that pair except
-at a few nodes, each of which becomes one switch inside its cell, and the
-switch times are then polished onto the exact terminal map.
+Where the datum is degenerate, with q pinned on a breakpoint over the
+horizon on some channel (the zero datum whenever 0 is a breakpoint), every
+control that takes the two adjacent slopes there and steers x0 is optimal.
+On a Chebyshev system such a control exists with N switches per pinned
+channel, the principal representation of a moment point (Krein & Nudelman,
+*The Markov Moment Problem and Extremal Problems*, AMS 1977); an
+oscillating plant on a long horizon may need more.  The selection places
+the switches by Gauss-Newton on the exact terminal map, from N per pinned
+channel upwards.  Extraction solves no linear program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dual import NODE_TOL, DualProblem, ExactEvaluator, find_switchings, staircase_integral
-from .fenchel import InfeasiblePrimalError, build_discrete_primal, solve_primal
+from .dual import DualProblem, ExactEvaluator, find_switchings, moment_weights, staircase_integral, steepest_subgradient
 
 __all__ = [
     "DegenerateAdjointError",
@@ -33,27 +35,26 @@ __all__ = [
     "MultilevelControl",
     "find_switchings",
     "extract_control",
-    "complementary_slackness",
     "verify_staircase",
     "quadratic_control",
 ]
 
-# degenerate selection: primal node values within NODE_TOL (relative to the
-# ladder, shared with minimize's kink certificate) of a level count as that
-# level; Gauss-Newton on the switch times runs at most POLISH_MAX_ITER steps
-# and must bring the exact terminal norm to POLISH_TOL
+# degenerate selection: Gauss-Newton on the switch times runs at most
+# POLISH_MAX_ITER steps and must bring the exact terminal norm to POLISH_TOL;
+# a pinned channel's switch whose gap to its neighbour, 0 or T is below
+# COLLAPSE_GAP T before a step that closes it is dropped, not crept towards
 POLISH_MAX_ITER = 20
 POLISH_TOL = 1e-9
+COLLAPSE_GAP = 1e-2
 
 
 class DegenerateAdjointError(RuntimeError):
     """The degenerate adjoint datum handed to :func:`extract_control`, whose
-    observation sits on a breakpoint over an interval, is not a dual
-    minimizer: the discrete Fenchel primal is infeasible, its node values
-    leave the subdifferential along the datum, or the level scale there is
-    not positive.  As a safeguard it is also raised when the primal skips
-    a level between neighbouring nodes, or when the selected staircase
-    cannot be polished to steer x0 exactly.
+    observation sits on a breakpoint over the horizon on some channel,
+    yields no staircase: the level scale there is not positive, or no
+    staircase between the two levels around each pinned breakpoint steers
+    x0 to within ``POLISH_TOL``.  The message says "not a minimizer" only
+    where the minimum-norm subgradient also rejects the datum.
     """
 
 
@@ -137,21 +138,19 @@ def extract_control(p_T_star, prob: DualProblem) -> MultilevelControl:
     integral itself (squared).  A regular datum gives the levels of the
     segments that B^T p visits and switches at its crossings, both read off
     :meth:`ExactEvaluator.pieces`.  A degenerate datum, with B^T p pinned on
-    a breakpoint over an interval, leaves a choice between the two adjacent
-    levels there, and one rule selects it:
-
-    1. solve the discrete Fenchel primal of scale * penalization;
-    2. check complementary slackness, every node value in scale times the
-       slopes supporting the penalization at B^T p there, else raise
-       :class:`DegenerateAdjointError` (:func:`~.dual.minimize` certified
-       the datum by :func:`~.dual.steepest_subgradient` instead);
-    3. hold each node value over its quadrature cell: a ladder value stays,
-       a value between two adjacent levels becomes one switch inside the
-       cell that splits it in the matching shares;
-    4. polish the switch times by minimum-norm Gauss-Newton steps on the
-       exact zero-order-hold terminal map, and raise rather than return a
-       control whose times leave their cells or whose terminal norm stays
-       above ``POLISH_TOL``.
+    a breakpoint over the horizon on some channels, leaves a choice between
+    the two adjacent levels there, and one rule selects it.  Each pinned
+    channel gets m switch times at T k / (m + 1), alternating between the
+    two levels around the breakpoint nearest its B^T p in either order, the
+    other channels keep their crossings, and :func:`_steer` solves for the
+    times of every channel.  m runs from N = ``sys.dim`` up to N + T omega /
+    pi, omega the largest imaginary part of an eigenvalue of A.  At the
+    first m where some of the 2^P start orders (P pinned channels) steer x0
+    to within ``POLISH_TOL``, the staircase with the least moment of
+    :func:`~.dual.moment_weights` is returned, the moment that
+    :func:`~.fenchel.solve_primal` minimizes over its optimal face.  Such a
+    staircase certifies the datum a minimizer; if none steers, or the level
+    scale is not positive, :class:`DegenerateAdjointError` is raised.
     """
     if not prob.kind.penalized:
         raise ValueError("staircase extraction applies to the penalized kinds")
@@ -162,150 +161,120 @@ def extract_control(p_T_star, prob: DualProblem) -> MultilevelControl:
     evaluator = ExactEvaluator(prob)
     pieces = evaluator.pieces(p_T_star)
     scale = prob.outer_slope(lambda: evaluator.integral_and_grad(p_T_star, pieces)[0])
-    if any(pinned for _, _, pinned in pieces):
-        return _primal_staircase(prob, p_T_star, scale)
+    ladders = [scale * pen.slopes for pen in prob.penalizations]
+    times = [crossings for crossings, _, _ in pieces]
+    levels = [ladder[ks] for ladder, (_, ks, _) in zip(ladders, pieces)]
+    pinned = [ch for ch, (_, _, on_kink) in enumerate(pieces) if on_kink]
+    if pinned:
+        times, levels = _pinned_staircase(prob, p_T_star, pinned, scale, times, levels)
     chans = []
-    for ch, (crossings, ks, _) in enumerate(pieces):
-        level_set = scale * prob.penalizations[ch].slopes
-        levels = level_set[ks]
+    for st, lv, ladder in zip(times, levels, ladders):
         # a grazing touch can yield equal neighbours; merge them defensively
-        keep_times, keep_levels = [], [levels[0]]
-        for t_sw, lv in zip(crossings, levels[1:]):
-            if lv == keep_levels[-1]:
-                continue
-            keep_times.append(t_sw)
-            keep_levels.append(lv)
-        chans.append(
-            ChannelControl(
-                switch_times=np.asarray(keep_times, dtype=float),
-                levels=np.asarray(keep_levels, dtype=float),
-                level_set=np.asarray(level_set, dtype=float),
-            )
-        )
+        keep = np.flatnonzero(np.diff(lv) != 0)
+        chans.append(ChannelControl(np.asarray(st, dtype=float)[keep], np.append(lv[0], lv[keep + 1]), ladder))
     return MultilevelControl(channels=tuple(chans), scale=scale, horizon=prob.sys.T)
 
 
-def complementary_slackness(prob: DualProblem, p_T, scale: float) -> np.ndarray:
-    """Steps 1-2 of the degenerate selection: the primal node values at
-    ``scale``, each checked to lie in ``scale`` times the slopes supporting
-    the penalization at B^T p_T, which holds exactly when p_T minimizes the
-    discrete dual; raises :class:`DegenerateAdjointError` otherwise."""
+def _pinned_staircase(prob: DualProblem, p_T, pinned, scale: float, times, levels):
+    """The degenerate selection of :func:`extract_control`: the per-channel
+    switch times and levels, from the indices of the ``pinned`` channels and
+    the ``times`` and ``levels`` of the crossings."""
     if not (np.isfinite(scale) and scale > 0):
         # a zero scale (squared kind, zero integral) makes the gradient the
         # drift, which is nonzero with x0
         raise DegenerateAdjointError(f"the level scale {scale:g} at the datum is not positive")
-    dp = build_discrete_primal(prob)
-    try:
-        v = solve_primal(replace(dp, c=dp.c / scale)).v * scale
-    except InfeasiblePrimalError as exc:
-        raise DegenerateAdjointError(f"the datum is not a minimizer: {exc}") from None
+    sys = prob.sys
+    T, N = sys.T, sys.dim
+    # a combination of the rows e^{(T-t)A} B_c, which a boundary control's
+    # switches follow, changes sign at most N - 1 times on a Chebyshev
+    # system, and about once more per pi / omega where A oscillates at omega
+    most = N + int(np.ceil(T * np.abs(np.linalg.eigvals(sys.A).imag).max() / np.pi))
     q = prob.adjoint_observations(p_T)
-    nodes = prob.grid.nodes
-    for ch, pen in enumerate(prob.penalizations):
-        tol = NODE_TOL * float(np.max(np.abs(scale * pen.slopes)))
-        lo, hi = pen.slope_bounds(q[:, ch])
-        off = np.nonzero((v[:, ch] < scale * lo - tol) | (v[:, ch] > scale * hi + tol))[0]
-        if off.size:
-            i = int(off[0])
-            raise DegenerateAdjointError(
-                f"the datum is not a minimizer: channel {ch}: the primal control "
-                f"{v[i, ch]:.6g} at t = {nodes[i]:.6g} lies outside the subdifferential "
-                f"[{scale * lo[i]:.6g}, {scale * hi[i]:.6g}] at B^T p = {q[i, ch]:.6g} "
-                f"({off.size} of {nodes.size} nodes)"
-            )
-    return v
+    pairs = {}
+    for ch in pinned:
+        pen = prob.penalizations[ch]
+        j = int(np.argmin(np.abs(pen.breakpoints - q[:, ch].mean())))
+        pairs[ch] = scale * pen.slopes[[j, j + 1]]
+    nodes, weights = prob.grid.nodes, moment_weights(prob.grid.nodes, prob.grid.weights)
+    closest = np.inf
+    for m in range(N, most + 1):
+        steered = []
+        for firsts in itertools.product((0, 1), repeat=len(pinned)):
+            start_times, start_levels = list(times), list(levels)
+            for ch, first in zip(pinned, firsts):
+                start_times[ch] = T * np.arange(1, m + 1) / (m + 1)
+                start_levels[ch] = pairs[ch][(first + np.arange(m + 1)) % 2]
+            end_times, end_levels, norm, _ = _steer(prob, start_times, start_levels, pinned)
+            closest = min(closest, norm)
+            if norm <= POLISH_TOL:
+                moment = sum(weights @ lv[np.searchsorted(st, nodes, side="right")] for st, lv in zip(end_times, end_levels))
+                steered.append((float(moment), end_times, end_levels))
+        if steered:
+            return min(steered, key=lambda c: c[0])[1:]
+    tried = f"no staircase with {N} to {most} switches per pinned channel steers x0 (closest terminal norm {closest:.6g})"
+    s, radius = steepest_subgradient(prob, p_T, q)
+    s = float(np.linalg.norm(s))
+    verdict = f"not a minimizer: its least subgradient norm {s:.6g} > {radius:g}" if s > radius else "certified"
+    raise DegenerateAdjointError(f"the datum is {verdict}, but {tried}")
 
 
-def _primal_staircase(prob: DualProblem, p_T, scale: float) -> MultilevelControl:
-    """The degenerate selection of :func:`extract_control` (steps 1-4)."""
-    v = complementary_slackness(prob, p_T, scale)
-    nodes = prob.grid.nodes
-    edges = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]), [prob.sys.T]])
-    ladders = [scale * pen.slopes for pen in prob.penalizations]
-    plans = [_cell_staircase(v[:, ch], ladder, edges, ch) for ch, ladder in enumerate(ladders)]
-    times = _polish(prob, plans, ladders)
-    chans = tuple(
-        ChannelControl(switch_times=st, levels=ladder[ks], level_set=ladder)
-        for st, (_, ks, _), ladder in zip(times, plans, ladders)
-    )
-    return MultilevelControl(channels=chans, scale=scale, horizon=prob.sys.T)
+def _steer(prob: DualProblem, times, levels, pinned):
+    """(per-channel switch times, levels, terminal norm, steps) after
+    Gauss-Newton with minimum-norm steps on the exact terminal map, started
+    at ``times`` and ``levels`` and run until the norm stops decreasing.  A
+    step is halved until the norm falls with every channel's times strictly
+    increasing inside (0, T).  Only a gap narrower than ``COLLAPSE_GAP`` T
+    on one of the ``pinned`` channels, whose levels alternate, may close: a
+    switch that leaves (0, T) there is dropped with the level outside, and
+    two that meet or cross with the level between them, a staircase the map
+    reaches continuously.  The map is e^{TA} x0 plus the
+    :func:`~.dual.staircase_integral`; its derivative in tau_k is
+    e^{(T - tau_k)A} B (u_{k-1} - u_k) on the channel's column."""
+    T = prob.sys.T
 
+    def terminal(times, levels):
+        tau, ch = np.concatenate(times), np.repeat(np.arange(len(times)), [st.size for st in times])
+        jumps = np.concatenate([np.diff(lv) for lv in levels])[:, None]
+        x = prob.drift + staircase_integral(prob, times, levels)
+        return x, -(prob.propagator.rows(tau)[np.arange(tau.size), ch] * jumps).T
 
-def _cell_staircase(v, ladder, edges, ch):
-    """(switch times, level indices, switch-time bounds) of the staircase
-    that holds node value ``v[i]`` over the cell [edges[i], edges[i+1]].
+    def moved(step):
+        out_times, out_levels = [], []
+        for ch, (st, lv, d) in enumerate(zip(times, levels, np.split(step, np.cumsum([st.size for st in times])[:-1]))):
+            thin = (ch in pinned) & (np.diff([0.0, *st, T]) < COLLAPSE_GAP * T)
+            if np.any((np.diff([0.0, *(st + d), T]) <= 0) & ~thin):
+                return None
+            st, lv = list(st + d), list(lv)
+            while st:
+                gaps = np.diff([0.0, *st, T])
+                if gaps[0] <= 0:
+                    del st[0], lv[0]
+                elif gaps[-1] <= 0:
+                    del st[-1], lv[-1]
+                elif np.any(gaps <= 0):
+                    k = int(np.argmax(gaps <= 0))
+                    del st[k - 1 : k + 1], lv[k : k + 2]
+                else:
+                    break
+            out_times.append(np.array(st, dtype=float))
+            out_levels.append(np.array(lv, dtype=float))
+        return out_times, out_levels
 
-    A value within ``NODE_TOL`` (relative to the ladder) of a level keeps
-    that level; a value between two adjacent levels spends the matching
-    shares of the cell on them, starting with the one nearer the level
-    before.  A switch inside a cell may move within it, one on a cell edge
-    within the two cells around it.
-    """
-    tol = NODE_TOL * float(np.max(np.abs(ladder)))
-    times, ks, bounds = [], [], []
-    for i, vi in enumerate(v):
-        a, b = edges[i], edges[i + 1]
-        j = int(np.argmin(np.abs(ladder - vi)))
-        if abs(ladder[j] - vi) <= tol:
-            cell = [(j, a)]
+    x, J = terminal(times, levels)
+    steps = 0
+    while steps < POLISH_MAX_ITER and J.size:
+        step, s = np.linalg.lstsq(J, -x, rcond=None)[0], 1.0
+        while s * np.abs(step).max() > np.finfo(float).eps * T:
+            trial = moved(s * step)
+            if trial is not None:
+                x_new, J_new = terminal(*trial)
+                if np.linalg.norm(x_new) < np.linalg.norm(x):
+                    break
+            s /= 2
         else:
-            j = int(np.searchsorted(ladder, vi)) - 1
-            theta = (vi - ladder[j]) / (ladder[j + 1] - ladder[j])  # share of level j+1
-            if ks and ks[-1] > j:
-                cell = [(j + 1, a), (j, a + theta * (b - a))]
-            else:
-                cell = [(j, a), (j + 1, a + (1.0 - theta) * (b - a))]
-        for k, t in cell:
-            if ks and k == ks[-1]:
-                continue
-            if ks:
-                if abs(k - ks[-1]) != 1:
-                    raise DegenerateAdjointError(
-                        f"channel {ch}: the primal control jumps from level {ladder[ks[-1]]:.6g} "
-                        f"to {ladder[k]:.6g} at t = {a:.6g}; use a finer quadrature grid"
-                    )
-                times.append(t)
-                bounds.append((edges[max(i - 1, 0)], b) if t == a else (a, b))
-            ks.append(k)
-    return np.asarray(times, dtype=float), np.asarray(ks, dtype=int), np.asarray(bounds).reshape(-1, 2)
-
-
-def _polish(prob: DualProblem, plans, ladders):
-    """Per-channel switch times after Gauss-Newton with minimum-norm steps
-    on the exact terminal map, run until the terminal norm stops
-    decreasing; raises unless the times stay strictly increasing inside
-    their bounds and the terminal norm reaches ``POLISH_TOL``.  The map is
-    e^{TA} x0 plus the :func:`~.dual.staircase_integral`; its derivative in
-    tau_k is e^{(T - tau_k)A} B (u_{k-1} - u_k) on the channel's column."""
-    levels = [ladder[ks] for ladder, (_, ks, _) in zip(ladders, plans)]
-    sizes = [st.size for st, _, _ in plans]
-    splits, ch = np.cumsum(sizes)[:-1], np.repeat(np.arange(len(plans)), sizes)
-    tau = np.concatenate([st for st, _, _ in plans])
-    bounds = np.concatenate([b for _, _, b in plans])
-    jumps = np.concatenate([np.diff(lv) for lv in levels])
-
-    def terminal(t):
-        x = prob.drift + staircase_integral(prob, np.split(t, splits), levels)
-        return x, -(prob.propagator.rows(t)[np.arange(t.size), ch] * jumps[:, None]).T
-
-    x, J = terminal(tau)
-    for _ in range(POLISH_MAX_ITER if tau.size else 0):
-        step = np.linalg.lstsq(J, -x, rcond=None)[0]
-        x_new, J_new = terminal(tau + step)
-        if not np.linalg.norm(x_new) < np.linalg.norm(x):
             break
-        tau, x, J = tau + step, x_new, J_new
-    times = np.split(tau, splits)
-    norm = float(np.linalg.norm(x))
-    if np.any((tau < bounds[:, 0]) | (tau > bounds[:, 1])):
-        raise DegenerateAdjointError("polishing moved a switch time out of its quadrature cell")
-    if any(np.any(np.diff(st) <= 0) for st in times):
-        raise DegenerateAdjointError("polishing reordered the switch times")
-    if not norm <= POLISH_TOL:
-        raise DegenerateAdjointError(
-            f"the selected staircase leaves the terminal norm at {norm:.3g} > {POLISH_TOL:g}"
-        )
-    return times
+        (times, levels), x, J, steps = trial, x_new, J_new, steps + 1
+    return times, levels, float(np.linalg.norm(x)), steps
 
 
 def verify_staircase(ctrl: MultilevelControl, levels) -> tuple[bool, Optional[dict]]:

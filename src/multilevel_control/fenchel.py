@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualProblem, eval_functional
+from .dual import DualProblem, eval_functional, moment_weights
 
 __all__ = [
     "InfeasiblePrimalError",
@@ -149,6 +149,14 @@ def solve_primal(dp: DiscretePrimal) -> PrimalSolution:
     up to a constant.  The only rows are the N steering equalities.
     Infeasibility (initial state outside the reachable set under the level
     bound) raises :class:`InfeasiblePrimalError`.
+
+    The optimum is made unique in a second stage: every increment whose
+    reduced cost exceeds 1e-9 times the largest cost is fixed at the
+    bound it holds, which leaves the optimal face, and when more than N
+    increments stay free the moment of :func:`~.dual.moment_weights`,
+    summed over every channel's increments, is minimized over that face,
+    the moment by which :func:`~.extract.extract_control` selects its
+    degenerate staircase.
     """
     n, K = dp.n, dp.channels
     lo = np.array([conj.domain[0] for conj in dp.conjugates])
@@ -159,14 +167,20 @@ def solve_primal(dp: DiscretePrimal) -> PrimalSolution:
         cols.append(np.repeat(dp.G[:, ch::K], conj.pieces, axis=1))
         cost.append(np.outer(dp.weights, conj.slopes).ravel())
         width.append(np.tile(np.diff(knots), n))
-    width = np.concatenate(width)
-    res = linprog(
-        np.concatenate(cost),
-        A_eq=np.hstack(cols),
-        b_eq=dp.c - dp.G @ np.tile(lo, n),
-        bounds=np.column_stack([np.zeros_like(width), width]),
-        method="highs",
-    )
+    cost, width = np.concatenate(cost), np.concatenate(width)
+    bounds = np.column_stack([np.zeros_like(width), width])
+    lp = dict(A_eq=np.hstack(cols), b_eq=dp.c - dp.G @ np.tile(lo, n), method="highs")
+    res = linprog(cost, bounds=bounds, **lp)
+    iterations = int(res.nit)
+    if res.status == 0:
+        tol = 1e-9 * float(np.abs(cost).max())
+        at_lower, at_upper = res.lower.marginals > tol, res.upper.marginals < -tol
+        if np.count_nonzero(~(at_lower | at_upper)) > dp.c.size:
+            bounds[at_lower, 1], bounds[at_upper, 0] = 0.0, width[at_upper]
+            moment = moment_weights(dp.times, dp.weights)
+            moment = np.concatenate([np.repeat(moment, conj.pieces) for conj in dp.conjugates])
+            res = linprog(moment, bounds=bounds, **lp)
+            iterations += int(res.nit)
     if res.status == 2:
         raise InfeasiblePrimalError(_infeasible_message(dp))
     if res.status != 0:
@@ -177,7 +191,7 @@ def solve_primal(dp: DiscretePrimal) -> PrimalSolution:
         v=v,
         objective=_primal_value(dp.weights, dp.conjugates, v),
         residual=float(np.linalg.norm(dp.G @ v.ravel() - dp.c)),
-        iterations=int(res.nit),
+        iterations=iterations,
     )
 
 

@@ -13,10 +13,9 @@ A structural feature the suite exercises: for the four-level ladder on the
 long oscillator horizon, the state e^{TA} x0 is reachable with controls
 bounded by the inner slopes (+-0.5), so the dual functional's unique
 minimizer is the origin and the optimal controls are the selections of
-[-0.5, 0.5].  A vertex of the discrete Fenchel primal is bang-bang on that
-pair outside a few nodes, so a staircase exists; extraction selects it from
-the primal and polishes its switch times onto the exact terminal map
-(criteria 1, 3, 4, 5 and 9 reach that degenerate origin).  Criterion 2,
+[-0.5, 0.5].  A staircase on that pair with N switches steers x0 there;
+extraction places its switch times by Gauss-Newton on the exact terminal
+map (criteria 1, 3, 4, 5 and 9 reach that degenerate origin).  Criterion 2,
 leg 3, is infeasible: its target lies outside the set reachable with
 |u| <= 1.5 on the short horizon, so no ladder control exists.
 """

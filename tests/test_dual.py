@@ -557,66 +557,55 @@ def kinked_problem(A, B, x0, T):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(prob=kinked_plants())
 def test_converged_data_extract_without_degenerate_error(prob):
+    # at a pinned datum every pinned channel alternates between the two
+    # levels around its breakpoint, and the staircase steers x0
     rep = minimize(prob)
     if rep.status is SolveStatus.CONVERGED:
         try:
-            extract_control(rep.p_T_star, prob)
+            ctrl = extract_control(rep.p_T_star, prob)
         except DegenerateAdjointError as exc:
             pytest.fail(f"{rep.message}: {exc}")
+        pinned = [on_kink for _, _, on_kink in ExactEvaluator(prob).pieces(rep.p_T_star)]
+        if any(pinned):
+            for ch, on_kink in zip(ctrl.channels, pinned):
+                assert not on_kink or np.unique(ch.levels).size <= 2
+                assert verify_staircase(ctrl, ch.level_set)[0]
+            switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
+            assert simulate_forward(prob.sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-9
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(prob=kinked_plants())
 def test_an_origin_that_the_chord_bound_rejects_is_no_minimizer(prob):
-    # a negative bound of J'(0; -g) shows that -g descends, so the LP
-    # certificate of the origin fails too
+    # a negative bound of J'(0; -g) shows that -g descends, so no staircase
+    # on the levels around the origin's kinks steers x0
     zero = np.zeros(prob.sys.dim)
     slopes = [pen.slope_bounds(0.0) for pen in prob.penalizations]
     if dual.chord_bound(prob, -eval_subgradient(prob, zero), slopes) < 0.0:
-        with pytest.raises(DegenerateAdjointError):
-            extract.complementary_slackness(prob, zero, 1.0)
-
-
-def known_failure(reason):
-    return pytest.mark.xfail(strict=True, raises=DegenerateAdjointError, reason=reason)
+        with pytest.raises(DegenerateAdjointError, match="not a minimizer"):
+            extract_control(zero, prob)
 
 
 @pytest.mark.parametrize(
     "A, B, x0, T",
     [
-        pytest.param(
-            np.diag([0.0, 1.0]),
-            [[1.0], [2.0**-23]],
-            [0.0, 0.0],
-            1.0,
-            id="badly-scaled-rows",
-            marks=known_failure("the primal LP of badly scaled steering rows is reported infeasible"),
-        ),
+        pytest.param(np.diag([0.0, 1.0]), [[1.0], [2.0**-23]], [0.0, 0.0], 1.0, id="badly-scaled-rows"),
         pytest.param(
             [[1.1125369292536007e-308, 0.2831924365986074], [0.2883813407861384, -0.7725655080805547]],
             [[-9.944933530196445e-65, -0.9069496914500528], [1.1754943508222875e-38, 0.12396254457806566]],
             [-0.7316290936304024, -6.67286805461442e-145],
             1.7254599329255922,
             id="tiny-column",
-            marks=known_failure("a regular channel goes to the primal LP with the pinned one"),
         ),
-        pytest.param(
-            [[0.0, 0.0], [1.0, 0.0]],
-            [[0.0, 0.5], [0.0, 0.0]],
-            [0.0, 0.5],
-            2.0,
-            id="zero-column",
-            marks=known_failure("a regular channel goes to the primal LP with the pinned one"),
-        ),
+        pytest.param([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.5], [0.0, 0.0]], [0.0, 0.5], 2.0, id="zero-column"),
     ],
 )
-def test_converged_data_that_do_not_extract_yet(A, B, x0, T):
-    # converged data whose extraction raises: a feasible LP reported
-    # infeasible, and a regular channel whose LP values miss its subdifferential
+def test_badly_scaled_and_inert_channels_extract_and_steer(A, B, x0, T):
+    # steering rows whose maxima are 2.5e-3 and 8.1e-10, and a channel whose
+    # column of B is about 1e-38 or exactly 0, pinned at every node beside
+    # a regular channel: the switch times of both channels are solved for
     prob = kinked_problem(A, B, x0, T)
-    rep = minimize(prob)
-    assert rep.status is SolveStatus.CONVERGED
-    extract_control(rep.p_T_star, prob)
+    assert_steers(prob, minimize(prob), 1e-9)
 
 
 class TestOptimizerSettings:
@@ -1039,20 +1028,41 @@ class TestNewtonPhase:
         # the minimizer is ill-determined: the run from the origin stops elsewhere, and steers x0 too
         assert_steers(prob, minimize(prob), 1e-6)
 
-    def test_a_pinned_datum_extracts_by_the_primal_path(self):
+    def test_a_pinned_datum_extracts_a_staircase_that_steers(self):
         # B^T p = 0.234 (p1 e^{0.126 s} + 5.59 p0 (e^{0.126 s} - 1)) on the
         # second channel is constant where p1 = -5.59 p0; the minimizer pins
-        # it on the breakpoint -0.2 up to rounding, so the staircase is read
-        # off the discrete Fenchel primal and polished to steer x0
+        # it on the breakpoint -0.2 up to rounding, so that channel's
+        # switches between the levels around -0.2 are solved with the other
+        # channel's crossings to steer x0.  One switch, at 0.05, does
         prob = pinned_problem()
         sys = prob.sys
         rep = minimize(prob)
         assert rep.converged and "active breakpoints" in rep.message
         ctrl = extract_control(rep.p_T_star, prob)
+        assert ctrl.channels[1].switch_times == pytest.approx([0.05], abs=1e-12)
         for ch in ctrl.channels:
             assert verify_staircase(ctrl, ch.level_set)[0]
         switches = np.concatenate([ch.switch_times for ch in ctrl.channels])
         assert simulate_forward(sys, ctrl, np.union1d(prob.grid.nodes, switches)).terminal_norm <= 1e-9
+
+    def test_both_start_orders_drop_the_spare_switch(self):
+        # from N = 2 switches in either order, Gauss-Newton drops the switch
+        # that one switch at 0.05 does not need, at the horizon's edge,
+        # instead of creeping towards it until the step cap
+        prob = pinned_problem()
+        p = minimize(prob).p_T_star
+        pieces = ExactEvaluator(prob).pieces(p)
+        times = [crossings for crossings, _, _ in pieces]
+        levels = [pen.slopes[ks] for pen, (_, ks, _) in zip(prob.penalizations, pieces)]
+        pair, T = prob.penalizations[1].slopes[[1, 2]], prob.sys.T
+        steps = []
+        for first in (0, 1):
+            times[1], levels[1] = T * np.array([1.0, 2.0]) / 3.0, pair[[first, 1 - first, first]]
+            end_times, end_levels, norm, n = extract._steer(prob, times, levels, [1])
+            assert end_times[1] == pytest.approx([0.05], abs=1e-12) and end_levels[1].tolist() == pair.tolist()
+            assert norm <= extract.POLISH_TOL
+            steps.append(n)
+        assert steps == [6, 10]
 
 
 

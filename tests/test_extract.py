@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from multilevel_control import (
     subgradient_box,
     verify_staircase,
 )
+from multilevel_control import extract
 from multilevel_control.dual import BISECTION_MAX_ITER, BISECTION_TOL, FLOOR, GTOL, ROUNDING, ExactEvaluator, _cuts
+from multilevel_control.extract import POLISH_TOL
 from multilevel_control.lti import exp_action_integral
 
 A_OSC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -501,6 +504,7 @@ class TestExtractControl:
         prob = DualProblem(sys, [pen])
         ctrl = extract_control(np.zeros(2), prob)
         ch = ctrl.channels[0]
+        assert ch.switch_times.size == sys.dim
         assert np.all(np.isin(ch.levels, ch.level_set))
         ok, _ = verify_staircase(ctrl, ch.level_set)
         assert ok
@@ -508,18 +512,56 @@ class TestExtractControl:
         traj = simulate_forward(sys, ctrl, np.concatenate([[0.0], ch.switch_times, [sys.T]]))
         assert traj.terminal_norm <= 1e-9
 
-    @pytest.mark.parametrize("factor, reason", [(2.0, "subdifferential"), (4.0, "unreachable")])
-    def test_zero_datum_that_is_not_a_minimizer_raises(self, factor, reason):
-        # a larger state leaves the origin's subdifferential box: the primal
-        # needs levels beyond the inner slopes (factor 2) or cannot steer at
-        # all within the ladder (factor 4)
+    @pytest.mark.parametrize("factor", [2.0, 4.0])
+    def test_zero_datum_that_is_not_a_minimizer_raises(self, factor):
+        # a larger state leaves the origin's subdifferential box: steering
+        # needs levels beyond the inner slopes (factor 2) or beyond the whole
+        # ladder (factor 4), so no staircase between the inner slopes steers
         sys = LtiSystem(A=A_OSC, B=B_OSC, x0=factor * X0, T=4.0)
         pen = build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
         prob = DualProblem(sys, [pen])
         lo, hi = subgradient_box(prob, np.zeros(2))
         assert np.linalg.norm(np.clip(0.0, lo, hi)) > GTOL
-        with pytest.raises(DegenerateAdjointError, match=f"not a minimizer.*{reason}"):
+        with pytest.raises(DegenerateAdjointError, match="not a minimizer: its least subgradient norm") as info:
             extract_control(np.zeros(2), prob)
+        closest = re.search(r"closest terminal norm ([^\s)]+)", str(info.value))
+        assert float(closest.group(1)) > POLISH_TOL
+
+    def test_a_failed_selection_at_a_minimizer_is_no_verdict_on_it(self, monkeypatch):
+        # with no Gauss-Newton step allowed nothing steers, but the origin
+        # above is a minimizer, which the minimum-norm subgradient certifies
+        monkeypatch.setattr(extract, "POLISH_MAX_ITER", 0)
+        sys = LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=4.0)
+        pen = build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
+        with pytest.raises(DegenerateAdjointError, match="datum is certified, but no staircase with 2 to 4 switches"):
+            extract_control(np.zeros(2), DualProblem(sys, [pen]))
+
+    def test_degenerate_zero_datum_beyond_n_switches(self):
+        # T = 3 pi: x0 is 97 % of the way to the boundary point, in direction
+        # (cos 0.7, sin 0.7), of the set reachable with |u| <= 0.5, whose
+        # control switches at the 3 zeros of sin(T - t + 0.7) inside (0, T).
+        # No staircase with N = 2 switches reaches that far; the origin is
+        # still the minimizer, and 3 switches steer x0
+        sys = LtiSystem(A=A_OSC, B=B_OSC, x0=[2.225690767543849, 1.8746734668390892], T=3 * np.pi)
+        pen = build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
+        prob = DualProblem(sys, [pen])
+        rep = minimize(prob)
+        assert rep.converged and not rep.p_T_star.any()
+        for levels in ([-0.5, 0.5, -0.5], [0.5, -0.5, 0.5]):
+            _, _, norm, _ = extract._steer(prob, [sys.T * np.array([1.0, 2.0]) / 3.0], [np.array(levels)], [0])
+            assert norm > POLISH_TOL
+        ctrl = extract_control(rep.p_T_star, prob)
+        ch = ctrl.channels[0]
+        assert ch.switch_times.size == 3 and set(ch.levels) == {-0.5, 0.5}
+        traj = simulate_forward(sys, ctrl, np.concatenate([[0.0], ch.switch_times, [sys.T]]))
+        assert traj.terminal_norm <= 1e-9
+
+    def test_zero_datum_of_the_squared_kind_raises(self):
+        # the squared kind's level scale is the integral term, 0 at the origin
+        sys = LtiSystem(A=A_OSC, B=B_OSC, x0=X0, T=4.0)
+        pen = build_penalization(quadratic_profile(), Partition(np.array([-1, -0.5, 0, 0.5, 1.0])))
+        with pytest.raises(DegenerateAdjointError, match="scale 0 at the datum is not positive"):
+            extract_control(np.zeros(2), DualProblem(sys, [pen], kind="squared"))
 
     def test_extracted_control_steers_to_zero(self):
         prob, rep = solved_oscillator()

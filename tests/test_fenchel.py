@@ -104,20 +104,40 @@ class TestSolvePrimal:
                 with pytest.raises(InfeasiblePrimalError):
                     solve_primal(dp)
 
-    def test_solve_primal_calls_the_module_linprog_once(self, monkeypatch):
-        # solve_primal reads the module attribute, so a wrapper there sees its LP
-        plant = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.5], T=1.0)
-        prob = DualProblem(plant, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 100))
+    @pytest.fixture
+    def lps(self, monkeypatch):
+        """(cost, result) of each LP that solve_primal solves."""
         calls = []
         lp = fenchel.linprog
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lp(*args, **kwargs)
+        def counted(cost, **kwargs):
+            calls.append((cost, lp(cost, **kwargs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(fenchel, "linprog", counted)
-        solve_primal(build_discrete_primal(prob))
-        assert len(calls) == 1
+        return calls
+
+    def test_solve_primal_calls_the_module_linprog_for_every_lp(self, lps):
+        # solve_primal reads the module attribute, so a wrapper there sees its
+        # LPs: this optimal face is no point, so the moment stage runs too
+        plant = LtiSystem(A=[[0.0]], B=[[1.0]], x0=[0.5], T=1.0)
+        prob = DualProblem(plant, [abs_ladder()], grid=QuadratureGrid.trapezoid(1.0, 100))
+        sol = solve_primal(build_discrete_primal(prob))
+        assert len(lps) == 2
+        assert sol.iterations == sum(res.nit for _, res in lps)
+
+    def test_the_moment_stage_keeps_the_optimum(self, lps):
+        # criterion 5's data, whose optimal face holds every selection of
+        # [-0.5, 0.5]: the moment's minimizer costs what the first solve does
+        solve_primal(build_discrete_primal(criterion1_problem()))
+        (cost, first), (_, second) = lps
+        assert cost @ second.x == pytest.approx(first.fun, rel=1e-9)
+
+    def test_a_regular_datum_solves_one_lp(self, lps):
+        # osc-t4's optimal face is a point, so the suite's Fenchel check
+        # solves one LP
+        solve_primal(build_discrete_primal(build_problem(load_config(CONFIG_DIR / "osc-t4.json"))))
+        assert len(lps) == 1
 
     def test_highs_is_imported_by_the_first_lp(self):
         # in a fresh interpreter, importing every module leaves scipy.optimize
@@ -260,7 +280,7 @@ def _primal_case(name):
     if name.startswith("osc"):
         return build_discrete_primal(build_problem(load_config(CONFIG_DIR / f"{name}.json")))
     dp = build_discrete_primal(criterion1_problem())
-    # the right-hand side of the degenerate extraction for the scaled kind, beta = 3
+    # the scaled kind's primal, beta = 3, in units of the level scale
     return dp if name == "criterion-1" else replace(dp, c=dp.c / 3.0)
 
 
